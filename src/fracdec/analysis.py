@@ -79,23 +79,54 @@ def to_stairs(complex_, cochain, support="barycenter"):
     return StairsFunction(bps, vals)
 
 
+def _graded_gauss_rule(m):
+    """m-point Gauss-Legendre rule on [0, 1] through the grading map.
+
+    x = u^4 (35 - 84u + 70u^2 - 20u^3) has Jacobian 140 u^3 (1-u)^3,
+    which vanishes to third order at both ends, so integrands with
+    x^a or (1-x)^a endpoint singularities become smooth in u.
+    """
+    t, w = np.polynomial.legendre.leggauss(m)
+    u = (t + 1.0) / 2.0
+    x = u ** 4 * (35.0 - 84.0 * u + 70.0 * u ** 2 - 20.0 * u ** 3)
+    return x, w / 2.0 * 140.0 * u ** 3 * (1.0 - u) ** 3
+
+
+_FINE_RULE = _graded_gauss_rule(24)
+_COARSE_RULE = _graded_gauss_rule(16)
+
+
 def l2_error_stairs(stairs, reference):
     """sqrt of the integral of (stairs - reference)^2 over the support.
 
-    Each step is integrated by adaptive quadrature at absolute
-    tolerance 1e-10.
+    reference must accept an array of points and return values of the
+    same shape (a scalar result is broadcast).  Every step is mapped to
+    [0, 1] by an endpoint-grading polynomial and integrated with
+    24-point Gauss-Legendre in one vectorised pass; the difference to a
+    16-point rule on the same step estimates its error.  Steps whose
+    estimate exceeds 1e-10 (an interior kink, say) are redone by
+    adaptive quadrature at absolute tolerance 1e-10.
     """
-    total = 0.0
-    for i, v in enumerate(stairs.values):
-        lo, hi = stairs.breakpoints[i], stairs.breakpoints[i + 1]
-        val, err = quad(lambda t: (v - reference(t)) ** 2, lo, hi,
+    (fine_x, fine_w), (coarse_x, coarse_w) = _FINE_RULE, _COARSE_RULE
+    lo = stairs.breakpoints[:-1, None]
+    h = np.diff(stairs.breakpoints)[:, None]
+    nodes = np.hstack([lo + h * fine_x, lo + h * coarse_x])
+    ref = np.broadcast_to(np.asarray(reference(nodes), dtype=float), nodes.shape)
+    sq = (stairs.values[:, None] - ref) ** 2
+    steps = h[:, 0] * (sq[:, :len(fine_x)] @ fine_w)
+    coarse = h[:, 0] * (sq[:, len(fine_x):] @ coarse_w)
+    # "not <=" also sends NaN estimates to the fallback.
+    for i in np.flatnonzero(~(np.abs(steps - coarse) <= _L2_QUAD_TOL)):
+        v = stairs.values[i]
+        val, err = quad(lambda t: (v - reference(t)) ** 2,
+                        stairs.breakpoints[i], stairs.breakpoints[i + 1],
                         epsabs=_L2_QUAD_TOL, limit=200)
         # quad's error estimate is conservative near sqrt-type endpoints;
         # anything below 1e-7 per step is far inside the comparison needs.
         if err > 1e-7 + 1e-12 * abs(val):
             raise AccuracyError(f"step quadrature error {err:.2e} too large")
-        total += val
-    return float(np.sqrt(total))
+        steps[i] = val
+    return float(np.sqrt(steps.sum()))
 
 
 def linf_error(predicted, reference=None):
@@ -270,7 +301,7 @@ def convergence_study(family, s, edge_counts, config=None, support="edge",
             err = linf_error(deriv.values, family.reference(bary, s))
         else:
             stairs = to_stairs(complex_, deriv, support=support)
-            ref = lambda t: float(family.reference(t, s, config.right_sign))
+            ref = lambda t: family.reference(t, s, config.right_sign)
             err = l2_error_stairs(stairs, ref)
         rows.append({"n": int(n), "error": err,
                      "ratio": err / prev if prev is not None else float("nan")})

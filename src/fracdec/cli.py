@@ -3,7 +3,7 @@
 Every output file starts with a header line that records the exact
 experiment configuration; re-running with the same arguments produces a
 byte-identical file.  Exit codes: 0 success, 2 usage/config error,
-3 mesh or data error, 4 numerical-accuracy error.
+3 mesh, data or file I/O error, 4 numerical-accuracy error.
 """
 
 from __future__ import annotations
@@ -251,6 +251,9 @@ def main(argv=None):
         return USAGE_ERROR
     except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)

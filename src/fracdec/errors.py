@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit 2,
-mesh/data problems exit 3, numerical-accuracy problems exit 4.
+mesh/data problems (and OSError from file I/O) exit 3,
+numerical-accuracy problems exit 4.
 """
 
 

@@ -10,6 +10,7 @@ the plain coboundary, bit-exactly (Kronecker branch).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -42,8 +43,8 @@ class FracConfig:
     def __post_init__(self):
         if not 0.0 < self.s <= 1.0:
             raise ConfigError(f"fractional order s must be in (0, 1], got {self.s}")
-        if self.c_s is not None and self.c_s <= 0:
-            raise ConfigError("c_s must be positive")
+        if self.c_s is not None and not (math.isfinite(self.c_s) and self.c_s > 0):
+            raise ConfigError(f"c_s must be finite and positive, got {self.c_s}")
         if self.sidedness not in SIDEDNESS:
             raise ConfigError(f"unknown sidedness {self.sidedness!r}")
         if self.right_sign not in RIGHT_SIGNS:

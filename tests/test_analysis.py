@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fracdec import (
     Cochain,
@@ -26,6 +27,34 @@ from fracdec import (
     to_stairs,
     whitney_reconstruct,
 )
+from fracdec import analysis
+
+
+def quad_oracle_l2(stairs, reference):
+    """Per-step adaptive-quadrature L2 norm, the graded rule's oracle.
+
+    The tolerance is tighter than a 1e-10 absolute step tolerance, at
+    which the loop itself is 1.7e-10 relative off at s = 0.3, n = 1024.
+    """
+    total = 0.0
+    for i, v in enumerate(stairs.values):
+        val, _ = quad(lambda t: (v - reference(t)) ** 2,
+                      stairs.breakpoints[i], stairs.breakpoints[i + 1],
+                      epsabs=1e-14, epsrel=1e-12, limit=200)
+        total += val
+    return float(np.sqrt(total))
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """Records the [lo, hi] of every fallback quad call in analysis."""
+    calls = []
+
+    def counting_quad(func, lo, hi, **kwargs):
+        calls.append((lo, hi))
+        return quad(func, lo, hi, **kwargs)
+    monkeypatch.setattr(analysis, "quad", counting_quad)
+    return calls
 
 
 class TestStairsFunction:
@@ -100,6 +129,33 @@ class TestErrorNorms:
     def test_l2_exact_match_is_zero(self):
         f = StairsFunction([0.0, 0.5, 1.0], [2.0, 2.0])
         assert l2_error_stairs(f, lambda t: 2.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 16, 1024])
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("right_sign", ["plus", "minus"])
+    @pytest.mark.parametrize("support", ["edge", "barycenter"])
+    def test_l2_matches_quad_oracle(self, n, s, right_sign, support):
+        fam = get_family("poly_neg10x3_plus_10x2")
+        cx, deriv = frac_derivative_1d(n, fam, FracConfig(s=s, right_sign=right_sign))
+        stairs = to_stairs(cx, deriv, support=support)
+        got = l2_error_stairs(stairs, lambda t: fam.reference(t, s, right_sign))
+        want = quad_oracle_l2(stairs, lambda t: fam.reference(t, s, right_sign))
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_l2_fine_mesh_needs_no_fallback(self, quad_calls):
+        fam = get_family("poly_neg10x3_plus_10x2")
+        convergence_study(fam, 0.5, [256, 1024])
+        assert quad_calls == []
+
+    def test_l2_interior_kink_falls_back_to_quad(self, quad_calls):
+        # sqrt|t - 0.3| has an unbounded derivative inside the second
+        # step, which the graded rule cannot resolve; only that step
+        # goes to adaptive quadrature.
+        f = StairsFunction([0.0, 0.25, 0.5, 0.75, 1.0], [0.2, 0.4, 0.5, 0.6])
+        ref = lambda t: np.sqrt(np.abs(t - 0.3))
+        got = l2_error_stairs(f, ref)
+        assert quad_calls == [(0.25, 0.5)]
+        assert got == pytest.approx(quad_oracle_l2(f, ref), rel=1e-10)
 
     def test_linf_vectors(self):
         assert linf_error([1.0, 2.0], [1.5, 2.0]) == pytest.approx(0.5)

@@ -73,6 +73,28 @@ class TestFracDeriv:
         assert run("frac-deriv", "--mesh", str(bad), "--family", "power",
                    "-o", str(out)) == 3
 
+    def test_missing_mesh_file_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--mesh", str(tmp_path / "missing.json"),
+                   "--family", "exp_x", "-o", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unwritable_output_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "d.csv"
+        assert run("frac-deriv", "--interval", "4", "--family", "exp_x",
+                   "-o", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and err.count("\n") == 1
+
+    def test_infinite_cs_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--interval", "4", "--family", "power",
+                   "--cs", "inf", "-o", str(out)) == 2
+        assert "c_s must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_s_exit_2(self, tmp_path):
         out = tmp_path / "d.csv"
         assert run("frac-deriv", "--interval", "4", "--family", "power",

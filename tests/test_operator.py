@@ -38,6 +38,7 @@ class TestFracConfig:
 
     def test_validation(self):
         for bad in (dict(s=0.0), dict(s=1.5), dict(s=-0.3), dict(c_s=-1.0),
+                    dict(c_s=float("nan")), dict(c_s=float("inf")),
                     dict(sidedness="both"), dict(right_sign="times"),
                     dict(distance_mode="manhattan")):
             with pytest.raises(ConfigError):
