@@ -22,6 +22,8 @@ from . import mesh, metric, operator
 from .errors import AccuracyError, ConfigError, GeometryError, MeshError
 
 _L2_QUAD_TOL = 1e-10
+# Local vertex pairs of a triangle's edges, in edge_values column order.
+_TRIANGLE_EDGES = np.array([(0, 1), (0, 2), (1, 2)])
 
 
 @dataclass(frozen=True)
@@ -160,16 +162,24 @@ class WhitneyField:
     edge_values: np.ndarray    # (T, 3) cochain values on edges (01, 02, 12)
 
     def evaluate(self, tri_index, point):
-        """Field value at a point inside triangle tri_index."""
-        corners = self.corners[tri_index]
-        grads = self.gradients[tri_index]
-        # Barycentric coordinates of the point.
-        mat = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
-        ab = np.linalg.solve(mat, np.asarray(point, dtype=float) - corners[0])
-        lam = np.array([1.0 - ab.sum(), ab[0], ab[1]])
-        vec = np.zeros(2)
-        for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-            vec += self.edge_values[tri_index, k] * (lam[i] * grads[j] - lam[j] * grads[i])
+        """Field value at points inside the given triangles.
+
+        tri_index is one triangle index or an array of them, point a
+        matching (2,) point or (..., 2) array; one vector per point.
+        """
+        tri = np.asarray(tri_index)
+        corners = self.corners[tri]
+        grads = self.gradients[tri]
+        # Barycentric coordinates of the points.
+        mat = np.stack([corners[..., 1, :] - corners[..., 0, :],
+                        corners[..., 2, :] - corners[..., 0, :]], axis=-1)
+        rhs = np.asarray(point, dtype=float) - corners[..., 0, :]
+        ab = np.linalg.solve(mat, rhs[..., None])[..., 0]
+        lam = np.stack([1.0 - ab.sum(axis=-1), ab[..., 0], ab[..., 1]], axis=-1)
+        vec = np.zeros(rhs.shape)
+        for k, (i, j) in enumerate(_TRIANGLE_EDGES):
+            vec += self.edge_values[tri, k, None] * (
+                lam[..., i, None] * grads[..., j, :] - lam[..., j, None] * grads[..., i, :])
         return vec
 
 
@@ -179,24 +189,22 @@ def whitney_reconstruct(complex_, cochain):
         raise MeshError("Whitney reconstruction needs an embedded triangle mesh")
     if cochain.degree != 1:
         raise ConfigError("Whitney reconstruction acts on 1-cochains")
+    if len(cochain.values) != complex_.n_simplices(1):
+        raise ConfigError(f"cochain has {len(cochain.values)} values for "
+                          f"{complex_.n_simplices(1)} edges")
     coords = complex_.vertex_coords
     tris = complex_.simplices[2]
-    eidx = complex_.simplex_index(1)
     corners = coords[tris]
     t_mat = np.stack([corners[:, 1] - corners[:, 0],
                       corners[:, 2] - corners[:, 0]], axis=2)
     det = t_mat[:, 0, 0] * t_mat[:, 1, 1] - t_mat[:, 0, 1] * t_mat[:, 1, 0]
     if np.any(np.abs(det) < 1e-14):
         raise GeometryError("degenerate (zero-area) triangle")
-    grads = np.empty((len(tris), 3, 2))
-    edge_values = np.empty((len(tris), 3))
-    for t, tri in enumerate(tris):
-        inv = np.linalg.inv(t_mat[t])
-        g1, g2 = inv[0], inv[1]          # rows of T^{-1} are grad lambda_1,2
-        grads[t] = np.array([-g1 - g2, g1, g2])
-        for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-            edge_values[t, k] = cochain.values[eidx[(tri[i], tri[j])]]
-    return WhitneyField(tris.copy(), corners, grads, edge_values)
+    inv = np.linalg.inv(t_mat)
+    g1, g2 = inv[:, 0], inv[:, 1]        # rows of T^{-1} are grad lambda_1,2
+    grads = np.stack([-g1 - g2, g1, g2], axis=1)
+    edges = complex_.locate(1, tris[:, _TRIANGLE_EDGES])
+    return WhitneyField(tris.copy(), corners, grads, cochain.values[edges])
 
 
 def eval_at_barycenters(field, complex_):
@@ -216,21 +224,18 @@ def edge_integrals(field, complex_):
     """Tangential line integral of the field along every edge.
 
     The field is affine on each edge, so the midpoint value times the
-    edge vector is exact.  Used to verify the Whitney duality property.
+    edge vector is exact.  Each edge is integrated in the first triangle
+    (in table order) that contains it.  Used to verify the Whitney
+    duality property.
     """
-    eidx = complex_.simplex_index(1)
-    coords = complex_.vertex_coords
+    # Row 3t + k holds the ends of edge k of triangle t.
+    ends = field.triangles[:, _TRIANGLE_EDGES].reshape(-1, 2)
+    edges, first = np.unique(complex_.locate(1, ends), return_index=True)
+    a = complex_.vertex_coords[ends[first, 0]]
+    b = complex_.vertex_coords[ends[first, 1]]
+    vec = field.evaluate(first // 3, (a + b) / 2.0)
     out = np.zeros(complex_.n_simplices(1))
-    seen = np.zeros(complex_.n_simplices(1), dtype=bool)
-    for t, tri in enumerate(field.triangles):
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            e = eidx[(tri[i], tri[j])]
-            if seen[e]:
-                continue
-            a, b = coords[tri[i]], coords[tri[j]]
-            mid = (a + b) / 2.0
-            out[e] = field.evaluate(t, mid) @ (b - a)
-            seen[e] = True
+    out[edges] = (vec * (b - a)).sum(axis=1)
     return out
 
 

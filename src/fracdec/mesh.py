@@ -94,9 +94,33 @@ class SimplicialComplex:
     def n_simplices(self, p):
         return len(self.simplices[p])
 
-    def simplex_index(self, p):
-        """Map from vertex tuple to row index in the degree-p table."""
-        return {tuple(row): i for i, row in enumerate(self.simplices[p])}
+    def locate(self, p, rows):
+        """Row indices in the degree-p table of the given p-simplices.
+
+        rows is an (..., p+1) integer array of increasing vertex tuples;
+        the result has shape rows.shape[:-1].  Raises MeshError if any
+        of them is not in the table.
+        """
+        table = self.simplices[p]
+        rows = np.asarray(rows, dtype=np.int64)
+        base = int(self.simplices[0].max(initial=-1)) + 1
+        if base ** (p + 1) >= 2 ** 63:
+            raise MeshError(f"too many vertices to index degree-{p} simplices")
+        # Lexicographic key of a row: its digits in base n_vertices.  The
+        # sentinel key -1 (row n) is what misses land on, even when the
+        # table is empty; out-of-range queries get key -2.
+        place = base ** np.arange(p, -1, -1, dtype=np.int64)
+        keys = np.append(table @ place, -1)
+        order = np.argsort(keys)
+        in_range = np.all((rows >= 0) & (rows < base), axis=-1)
+        query = np.where(in_range, rows @ place, -2)
+        pos = np.searchsorted(keys, query, sorter=order).clip(max=len(table))
+        found = order[pos]
+        miss = keys[found] != query
+        if np.any(miss):
+            bad = tuple(int(v) for v in rows[miss][0])
+            raise MeshError(f"simplex {bad} is not in the complex")
+        return found
 
     @classmethod
     def from_simplices(cls, dimension, top_simplices, vertex_coords=None,
@@ -106,28 +130,45 @@ class SimplicialComplex:
         Lower-degree faces are induced automatically so the closure
         property holds by construction.  ``edge_lengths``, if given, is a
         map from increasing vertex pairs to lengths (overriding any
-        embedding).
+        embedding).  A vertex index that is not an integer in
+        [0, n_vertices), a duplicate top simplex or an edge without a
+        length raises MeshError before any geometry is computed.
         """
         tops = [tuple(sorted(s)) for s in top_simplices]
         if any(len(set(t)) != dimension + 1 for t in tops):
             raise MeshError("top simplex with repeated vertices")
-        tables = {dimension: sorted(set(tops))}
-        for p in range(dimension - 1, 0, -1):
-            faces = {f for s in tables[p + 1] for f in itertools.combinations(s, p + 1)}
-            tables[p] = sorted(faces)
+        unique_tops = set()
+        for t in tops:
+            if t in unique_tops:
+                raise MeshError(f"duplicate top simplex {t}")
+            unique_tops.add(t)
         verts = {v for s in tops for v in s}
         if vertex_coords is not None:
             vertex_coords = np.asarray(vertex_coords, dtype=float)
             n_vertices = len(vertex_coords)
         if n_vertices is None:
+            if not verts:
+                raise MeshError("no top simplices and no vertex count")
             n_vertices = max(verts) + 1
+        for v in sorted(verts):
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < n_vertices):
+                raise MeshError(f"vertex index {v!r} is not an integer "
+                                f"in [0, {n_vertices})")
+        tables = {dimension: sorted(unique_tops)}
+        for p in range(dimension - 1, 0, -1):
+            faces = {f for s in tables[p + 1] for f in itertools.combinations(s, p + 1)}
+            tables[p] = sorted(faces)
         tables[0] = [(v,) for v in range(n_vertices)]
         simplices = {p: np.asarray(t, dtype=int).reshape(len(t), p + 1)
                      for p, t in tables.items()}
         lengths = None
         overridden = False
         if edge_lengths is not None:
-            lengths = np.array([edge_lengths[tuple(e)] for e in simplices[1]], dtype=float)
+            try:
+                lengths = np.array([edge_lengths[tuple(e)]
+                                    for e in simplices[1].tolist()], dtype=float)
+            except KeyError as exc:
+                raise MeshError(f"no length given for edge {exc.args[0]}") from None
             overridden = vertex_coords is not None
         return cls(dimension, simplices, vertex_coords, lengths, overridden)
 
@@ -156,16 +197,14 @@ def build_coboundary(complex_, p):
     """
     if not 0 <= p < complex_.dimension:
         raise ConfigError(f"degree {p} out of range for dimension {complex_.dimension}")
-    face_index = complex_.simplex_index(p)
-    rows, cols, vals = [], [], []
-    for r, simplex in enumerate(complex_.simplices[p + 1]):
-        s = tuple(simplex)
-        for k in range(p + 2):
-            face = s[:k] + s[k + 1:]
-            rows.append(r)
-            cols.append(face_index[face])
-            vals.append((-1) ** k)
-    shape = (complex_.n_simplices(p + 1), complex_.n_simplices(p))
+    cofaces = complex_.simplices[p + 1]
+    n = len(cofaces)
+    # faces[r, k] is coface r with its vertex k left out.
+    faces = np.stack([np.delete(cofaces, k, axis=1) for k in range(p + 2)], axis=1)
+    rows = np.repeat(np.arange(n), p + 2)
+    cols = complex_.locate(p, faces).ravel()
+    vals = np.tile((-1) ** np.arange(p + 2), n)
+    shape = (n, complex_.n_simplices(p))
     return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64)
 
 

@@ -14,10 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, ConnectivityError, GeometryError, MeshError
 
 DISTANCE_MODES = ("geodesic", "euclidean")
+# The geodesic table is built in row blocks of about this many entries,
+# so its temporaries stay small (and in cache) next to the table itself.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,7 @@ def simplex_distance(complex_, p, mode="geodesic", vertex_table=None):
         raise ConfigError(f"unknown distance mode {mode!r}")
     if mode == "euclidean":
         b = barycenters(complex_, p)
-        diff = b[:, None, :] - b[None, :, :]
-        entries = np.sqrt((diff ** 2).sum(axis=-1))
-        entries = np.maximum(entries, entries.T)
-        return DistanceTable(p=p, mode=mode, entries=entries)
+        return DistanceTable(p=p, mode=mode, entries=cdist(b, b))
 
     if vertex_table is None:
         vertex_table = all_pairs_vertex_distance(complex_)
@@ -119,20 +120,25 @@ def simplex_distance(complex_, p, mode="geodesic", vertex_table=None):
     simp = complex_.simplices[p]
     offs = boundary_offsets(complex_, p)
     n = len(simp)
-    min_pair = np.full((n, n), np.inf)
-    for i in range(p + 1):
-        for j in range(p + 1):
-            np.minimum(min_pair, dm[np.ix_(simp[:, i], simp[:, j])], out=min_pair)
-    entries = min_pair + offs[:, None] + offs[None, :]
-    entries = np.minimum(entries, entries.T)
+    entries = np.empty((n, n))
+    step = max(1, _BLOCK_ENTRIES // max(n, len(dm), 1))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        # near[a, v]: distance from the nearest vertex of simplex a to v.
+        near = dm[simp[block, 0]]
+        for i in range(1, p + 1):
+            np.minimum(near, dm[simp[block, i]], out=near)
+        # np.take keeps C order; near[:, idx] would be Fortran-ordered.
+        out = np.take(near, simp[:, 0], axis=1)
+        for j in range(1, p + 1):
+            np.minimum(out, np.take(near, simp[:, j], axis=1), out=out)
+        # l_a + l_b is summed first so the table is exactly symmetric.
+        out += offs[block, None] + offs[None, :]
+        entries[block] = out
     np.fill_diagonal(entries, 0.0)
-    if np.any(~np.isfinite(entries)):
+    lo, hi = entries.min(initial=0.0), entries.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConnectivityError("disconnected complex: infinite simplex distance")
-    if np.any(entries < 0):
+    if lo < 0:
         raise GeometryError("negative simplex distance")
     return DistanceTable(p=p, mode=mode, entries=entries)
-
-
-def distance_table_to_csv(table, path):
-    """Debug dump of a distance table (row/col = simplex indices)."""
-    np.savetxt(path, table.entries, delimiter=",")

@@ -87,12 +87,14 @@ def _weights_from_distances(d, config):
     n = d.shape[0]
     if n < 2:
         raise MeshError("weight matrix needs at least two simplices")
-    off = ~np.eye(n, dtype=bool)
-    if np.any(d[off] <= 0.0):
-        raise GeometryError("zero distance between distinct simplices")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         w = d ** (-config.s)
-    np.fill_diagonal(w, config.diagonal_constant * np.max(w[off]))
+    np.fill_diagonal(w, 0.0)
+    # A zero off-diagonal distance gives inf, a negative one NaN.
+    top = w.max()
+    if not np.isfinite(top):
+        raise GeometryError("zero distance between distinct simplices")
+    np.fill_diagonal(w, config.diagonal_constant * top)
     return w
 
 
@@ -171,8 +173,12 @@ def build_frac_derivative(complex_, p, config, dist_table=None):
     """Assemble D_p^s for a complex.
 
     At s = 1 the weight matrix is skipped entirely so that applying the
-    operator is bit-identical to the plain coboundary.
+    operator is bit-identical to the plain coboundary.  right_sign
+    "minus" is defined only on 1D complexes and rejected elsewhere.
     """
+    if config.right_sign != "plus" and complex_.dimension != 1:
+        raise ConfigError(f"right_sign={config.right_sign!r} is defined for 1D "
+                          f"complexes only, not dimension {complex_.dimension}")
     d = mesh.build_coboundary(complex_, p)
     if config.s >= 1.0:
         return FracOperator(p=p, config=config, coboundary=d, weights=None)

@@ -1,0 +1,67 @@
+"""Meshes shared by the oracle tests of the array kernels."""
+
+import numpy as np
+import pytest
+
+from fracdec import (
+    SimplicialComplex,
+    generate_unit_square_mesh,
+    load_json,
+    save_json,
+)
+
+
+def perturbed_square_mesh(n, seed):
+    """Unit square with n cells a side and jittered interior vertices."""
+    base = generate_unit_square_mesh(n)
+    coords = base.vertex_coords.copy()
+    interior = np.all((coords > 0.0) & (coords < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    coords[interior] += rng.uniform(-0.25, 0.25, (interior.sum(), 2)) / n
+    return SimplicialComplex.from_simplices(2, base.simplices[2].tolist(),
+                                            vertex_coords=coords)
+
+
+def nonuniform_interval_mesh(n_edges, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.05, 0.95, n_edges - 1)]))
+    edges = [(i, i + 1) for i in range(n_edges)]
+    return SimplicialComplex.from_simplices(1, edges, vertex_coords=x[:, None])
+
+
+def json_overridden_lengths_mesh(tmp_path, seed):
+    """Square mesh whose edge lengths are not the embedded ones, via JSON."""
+    base = perturbed_square_mesh(4, seed)
+    rng = np.random.default_rng(seed)
+    lengths = {tuple(e): float(l * rng.uniform(0.8, 1.5))
+               for e, l in zip(base.simplices[1].tolist(), base.edge_lengths)}
+    cx = SimplicialComplex.from_simplices(2, base.simplices[2].tolist(),
+                                          vertex_coords=base.vertex_coords,
+                                          edge_lengths=lengths)
+    path = tmp_path / "lengths.json"
+    save_json(cx, path)
+    loaded = load_json(path)
+    assert loaded.lengths_overridden
+    return loaded
+
+
+def _oracle_mesh(name, tmp_path):
+    if name.startswith("square"):
+        n = int(name[len("square"):])
+        return perturbed_square_mesh(n, seed=n)
+    if name == "interval_nonuniform":
+        return nonuniform_interval_mesh(40, seed=2)
+    return json_overridden_lengths_mesh(tmp_path, seed=4)
+
+
+_TRIANGLE_MESHES = ["square3", "square8", "square17", "json_lengths"]
+
+
+@pytest.fixture(params=_TRIANGLE_MESHES + ["interval_nonuniform"])
+def oracle_mesh(request, tmp_path):
+    return _oracle_mesh(request.param, tmp_path)
+
+
+@pytest.fixture(params=_TRIANGLE_MESHES)
+def oracle_triangle_mesh(request, tmp_path):
+    return _oracle_mesh(request.param, tmp_path)

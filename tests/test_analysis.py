@@ -45,6 +45,56 @@ def quad_oracle_l2(stairs, reference):
     return float(np.sqrt(total))
 
 
+_EDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def oracle_whitney_loop(complex_, cochain):
+    """The original per-triangle Whitney loop: (gradients, edge values)."""
+    eidx = {tuple(row): i for i, row in enumerate(complex_.simplices[1])}
+    tris = complex_.simplices[2]
+    corners = complex_.vertex_coords[tris]
+    grads = np.empty((len(tris), 3, 2))
+    edge_values = np.empty((len(tris), 3))
+    for t, tri in enumerate(tris):
+        t_mat = np.stack([corners[t, 1] - corners[t, 0],
+                          corners[t, 2] - corners[t, 0]], axis=1)
+        g1, g2 = np.linalg.inv(t_mat)
+        grads[t] = np.array([-g1 - g2, g1, g2])
+        for k, (i, j) in enumerate(_EDGE_PAIRS):
+            edge_values[t, k] = cochain.values[eidx[(tri[i], tri[j])]]
+    return grads, edge_values
+
+
+def oracle_evaluate(field, t, point):
+    """The original single-point Whitney field evaluation."""
+    corners = field.corners[t]
+    grads = field.gradients[t]
+    mat = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
+    ab = np.linalg.solve(mat, np.asarray(point, dtype=float) - corners[0])
+    lam = np.array([1.0 - ab.sum(), ab[0], ab[1]])
+    vec = np.zeros(2)
+    for k, (i, j) in enumerate(_EDGE_PAIRS):
+        vec += field.edge_values[t, k] * (lam[i] * grads[j] - lam[j] * grads[i])
+    return vec
+
+
+def oracle_edge_integrals(field, complex_):
+    """The original per-edge loop over first-seen (triangle, edge) pairs."""
+    eidx = {tuple(row): i for i, row in enumerate(complex_.simplices[1])}
+    coords = complex_.vertex_coords
+    out = np.zeros(complex_.n_simplices(1))
+    seen = np.zeros(complex_.n_simplices(1), dtype=bool)
+    for t, tri in enumerate(field.triangles):
+        for (i, j) in _EDGE_PAIRS:
+            e = eidx[(tri[i], tri[j])]
+            if seen[e]:
+                continue
+            a, b = coords[tri[i]], coords[tri[j]]
+            out[e] = oracle_evaluate(field, t, (a + b) / 2.0) @ (b - a)
+            seen[e] = True
+    return out
+
+
 @pytest.fixture
 def quad_calls(monkeypatch):
     """Records the [lo, hi] of every fallback quad call in analysis."""
@@ -220,6 +270,49 @@ class TestWhitney:
         cx = generate_interval_mesh(0, 1, 4)
         with pytest.raises(MeshError):
             whitney_reconstruct(cx, Cochain(1, np.zeros(4)))
+
+
+    def test_cochain_length_checked(self):
+        cx = generate_unit_square_mesh(2)
+        with pytest.raises(ConfigError):
+            whitney_reconstruct(cx, Cochain(1, np.zeros(cx.n_simplices(1) - 1)))
+
+
+class TestWhitneyOracles:
+    @pytest.fixture
+    def lifted(self, oracle_triangle_mesh):
+        cx = oracle_triangle_mesh
+        rng = np.random.default_rng(cx.n_simplices(1))
+        c = Cochain(1, rng.normal(size=cx.n_simplices(1)))
+        return cx, c, whitney_reconstruct(cx, c)
+
+    def test_reconstruct_matches_triangle_loop(self, lifted):
+        cx, c, field = lifted
+        grads, edge_values = oracle_whitney_loop(cx, c)
+        np.testing.assert_array_equal(field.gradients, grads)
+        np.testing.assert_array_equal(field.edge_values, edge_values)
+
+    def test_edge_integrals_match_edge_loop(self, lifted):
+        cx, c, field = lifted
+        got = edge_integrals(field, cx)
+        np.testing.assert_allclose(got, oracle_edge_integrals(field, cx),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got, c.values, rtol=0, atol=1e-12)
+
+    def test_batched_evaluate_matches_single_point(self, lifted):
+        cx, _, field = lifted
+        rng = np.random.default_rng(8)
+        tris = rng.integers(0, cx.n_simplices(2), 20)
+        lam = rng.dirichlet(np.ones(3), 20)
+        points = np.einsum("tk,tkd->td", lam, field.corners[tris])
+        batched = field.evaluate(tris, points)
+        assert batched.shape == (20, 2)
+        for k, t in enumerate(tris):
+            single = field.evaluate(int(t), points[k])
+            assert single.shape == (2,)
+            np.testing.assert_array_equal(single, batched[k])
+            np.testing.assert_allclose(single, oracle_evaluate(field, t, points[k]),
+                                       rtol=0, atol=1e-13)
 
 
 class TestRelativeErrors:

@@ -81,6 +81,29 @@ class TestFracDeriv:
         assert err.startswith("I/O error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, body, message", [
+        ("bad.off", "OFF\n3 3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n",
+         "vertex index 7 is not an integer in"),
+        ("dup.off", "OFF\n3 3 2\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n",
+         "duplicate top simplex"),
+        ("bad.json", '{"dimension": 1, "simplices": {"1": [[0, 1], [1, -2]]}}',
+         "vertex index -2 is not an integer in"),
+        ("dup.json", '{"dimension": 1, "simplices": {"1": [[0, 1], [0, 1]]}}',
+         "duplicate top simplex"),
+        ("frac.json", '{"dimension": 1, "simplices": {"1": [[0, 1], [1, 1.5]]}}',
+         "vertex index 1.5 is not an integer in"),
+    ])
+    def test_bad_mesh_topology_exit_3(self, tmp_path, capsys, name, body, message):
+        path = tmp_path / name
+        path.write_text(body)
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--mesh", str(path), "--family", "exp_x",
+                   "-o", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("mesh error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "d.csv"
         assert run("frac-deriv", "--interval", "4", "--family", "exp_x",
@@ -150,6 +173,14 @@ class TestField2d:
         assert field_lines[1].startswith("tri_index,")
         assert err_lines[1] == "triangle_index,rel_error"
         assert len(field_lines) == 2 + 8 and len(err_lines) == 2 + 8
+
+    def test_right_sign_minus_exit_2(self, tmp_path, capsys):
+        base = tmp_path / "exp"
+        assert run("field2d", "--family", "saddle_2d", "--n", "2",
+                   "--right-sign", "minus", "-o", str(base)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1D" in err
+        assert not list(tmp_path.iterdir())
 
     def test_1d_family_rejected(self, tmp_path):
         assert run("field2d", "--family", "power", "--n", "2",

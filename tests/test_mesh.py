@@ -1,7 +1,10 @@
 """Simplicial complex construction, coboundary, and file formats."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracdec import (
     Cochain,
@@ -91,13 +94,92 @@ class TestValidation:
         assert cx.lengths_overridden
         np.testing.assert_allclose(cx.edge_lengths, [7.0, 3.0])
 
+    def test_duplicate_top_simplex_rejected(self):
+        with pytest.raises(MeshError, match="duplicate top simplex"):
+            SimplicialComplex.from_simplices(
+                2, [(0, 1, 2), (2, 1, 0)],
+                vertex_coords=[[0, 0], [1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("tops", [[(0, 1, 7)], [(-1, 0, 1)], [(0, 1.5, 2)]])
+    def test_vertex_index_out_of_range(self, tops):
+        with pytest.raises(MeshError, match="is not an integer in"):
+            SimplicialComplex.from_simplices(
+                2, tops, vertex_coords=[[0, 0], [1, 0], [0, 1]])
+
+    def test_vertex_index_beyond_vertex_count(self):
+        with pytest.raises(MeshError, match="is not an integer in"):
+            SimplicialComplex.from_simplices(
+                1, [(0, 1), (1, 5)], edge_lengths={(0, 1): 1.0, (1, 5): 1.0},
+                n_vertices=3)
+
+    def test_missing_edge_length(self):
+        with pytest.raises(MeshError, match="no length"):
+            SimplicialComplex.from_simplices(
+                1, [(0, 1), (1, 2)], edge_lengths={(0, 1): 1.0}, n_vertices=3)
+
+    def test_no_simplices_without_vertex_count(self):
+        with pytest.raises(MeshError):
+            SimplicialComplex.from_simplices(1, [], edge_lengths={})
+
     def test_repeated_vertex_rejected(self):
         with pytest.raises(MeshError):
             SimplicialComplex.from_simplices(2, [(0, 1, 1)],
                                              vertex_coords=[[0, 0], [1, 0]])
 
 
+def oracle_coboundary(complex_, p):
+    """The original dict-lookup loop, as the coboundary oracle."""
+    face_index = {tuple(row): i for i, row in enumerate(complex_.simplices[p])}
+    rows, cols, vals = [], [], []
+    for r, simplex in enumerate(complex_.simplices[p + 1]):
+        s = tuple(simplex)
+        for k in range(p + 2):
+            rows.append(r)
+            cols.append(face_index[s[:k] + s[k + 1:]])
+            vals.append((-1) ** k)
+    shape = (complex_.n_simplices(p + 1), complex_.n_simplices(p))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64)
+
+
+class TestLocate:
+    def test_every_simplex_finds_its_row(self, oracle_mesh):
+        for p in range(oracle_mesh.dimension + 1):
+            table = oracle_mesh.simplices[p]
+            np.testing.assert_array_equal(oracle_mesh.locate(p, table),
+                                          np.arange(len(table)))
+            rev = table[::-1]
+            np.testing.assert_array_equal(oracle_mesh.locate(p, rev[None]),
+                                          np.arange(len(table))[::-1][None])
+
+    def test_unsorted_table(self):
+        simplices = {0: np.array([[0], [1], [2]]),
+                     1: np.array([[1, 2], [0, 1], [0, 2]]),
+                     2: np.array([[0, 1, 2]])}
+        cx = SimplicialComplex(2, simplices,
+                               vertex_coords=np.array([[0.0, 0.0], [1.0, 0.0],
+                                                       [0.0, 1.0]]))
+        np.testing.assert_array_equal(cx.locate(1, [[0, 1], [0, 2], [1, 2]]),
+                                      [1, 2, 0])
+
+    # (0, 11) has the same base-9 digits key as the edge (1, 2).
+    @pytest.mark.parametrize("row", [(0, 4), (1, 3), (-1, 0), (2, 9), (1, 0),
+                                     (0, 11)])
+    def test_miss_raises(self, row):
+        cx = generate_interval_mesh(0.0, 1.0, 8)
+        with pytest.raises(MeshError, match="not in the complex"):
+            cx.locate(1, [[0, 1], row])
+
+
 class TestCoboundary:
+    def test_matches_dict_loop(self, oracle_mesh):
+        for p in range(oracle_mesh.dimension):
+            got = build_coboundary(oracle_mesh, p)
+            want = oracle_coboundary(oracle_mesh, p)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)
+
     def test_d0_path_graph(self):
         cx = generate_interval_mesh(0.0, 1.0, 3)
         d0 = build_coboundary(cx, 0).toarray()
@@ -194,6 +276,18 @@ class TestOffFormat:
         with pytest.raises(FormatError):
             load_off(path)
 
+    def test_face_index_out_of_range(self, tmp_path):
+        path = tmp_path / "bad.off"
+        path.write_text("OFF\n3 3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n")
+        with pytest.raises(MeshError, match="index 7 is not an integer"):
+            load_off(path)
+
+    def test_duplicate_face(self, tmp_path):
+        path = tmp_path / "dup.off"
+        path.write_text("OFF\n3 3 2\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 1 2 0\n")
+        with pytest.raises(MeshError, match="duplicate top simplex"):
+            load_off(path)
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.off"
         path.write_text("# a comment\nOFF\n\n3 3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
@@ -231,4 +325,19 @@ class TestJsonFormat:
         path = tmp_path / "bad.json"
         path.write_text('{"simplices": {"1": [[0, 1]]}}')
         with pytest.raises(FormatError):
+            load_json(path)
+
+    def test_simplex_index_out_of_range(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 2,
+                                    "vertices": [[0, 0], [1, 0], [0, 1]],
+                                    "simplices": {"2": [[0, 1, 3]]}}))
+        with pytest.raises(MeshError, match="index 3 is not an integer"):
+            load_json(path)
+
+    def test_duplicate_simplex(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"dimension": 1, "vertices": [[0], [1]],
+                                    "simplices": {"1": [[0, 1], [1, 0]]}}))
+        with pytest.raises(MeshError, match="duplicate top simplex"):
             load_json(path)

@@ -8,6 +8,7 @@ import pytest
 from fracdec import (
     ConfigError,
     ConnectivityError,
+    GeometryError,
     MeshError,
     SimplicialComplex,
     all_pairs_vertex_distance,
@@ -18,6 +19,7 @@ from fracdec import (
     generate_unit_square_mesh,
     simplex_distance,
 )
+from fracdec.metric import DistanceTable
 
 
 def _random_length_mesh(rng, n_edges):
@@ -50,6 +52,30 @@ def _all_simple_path_distances(complex_):
     for src in range(n):
         dfs(src, src, 0.0, {src})
     return best
+
+
+def oracle_geodesic_table(complex_, p):
+    """The original np.ix_ loop over vertex pairs, as the geodesic oracle."""
+    dm = all_pairs_vertex_distance(complex_).entries
+    simp = complex_.simplices[p]
+    offs = boundary_offsets(complex_, p)
+    n = len(simp)
+    min_pair = np.full((n, n), np.inf)
+    for i in range(p + 1):
+        for j in range(p + 1):
+            np.minimum(min_pair, dm[np.ix_(simp[:, i], simp[:, j])], out=min_pair)
+    entries = min_pair + offs[:, None] + offs[None, :]
+    entries = np.minimum(entries, entries.T)
+    np.fill_diagonal(entries, 0.0)
+    return entries
+
+
+def oracle_euclidean_table(complex_, p):
+    """The original broadcast barycenter table, as the euclidean oracle."""
+    b = barycenters(complex_, p)
+    diff = b[:, None, :] - b[None, :, :]
+    entries = np.sqrt((diff ** 2).sum(axis=-1))
+    return np.maximum(entries, entries.T)
 
 
 class TestVertexDistances:
@@ -169,3 +195,46 @@ class TestSimplexDistances:
             n_vertices=3)
         with pytest.raises(MeshError):
             simplex_distance(cx, 1, "euclidean")
+
+
+class TestSimplexDistanceOracles:
+    def test_euclidean_bit_identical(self, oracle_mesh):
+        for p in range(oracle_mesh.dimension + 1):
+            d = simplex_distance(oracle_mesh, p, "euclidean").entries
+            assert d.flags.c_contiguous
+            np.testing.assert_array_equal(d, oracle_euclidean_table(oracle_mesh, p))
+            np.testing.assert_array_equal(d, d.T)
+
+    def test_geodesic_matches_pair_loop(self, oracle_mesh):
+        for p in range(oracle_mesh.dimension + 1):
+            d = simplex_distance(oracle_mesh, p, "geodesic").entries
+            want = oracle_geodesic_table(oracle_mesh, p)
+            assert d.flags.c_contiguous
+            assert np.linalg.norm(d - want) <= 1e-15 * np.linalg.norm(want)
+            np.testing.assert_array_equal(d, d.T)
+            np.testing.assert_array_equal(np.diag(d), 0.0)
+
+    def test_geodesic_blocks_do_not_change_the_table(self, monkeypatch):
+        from fracdec import metric
+        cx = generate_unit_square_mesh(4)
+        whole = simplex_distance(cx, 1, "geodesic").entries
+        monkeypatch.setattr(metric, "_BLOCK_ENTRIES", 100)
+        np.testing.assert_array_equal(simplex_distance(cx, 1, "geodesic").entries,
+                                      whole)
+
+    def test_infinite_vertex_distance_raises(self):
+        cx = generate_interval_mesh(0.0, 1.0, 3)
+        dm = all_pairs_vertex_distance(cx).entries.copy()
+        # Edges (0, 1) and (2, 3) no longer reach each other.
+        dm[:2, 2:] = dm[2:, :2] = np.inf
+        table = DistanceTable(p=0, mode="geodesic", entries=dm)
+        with pytest.raises(ConnectivityError):
+            simplex_distance(cx, 1, "geodesic", vertex_table=table)
+
+    def test_negative_vertex_distance_raises(self):
+        cx = generate_interval_mesh(0.0, 1.0, 3)
+        dm = all_pairs_vertex_distance(cx).entries.copy()
+        dm[0, 3] = dm[3, 0] = -1.0
+        table = DistanceTable(p=0, mode="geodesic", entries=dm)
+        with pytest.raises(GeometryError):
+            simplex_distance(cx, 1, "geodesic", vertex_table=table)

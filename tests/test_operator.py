@@ -16,8 +16,20 @@ from fracdec import (
     generate_interval_mesh,
     generate_unit_square_mesh,
     right_sign_matrix,
+    simplex_distance,
 )
 from fracdec.metric import DistanceTable
+
+
+def oracle_weights(d, config):
+    """The original boolean-mask weight assembly, as the W oracle."""
+    n = d.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    assert not np.any(d[off] <= 0.0)
+    with np.errstate(divide="ignore"):
+        w = d ** (-config.s)
+    np.fill_diagonal(w, config.diagonal_constant * np.max(w[off]))
+    return w
 
 
 class TestFracConfig:
@@ -83,6 +95,24 @@ class TestWeightMatrix:
         table = DistanceTable(p=1, mode="geodesic", entries=d)
         with pytest.raises(GeometryError):
             build_weight_matrix(cx, 0, FracConfig(), dist_table=table)
+
+
+    def test_negative_distance_rejected(self):
+        cx = generate_interval_mesh(0, 1, 3)
+        d = np.array([[0.0, 1.0, -2.0], [1.0, 0.0, 1.0], [-2.0, 1.0, 0.0]])
+        table = DistanceTable(p=1, mode="geodesic", entries=d)
+        with pytest.raises(GeometryError):
+            build_weight_matrix(cx, 0, FracConfig(s=0.3), dist_table=table)
+
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    def test_bit_identical_to_mask_assembly(self, oracle_mesh, mode):
+        for s, c_s in ((0.3, None), (0.5, None), (0.7, 1.25)):
+            cfg = FracConfig(s=s, c_s=c_s, distance_mode=mode)
+            for q in range(1, oracle_mesh.dimension + 1):
+                d = simplex_distance(oracle_mesh, q, mode).entries
+                w = build_weight_matrix(oracle_mesh, q - 1, cfg)
+                assert w.flags.c_contiguous
+                np.testing.assert_array_equal(w, oracle_weights(d, cfg))
 
 
 class TestFracDerivative:
@@ -183,6 +213,12 @@ class TestSidedness:
         signs = right_sign_matrix(cx, 1, "minus")
         expected = np.array([[1, -1, -1], [1, 1, -1], [1, 1, 1]], dtype=float)
         np.testing.assert_array_equal(signs, expected)
+
+    def test_right_sign_minus_rejected_off_1d(self):
+        cx = generate_unit_square_mesh(2)
+        for s in (0.5, 1.0):
+            with pytest.raises(ConfigError, match="1D"):
+                build_frac_derivative(cx, 0, FracConfig(s=s, right_sign="minus"))
 
     def test_sign_convention_changes_result(self):
         cx = generate_interval_mesh(0, 1, 8)
