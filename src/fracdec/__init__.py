@@ -33,18 +33,14 @@ from .metric import (
     all_pairs_vertex_distance,
     barycenters,
     boundary_offsets,
-    floyd_warshall_vertex_distance,
     simplex_distance,
 )
-from .special import MLParams, gamma, mittag_leffler
+from .special import gamma, mittag_leffler
 from .operator import (
     FracConfig,
     FracOperator,
-    apply_left_sided_mask,
     build_frac_derivative,
-    build_riemann_liouville_experimental,
     build_weight_matrix,
-    right_sign_matrix,
 )
 from .oracles import (
     ClosedFormFamily,
@@ -85,12 +81,9 @@ __all__ = [
     "generate_interval_mesh", "generate_unit_square_mesh",
     "load_json", "load_off", "save_json", "save_off",
     "DISTANCE_MODES", "DistanceTable", "all_pairs_vertex_distance",
-    "barycenters", "boundary_offsets", "floyd_warshall_vertex_distance",
-    "simplex_distance",
-    "MLParams", "gamma", "mittag_leffler",
-    "FracConfig", "FracOperator", "apply_left_sided_mask",
-    "build_frac_derivative", "build_riemann_liouville_experimental",
-    "build_weight_matrix", "right_sign_matrix",
+    "barycenters", "boundary_offsets", "simplex_distance",
+    "gamma", "mittag_leffler",
+    "FracConfig", "FracOperator", "build_frac_derivative", "build_weight_matrix",
     "ClosedFormFamily", "QuadratureSpec", "caputo_power", "caputo_quadrature",
     "family_names", "frac_gradient_saddle", "frac_gradient_shifted_min",
     "get_family", "left_caputo_exp", "two_sided_cubic", "two_sided_poly",

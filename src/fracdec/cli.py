@@ -48,7 +48,7 @@ def _write_rows(path, header, columns, rows, fmt):
                                   for v in r) + "\n")
 
 
-def _add_common(parser, needs_output=True):
+def _add_common(parser):
     parser.add_argument("--s", type=float, default=0.5, help="fractional order")
     parser.add_argument("--cs", type=float, default=None,
                         help="diagonal constant (default 2s/(1-s))")
@@ -56,11 +56,8 @@ def _add_common(parser, needs_output=True):
     parser.add_argument("--right-sign", choices=("plus", "minus"), default="plus")
     parser.add_argument("--distance", choices=("geodesic", "euclidean"),
                         default="geodesic")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded for provenance")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    if needs_output:
-        parser.add_argument("-o", "--output", required=True)
+    parser.add_argument("-o", "--output", required=True)
 
 
 def _load_mesh(args):

@@ -339,9 +339,16 @@ def load_json(path):
         raise FormatError("missing 'dimension' or top-simplex table") from None
     coords = doc.get("vertices")
     lengths = None
-    if doc.get("edge_lengths"):
-        lengths = {tuple(int(t) for t in k.split(",")): float(v)
-                   for k, v in doc["edge_lengths"].items()}
+    try:
+        if coords is not None:
+            coords = np.array(coords, dtype=float)
+            if coords.ndim != 2:
+                raise ValueError("expected a list of coordinate rows")
+        if doc.get("edge_lengths"):
+            lengths = {tuple(int(t) for t in k.split(",")): float(v)
+                       for k, v in doc["edge_lengths"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad 'vertices' or 'edge_lengths': {exc}") from None
     n_vertices = len(coords) if coords is not None else None
     return SimplicialComplex.from_simplices(
         dim, tops, vertex_coords=coords, edge_lengths=lengths, n_vertices=n_vertices

@@ -1,10 +1,9 @@
 """Distances between simplices under the local metric.
 
 Vertex-to-vertex distances come from shortest edge paths (Dijkstra from
-each source); a plain Floyd-Warshall implementation is kept as an
-independent cross-check.  Simplex-to-simplex distances extend the
-vertex distances by the barycenter-to-boundary offsets l(sigma), or use
-Euclidean barycenter distances when an embedding is available.
+each source).  Simplex-to-simplex distances extend the vertex distances
+by the barycenter-to-boundary offsets l(sigma), or use Euclidean
+barycenter distances when an embedding is available.
 """
 
 from __future__ import annotations
@@ -33,16 +32,12 @@ class DistanceTable:
     entries: np.ndarray
 
 
-def _edge_graph(complex_):
+def all_pairs_vertex_distance(complex_):
+    """Shortest-path distance d_m between every pair of vertices."""
     edges = complex_.simplices[1]
     n = complex_.n_simplices(0)
     w = complex_.edge_lengths
-    return sp.csr_matrix((w, (edges[:, 0], edges[:, 1])), shape=(n, n))
-
-
-def all_pairs_vertex_distance(complex_):
-    """Shortest-path distance d_m between every pair of vertices."""
-    graph = _edge_graph(complex_)
+    graph = sp.csr_matrix((w, (edges[:, 0], edges[:, 1])), shape=(n, n))
     dist = dijkstra(graph, directed=False)
     if np.any(np.isinf(dist)):
         i, j = np.argwhere(np.isinf(dist))[0]
@@ -50,24 +45,6 @@ def all_pairs_vertex_distance(complex_):
     # Dijkstra per source is symmetric up to roundoff; assemble exactly.
     dist = np.minimum(dist, dist.T)
     return DistanceTable(p=0, mode="geodesic", entries=dist)
-
-
-def floyd_warshall_vertex_distance(complex_):
-    """Independent O(V^3) all-pairs shortest path, for cross-checking."""
-    graph = _edge_graph(complex_)
-    n = graph.shape[0]
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    coo = graph.tocoo()
-    for i, j, w in zip(coo.row, coo.col, coo.data):
-        dist[i, j] = min(dist[i, j], w)
-        dist[j, i] = min(dist[j, i], w)
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    if np.any(np.isinf(dist)):
-        i, j = np.argwhere(np.isinf(dist))[0]
-        raise ConnectivityError(f"vertex {j} is unreachable from vertex {i}")
-    return DistanceTable(p=0, mode="geodesic", entries=np.minimum(dist, dist.T))
 
 
 def barycenters(complex_, p):
@@ -102,7 +79,7 @@ def boundary_offsets(complex_, p):
     raise ConfigError(f"boundary offsets not defined for degree {p}")
 
 
-def simplex_distance(complex_, p, mode="geodesic", vertex_table=None):
+def simplex_distance(complex_, p, mode="geodesic"):
     """Dense symmetric distance table between the p-simplices.
 
     geodesic: min over vertex pairs of d_m(u, v) + l(sigma) + l(eta),
@@ -114,9 +91,7 @@ def simplex_distance(complex_, p, mode="geodesic", vertex_table=None):
         b = barycenters(complex_, p)
         return DistanceTable(p=p, mode=mode, entries=cdist(b, b))
 
-    if vertex_table is None:
-        vertex_table = all_pairs_vertex_distance(complex_)
-    dm = vertex_table.entries
+    dm = all_pairs_vertex_distance(complex_).entries
     simp = complex_.simplices[p]
     offs = boundary_offsets(complex_, p)
     n = len(simp)

@@ -3,15 +3,15 @@
 The operator on p-cochains is (1 / Gamma(1 - s)) * W * D_p, where D_p
 is the signed coboundary and W is a dense matrix of inverse
 distance-to-the-s weights between (p+1)-simplices.  Rows of W index the
-target simplex, columns the source simplex.  At s = 1 the operator is
-the plain coboundary, bit-exactly (Kronecker branch).
+target simplex, columns the source simplex.  In 1D the sidedness and the
+right-side sign are folded into W when it is built.  At s = 1 the
+operator is the plain coboundary, bit-exactly (Kronecker branch).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class FracConfig:
     to contributions from sources to the right of the target in 1D
     two-sided mode: "plus" sums both sides, "minus" subtracts the right
     side.  "plus" is the convention under which the 1D convergence
-    study exhibits clean order-1/2 behaviour.
+    study exhibits clean order-1/2 behaviour.  Left-sided mode has no
+    right side, so it takes "plus" only.
     """
 
     s: float = 0.5
@@ -49,6 +50,9 @@ class FracConfig:
             raise ConfigError(f"unknown sidedness {self.sidedness!r}")
         if self.right_sign not in RIGHT_SIGNS:
             raise ConfigError(f"unknown right_sign {self.right_sign!r}")
+        if self.sidedness == "left_sided" and self.right_sign != "plus":
+            raise ConfigError(f"right_sign={self.right_sign!r} needs two-sided "
+                              f"mode: left_sided has no right side")
         if self.distance_mode not in metric.DISTANCE_MODES:
             raise ConfigError(f"unknown distance mode {self.distance_mode!r}")
 
@@ -61,34 +65,22 @@ class FracConfig:
             raise ConfigError("default c_s = 2s/(1-s) is undefined at s = 1")
         return 2.0 * self.s / (1.0 - self.s)
 
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
-
-def build_weight_matrix(complex_, p, config, dist_table=None):
+def build_weight_matrix(complex_, p, config):
     """Dense weight matrix W over the (p+1)-simplices.
 
     Off-diagonal entry (i, j) is distance(i, j)^(-s); every diagonal
     entry is C_s times the largest off-diagonal weight.  Only valid for
     s in (0, 1); s = 1 takes the Kronecker branch in the operator.
     """
-    if dist_table is None:
-        dist_table = metric.simplex_distance(complex_, p + 1, config.distance_mode)
-    return _weights_from_distances(dist_table.entries, config)
-
-
-def _weights_from_distances(d, config):
     if config.s >= 1.0:
         raise ConfigError("s = 1 is integer order: weight matrix is the identity")
-    n = d.shape[0]
-    if n < 2:
+    # The distance table is ours alone, so the weights overwrite it.
+    w = metric.simplex_distance(complex_, p + 1, config.distance_mode).entries
+    if w.shape[0] < 2:
         raise MeshError("weight matrix needs at least two simplices")
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = d ** (-config.s)
+        np.power(w, -config.s, out=w)
     np.fill_diagonal(w, 0.0)
     # A zero off-diagonal distance gives inf, a negative one NaN.
     top = w.max()
@@ -98,114 +90,66 @@ def _weights_from_distances(d, config):
     return w
 
 
-def _barycenter_x(complex_, p):
-    if complex_.dimension != 1:
-        raise ConfigError("sidedness masking is defined for 1D complexes only")
-    if complex_.vertex_coords is None:
-        raise MeshError("sidedness masking requires an embedded complex")
-    return metric.barycenters(complex_, p)[:, 0]
+def _fold_sides(w, complex_, q, config):
+    """Fold the 1D sidedness and right-side sign into W over q-simplices.
 
-
-def apply_left_sided_mask(w, complex_, p=1, keep_diagonal=False):
-    """Zero the weights of sources not strictly left of the target.
-
-    Entry (target t, source j) survives iff barycenter_x(j) <
-    barycenter_x(t).  The strict comparison zeroes the diagonal as well,
+    left_sided keeps source j for target t iff barycenter_x(j) <
+    barycenter_x(t); the strict comparison zeroes the diagonal as well,
     which is what reproduces the left-sided undershoot behaviour seen in
-    the 1D exp experiment; pass keep_diagonal=True to retain it.
+    the 1D exp experiment.  right_sign "minus" negates the sources
+    strictly to the right of the target.  W is changed in place.
     """
-    x = _barycenter_x(complex_, p)
-    keep = x[None, :] < x[:, None]
-    if keep_diagonal:
-        keep = keep | np.eye(len(x), dtype=bool)
-    return np.where(keep, w, 0.0)
-
-
-def right_sign_matrix(complex_, p, right_sign):
-    """Signs applied at application time in 1D two-sided mode.
-
-    "minus" negates contributions from sources whose barycenter lies to
-    the right of the target's; "plus" is the literal two-sided sum.
-    """
-    if right_sign == "plus":
-        return None
-    x = _barycenter_x(complex_, p)
-    return np.where(x[None, :] > x[:, None], -1.0, 1.0)
+    if config.sidedness == "two_sided" and config.right_sign == "plus":
+        return
+    x = metric.barycenters(complex_, q)[:, 0]
+    if config.sidedness == "left_sided":
+        np.multiply(w, x[None, :] < x[:, None], out=w)
+    else:
+        np.negative(w, out=w, where=x[None, :] > x[:, None])
 
 
 @dataclass(frozen=True)
 class FracOperator:
-    """Assembled fractional discrete exterior derivative D_p^s."""
+    """Assembled fractional discrete exterior derivative D_p^s.
+
+    apply maps alpha to scale * W * (D_p alpha).  weights is None only
+    in the integer branch, where apply is the plain coboundary.
+    """
 
     p: int
     config: FracConfig
     coboundary: object
-    weights: np.ndarray | None           # None in the integer branch
-    signs: np.ndarray | None = None      # right_sign application mask
-    variant: str = "caputo"              # "caputo" or "riemann_liouville"
-    scale: float = field(default=1.0)
+    weights: np.ndarray | None = None
+    scale: float = 1.0
 
     def apply(self, cochain):
         """Map a degree-p cochain to a degree-(p+1) cochain."""
         if cochain.degree != self.p:
             raise ConfigError(f"expected a degree-{self.p} cochain")
+        out = mesh.apply_coboundary(self.coboundary, cochain)
         if self.weights is None:
-            return mesh.apply_coboundary(self.coboundary, cochain)
-        if self.variant == "riemann_liouville":
-            out = self.scale * (self.coboundary @ (self.weights @ cochain.values))
-            return mesh.Cochain(self.p + 1, out)
-        w = self.weights if self.signs is None else self.weights * self.signs
-        out = self.scale * (w @ (self.coboundary @ cochain.values))
-        return mesh.Cochain(self.p + 1, out)
-
-    def matrix(self):
-        """Dense matrix of the operator, for export and inspection."""
-        d = self.coboundary.toarray().astype(float)
-        if self.weights is None:
-            return d
-        if self.variant == "riemann_liouville":
-            return self.scale * (d @ self.weights)
-        w = self.weights if self.signs is None else self.weights * self.signs
-        return self.scale * (w @ d)
+            return out
+        return mesh.Cochain(self.p + 1, self.scale * (self.weights @ out.values))
 
 
-def build_frac_derivative(complex_, p, config, dist_table=None):
+def build_frac_derivative(complex_, p, config):
     """Assemble D_p^s for a complex.
 
     At s = 1 the weight matrix is skipped entirely so that applying the
-    operator is bit-identical to the plain coboundary.  right_sign
-    "minus" is defined only on 1D complexes and rejected elsewhere.
+    operator is bit-identical to the plain coboundary.  left_sided and
+    right_sign "minus" are defined only on 1D complexes and rejected
+    elsewhere, at any s.
     """
-    if config.right_sign != "plus" and complex_.dimension != 1:
-        raise ConfigError(f"right_sign={config.right_sign!r} is defined for 1D "
-                          f"complexes only, not dimension {complex_.dimension}")
+    if complex_.dimension != 1:
+        for name, default in (("sidedness", "two_sided"), ("right_sign", "plus")):
+            value = getattr(config, name)
+            if value != default:
+                raise ConfigError(f"{name}={value!r} is defined for 1D complexes "
+                                  f"only, not dimension {complex_.dimension}")
     d = mesh.build_coboundary(complex_, p)
     if config.s >= 1.0:
-        return FracOperator(p=p, config=config, coboundary=d, weights=None)
-    w = build_weight_matrix(complex_, p, config, dist_table=dist_table)
-    signs = None
-    if config.sidedness == "left_sided":
-        w = apply_left_sided_mask(w, complex_, p + 1)
-    elif complex_.dimension == 1:
-        signs = right_sign_matrix(complex_, p + 1, config.right_sign)
+        return FracOperator(p=p, config=config, coboundary=d)
+    w = build_weight_matrix(complex_, p, config)
+    _fold_sides(w, complex_, p + 1, config)
     scale = 1.0 / gamma(1.0 - config.s)
-    return FracOperator(p=p, config=config, coboundary=d, weights=w,
-                        signs=signs, scale=scale)
-
-
-def build_riemann_liouville_experimental(complex_, p, config, dist_table=None):
-    """Experimental operator alpha -> (1/Gamma(1-s)) D_p (W alpha).
-
-    The weighting acts on the p-simplices before differentiation; note
-    this does not annihilate constants.  Kept for comparison only.
-    """
-    d = mesh.build_coboundary(complex_, p)
-    if config.s >= 1.0:
-        return FracOperator(p=p, config=config, coboundary=d, weights=None,
-                            variant="riemann_liouville")
-    if dist_table is None:
-        dist_table = metric.simplex_distance(complex_, p, config.distance_mode)
-    w = _weights_from_distances(dist_table.entries, config)
-    scale = 1.0 / gamma(1.0 - config.s)
-    return FracOperator(p=p, config=config, coboundary=d, weights=w,
-                        variant="riemann_liouville", scale=scale)
+    return FracOperator(p=p, config=config, coboundary=d, weights=w, scale=scale)

@@ -10,7 +10,6 @@ in a regime where the power series converges quickly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigError, SeriesConvergenceError
 
@@ -49,22 +48,6 @@ def gamma(z):
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * x
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Series controls for the Mittag-Leffler evaluation."""
-
-    a: float
-    b: float
-    series_tol: float = 1e-15
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ConfigError("Mittag-Leffler parameters a, b must be positive")
-        if self.series_tol <= 0 or self.max_terms < 1:
-            raise ConfigError("invalid series controls")
-
-
 def mittag_leffler(a, b, z, series_tol=1e-15, max_terms=200):
     """Two-parameter Mittag-Leffler function E_{a,b}(z) by direct series.
 
@@ -72,21 +55,24 @@ def mittag_leffler(a, b, z, series_tol=1e-15, max_terms=200):
     term is below series_tol relative to the partial sum; raises
     SeriesConvergenceError if max_terms is exhausted first.
     """
-    params = MLParams(a, b, series_tol=series_tol, max_terms=max_terms)
+    if a <= 0 or b <= 0:
+        raise ConfigError("Mittag-Leffler parameters a, b must be positive")
+    if series_tol <= 0 or max_terms < 1:
+        raise ConfigError("invalid series controls")
     z = float(z)
     if abs(z) > 50:
         raise ConfigError("series evaluation is restricted to |z| <= 50")
     total = 0.0
     power = 1.0
-    for k in range(params.max_terms):
+    for k in range(max_terms):
         g = a * k + b
         if g > 170.0:  # gamma overflows double precision; terms are dead
             return total
         term = power / gamma(g)
         total += term
-        if abs(term) < params.series_tol * max(abs(total), 1e-300):
+        if abs(term) < series_tol * max(abs(total), 1e-300):
             return total
         power *= z
     raise SeriesConvergenceError(
-        f"Mittag-Leffler series did not converge in {params.max_terms} terms"
+        f"Mittag-Leffler series did not converge in {max_terms} terms"
     )

@@ -1,14 +1,36 @@
-"""Meshes shared by the oracle tests of the array kernels."""
+"""Meshes and reference implementations shared by the oracle tests."""
 
 import numpy as np
 import pytest
 
 from fracdec import (
+    ConnectivityError,
     SimplicialComplex,
     generate_unit_square_mesh,
     load_json,
     save_json,
 )
+from fracdec.metric import DistanceTable
+
+
+def floyd_warshall_vertex_distance(complex_):
+    """Independent O(V^3) all-pairs shortest path, the Dijkstra oracle."""
+    n = complex_.n_simplices(0)
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for (i, j), w in zip(complex_.simplices[1], complex_.edge_lengths):
+        dist[i, j] = dist[j, i] = min(dist[i, j], w)
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    if np.any(np.isinf(dist)):
+        i, j = np.argwhere(np.isinf(dist))[0]
+        raise ConnectivityError(f"vertex {j} is unreachable from vertex {i}")
+    return DistanceTable(p=0, mode="geodesic", entries=np.minimum(dist, dist.T))
+
+
+@pytest.fixture(scope="session")
+def vertex_distance_oracle():
+    return floyd_warshall_vertex_distance
 
 
 def perturbed_square_mesh(n, seed):
@@ -65,3 +87,8 @@ def oracle_mesh(request, tmp_path):
 @pytest.fixture(params=_TRIANGLE_MESHES)
 def oracle_triangle_mesh(request, tmp_path):
     return _oracle_mesh(request.param, tmp_path)
+
+
+@pytest.fixture
+def oracle_interval_mesh(tmp_path):
+    return _oracle_mesh("interval_nonuniform", tmp_path)

@@ -23,7 +23,6 @@ from fracdec import (
     edge_integrals,
     eval_at_barycenters,
     field_experiment_2d,
-    floyd_warshall_vertex_distance,
     frac_derivative_1d,
     gamma,
     generate_interval_mesh,
@@ -209,7 +208,7 @@ def test_gradient_field_experiments_2d():
             f"grow with n and are reported for comparison")
 
 
-def test_distance_layer():
+def test_distance_layer(vertex_distance_oracle):
     meshes = [generate_interval_mesh(0, 1, 30), generate_unit_square_mesh(3),
               generate_unit_square_mesh(5), generate_unit_square_mesh(12)]
     tri_ok = agree_ok = True
@@ -217,7 +216,7 @@ def test_distance_layer():
         assert cx.n_simplices(0) <= 200
         d = all_pairs_vertex_distance(cx).entries
         tri_ok &= bool(np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12))
-        fw = floyd_warshall_vertex_distance(cx).entries
+        fw = vertex_distance_oracle(cx).entries
         agree_ok &= bool(np.max(np.abs(d - fw)) <= 1e-12)
     cx = generate_interval_mesh(0, 1, 16)
     geo = simplex_distance(cx, 1, "geodesic").entries

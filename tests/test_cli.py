@@ -104,6 +104,47 @@ class TestFracDeriv:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, doc", [
+        ("ragged.json", {"dimension": 2, "vertices": [[0, 0], [1, 0], [0]],
+                         "simplices": {"2": [[0, 1, 2]]}}),
+        ("length.json", {"dimension": 1, "vertices": [[0], [1], [2]],
+                         "simplices": {"1": [[0, 1], [1, 2]]},
+                         "edge_lengths": {"0,1": "x", "1,2": 1.0}}),
+    ])
+    def test_bad_json_values_exit_3(self, tmp_path, capsys, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--mesh", str(path), "--family", "exp_x",
+                   "-o", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("mesh error: bad 'vertices' or 'edge_lengths'")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_left_sided_minus_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--interval", "4", "--family", "exp_x",
+                   "--sidedness", "left", "--right-sign", "minus",
+                   "-o", str(out)) == 2
+        assert "two-sided" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("s", ["0.5", "1"])
+    def test_left_sided_2d_exit_2(self, tmp_path, capsys, s):
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--square", "2", "--family", "saddle_2d",
+                   "--s", s, "--sidedness", "left", "-o", str(out)) == 2
+        assert "1D" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_option_removed(self, tmp_path):
+        # Nothing in the package is random, so there is no --seed.
+        with pytest.raises(SystemExit) as exc:
+            run("frac-deriv", "--interval", "4", "--family", "exp_x",
+                "--seed", "3", "-o", str(tmp_path / "d.csv"))
+        assert exc.value.code == 2
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         out = tmp_path / "no_such_dir" / "d.csv"
         assert run("frac-deriv", "--interval", "4", "--family", "exp_x",
@@ -182,6 +223,13 @@ class TestField2d:
         assert err.startswith("error: ") and "1D" in err
         assert not list(tmp_path.iterdir())
 
+    def test_left_sided_exit_2(self, tmp_path, capsys):
+        base = tmp_path / "exp"
+        assert run("field2d", "--family", "saddle_2d", "--n", "2",
+                   "--sidedness", "left", "-o", str(base)) == 2
+        assert "1D" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_1d_family_rejected(self, tmp_path):
         assert run("field2d", "--family", "power", "--n", "2",
                    "-o", str(tmp_path / "x")) == 2
@@ -228,3 +276,4 @@ class TestDeterminism:
         assert cfg["s"] == 0.3
         assert cfg["right_sign"] == "minus"
         assert cfg["command"] == "convergence"
+        assert "seed" not in cfg

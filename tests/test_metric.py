@@ -14,12 +14,18 @@ from fracdec import (
     all_pairs_vertex_distance,
     barycenters,
     boundary_offsets,
-    floyd_warshall_vertex_distance,
     generate_interval_mesh,
     generate_unit_square_mesh,
     simplex_distance,
 )
+from fracdec import metric
 from fracdec.metric import DistanceTable
+
+
+def _fake_vertex_distances(monkeypatch, entries):
+    """Make simplex_distance see the given vertex distance table."""
+    table = DistanceTable(p=0, mode="geodesic", entries=entries)
+    monkeypatch.setattr(metric, "all_pairs_vertex_distance", lambda cx: table)
 
 
 def _random_length_mesh(rng, n_edges):
@@ -96,13 +102,13 @@ class TestVertexDistances:
         d = all_pairs_vertex_distance(cx).entries
         np.testing.assert_allclose(d, _all_simple_path_distances(cx), atol=1e-12)
 
-    def test_dijkstra_vs_floyd_warshall(self):
+    def test_dijkstra_vs_floyd_warshall(self, vertex_distance_oracle):
         rng = np.random.default_rng(7)
         meshes = [generate_unit_square_mesh(3), generate_interval_mesh(0, 1, 17),
                   _random_length_mesh(rng, 25)]
         for cx in meshes:
             a = all_pairs_vertex_distance(cx).entries
-            b = floyd_warshall_vertex_distance(cx).entries
+            b = vertex_distance_oracle(cx).entries
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_triangle_inequality_exhaustive(self):
@@ -114,14 +120,14 @@ class TestVertexDistances:
             rhs = d[:, :, None] + d[None, :, :]
             assert np.all(lhs <= rhs + 1e-12)
 
-    def test_disconnected_raises(self):
+    def test_disconnected_raises(self, vertex_distance_oracle):
         cx = SimplicialComplex.from_simplices(
             1, [(0, 1), (2, 3)],
             edge_lengths={(0, 1): 1.0, (2, 3): 1.0}, n_vertices=4)
         with pytest.raises(ConnectivityError):
             all_pairs_vertex_distance(cx)
         with pytest.raises(ConnectivityError):
-            floyd_warshall_vertex_distance(cx)
+            vertex_distance_oracle(cx)
 
     def test_respects_overridden_lengths(self):
         cx = SimplicialComplex.from_simplices(
@@ -215,26 +221,25 @@ class TestSimplexDistanceOracles:
             np.testing.assert_array_equal(np.diag(d), 0.0)
 
     def test_geodesic_blocks_do_not_change_the_table(self, monkeypatch):
-        from fracdec import metric
         cx = generate_unit_square_mesh(4)
         whole = simplex_distance(cx, 1, "geodesic").entries
         monkeypatch.setattr(metric, "_BLOCK_ENTRIES", 100)
         np.testing.assert_array_equal(simplex_distance(cx, 1, "geodesic").entries,
                                       whole)
 
-    def test_infinite_vertex_distance_raises(self):
+    def test_infinite_vertex_distance_raises(self, monkeypatch):
         cx = generate_interval_mesh(0.0, 1.0, 3)
         dm = all_pairs_vertex_distance(cx).entries.copy()
         # Edges (0, 1) and (2, 3) no longer reach each other.
         dm[:2, 2:] = dm[2:, :2] = np.inf
-        table = DistanceTable(p=0, mode="geodesic", entries=dm)
+        _fake_vertex_distances(monkeypatch, dm)
         with pytest.raises(ConnectivityError):
-            simplex_distance(cx, 1, "geodesic", vertex_table=table)
+            simplex_distance(cx, 1, "geodesic")
 
-    def test_negative_vertex_distance_raises(self):
+    def test_negative_vertex_distance_raises(self, monkeypatch):
         cx = generate_interval_mesh(0.0, 1.0, 3)
         dm = all_pairs_vertex_distance(cx).entries.copy()
         dm[0, 3] = dm[3, 0] = -1.0
-        table = DistanceTable(p=0, mode="geodesic", entries=dm)
+        _fake_vertex_distances(monkeypatch, dm)
         with pytest.raises(GeometryError):
-            simplex_distance(cx, 1, "geodesic", vertex_table=table)
+            simplex_distance(cx, 1, "geodesic")

@@ -8,16 +8,17 @@ from fracdec import (
     ConfigError,
     FracConfig,
     GeometryError,
-    apply_left_sided_mask,
+    MeshError,
+    SimplicialComplex,
     build_coboundary,
     build_frac_derivative,
-    build_riemann_liouville_experimental,
     build_weight_matrix,
+    gamma,
     generate_interval_mesh,
     generate_unit_square_mesh,
-    right_sign_matrix,
     simplex_distance,
 )
+from fracdec import metric
 from fracdec.metric import DistanceTable
 
 
@@ -30,6 +31,24 @@ def oracle_weights(d, config):
         w = d ** (-config.s)
     np.fill_diagonal(w, config.diagonal_constant * np.max(w[off]))
     return w
+
+
+def oracle_left_mask(w, x):
+    """The original left-sided mask: keep sources strictly left."""
+    keep = x[None, :] < x[:, None]
+    return np.where(keep, w, 0.0)
+
+
+def oracle_signed(w, x):
+    """The original right-sign product: a +-1 matrix times W."""
+    return w * np.where(x[None, :] > x[:, None], -1.0, 1.0)
+
+
+def _fake_distances(monkeypatch, entries):
+    """Make the next simplex_distance call return the given table."""
+    def fake(complex_, p, mode="geodesic"):
+        return DistanceTable(p=p, mode=mode, entries=np.array(entries))
+    monkeypatch.setattr(metric, "simplex_distance", fake)
 
 
 class TestFracConfig:
@@ -56,10 +75,13 @@ class TestFracConfig:
             with pytest.raises(ConfigError):
                 FracConfig(**bad)
 
-    def test_json_round_trip(self):
-        cfg = FracConfig(s=0.3, c_s=1.25, sidedness="left_sided",
-                         right_sign="minus", distance_mode="euclidean")
-        assert FracConfig.from_json(cfg.to_json()) == cfg
+    def test_left_sided_minus_rejected(self):
+        # Left-sided mode has no right side for "minus" to negate.
+        for s in (0.5, 1.0):
+            with pytest.raises(ConfigError, match="two-sided"):
+                FracConfig(s=s, sidedness="left_sided", right_sign="minus")
+        FracConfig(sidedness="left_sided", right_sign="plus")
+        FracConfig(sidedness="two_sided", right_sign="minus")
 
     def test_s_one_default_cs_undefined(self):
         with pytest.raises(ConfigError):
@@ -89,20 +111,37 @@ class TestWeightMatrix:
         with pytest.raises(ConfigError):
             build_weight_matrix(cx, 0, FracConfig(s=1.0))
 
-    def test_zero_distance_rejected(self):
+    def test_zero_distance_rejected(self, monkeypatch):
         cx = generate_interval_mesh(0, 1, 3)
-        d = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        table = DistanceTable(p=1, mode="geodesic", entries=d)
+        _fake_distances(monkeypatch, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                                      [0.0, 1.0, 0.0]])
         with pytest.raises(GeometryError):
-            build_weight_matrix(cx, 0, FracConfig(), dist_table=table)
+            build_weight_matrix(cx, 0, FracConfig())
 
+    def test_coincident_barycenters_rejected(self):
+        # Edges (0, 1) and (2, 3) share the midpoint 0.5: their Euclidean
+        # distance is exactly zero.
+        cx = SimplicialComplex.from_simplices(
+            1, [(0, 1), (1, 2), (2, 3)],
+            vertex_coords=np.array([[0.0], [1.0], [0.25], [0.75]]))
+        for cfg in (FracConfig(distance_mode="euclidean"),
+                    FracConfig(s=0.3, distance_mode="euclidean",
+                               right_sign="minus")):
+            with pytest.raises(GeometryError, match="zero distance"):
+                build_frac_derivative(cx, 0, cfg)
+        build_frac_derivative(cx, 0, FracConfig())  # geodesic: all apart
 
-    def test_negative_distance_rejected(self):
+    def test_negative_distance_rejected(self, monkeypatch):
         cx = generate_interval_mesh(0, 1, 3)
-        d = np.array([[0.0, 1.0, -2.0], [1.0, 0.0, 1.0], [-2.0, 1.0, 0.0]])
-        table = DistanceTable(p=1, mode="geodesic", entries=d)
+        _fake_distances(monkeypatch, [[0.0, 1.0, -2.0], [1.0, 0.0, 1.0],
+                                      [-2.0, 1.0, 0.0]])
         with pytest.raises(GeometryError):
-            build_weight_matrix(cx, 0, FracConfig(s=0.3), dist_table=table)
+            build_weight_matrix(cx, 0, FracConfig(s=0.3))
+
+    def test_single_simplex_rejected(self):
+        cx = generate_interval_mesh(0, 1, 1)
+        with pytest.raises(MeshError, match="two simplices"):
+            build_weight_matrix(cx, 0, FracConfig())
 
     @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
     def test_bit_identical_to_mask_assembly(self, oracle_mesh, mode):
@@ -173,46 +212,73 @@ class TestFracDerivative:
         with pytest.raises(ConfigError):
             op.apply(Cochain(1, np.zeros(4)))
 
-    def test_matrix_matches_apply(self):
-        cx = generate_interval_mesh(0, 1, 6)
-        for cfg in (FracConfig(s=0.5), FracConfig(s=0.5, right_sign="minus"),
-                    FracConfig(s=0.5, sidedness="left_sided"), FracConfig(s=1.0)):
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_wrong_length_rejected(self, s):
+        # Both branches check the length in apply_coboundary.
+        cx = generate_interval_mesh(0, 1, 4)
+        op = build_frac_derivative(cx, 0, FracConfig(s=s))
+        for n in (4, 6):
+            with pytest.raises(ConfigError, match="does not match 5 columns"):
+                op.apply(Cochain(0, np.zeros(n)))
+
+
+class TestOracleAssembly:
+    """op.apply against the original mask and sign-matrix assembly."""
+
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    @pytest.mark.parametrize("sidedness, right_sign", [
+        ("two_sided", "plus"), ("two_sided", "minus"), ("left_sided", "plus")])
+    def test_apply_bit_identical(self, oracle_interval_mesh, mode, sidedness,
+                                 right_sign):
+        cx = oracle_interval_mesh
+        x = metric.barycenters(cx, 1)[:, 0]
+        d0 = build_coboundary(cx, 0)
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=cx.n_simplices(0))
+        for s in (0.3, 0.5, 0.7):
+            cfg = FracConfig(s=s, sidedness=sidedness, right_sign=right_sign,
+                             distance_mode=mode)
+            w = oracle_weights(simplex_distance(cx, 1, mode).entries, cfg)
+            if sidedness == "left_sided":
+                w = oracle_left_mask(w, x)
+            elif right_sign == "minus":
+                w = oracle_signed(w, x)
+            want = (1.0 / gamma(1.0 - s)) * (w @ (d0 @ v))
             op = build_frac_derivative(cx, 0, cfg)
-            rng = np.random.default_rng(1)
-            v = rng.normal(size=7)
-            np.testing.assert_allclose(op.matrix() @ v,
-                                       op.apply(Cochain(0, v)).values, atol=1e-12)
+            np.testing.assert_array_equal(op.apply(Cochain(0, v)).values, want)
 
 
 class TestSidedness:
     def test_left_mask_strictly_left(self):
         cx = generate_interval_mesh(0, 1, 4)
-        w = np.ones((4, 4))
-        masked = apply_left_sided_mask(w, cx, p=1)
-        expected = np.tril(np.ones((4, 4)), k=-1)
-        np.testing.assert_array_equal(masked, expected)
-
-    def test_left_mask_keep_diagonal(self):
-        cx = generate_interval_mesh(0, 1, 4)
-        w = np.ones((4, 4))
-        masked = apply_left_sided_mask(w, cx, p=1, keep_diagonal=True)
-        expected = np.tril(np.ones((4, 4)))
-        np.testing.assert_array_equal(masked, expected)
+        op = build_frac_derivative(cx, 0, FracConfig(sidedness="left_sided"))
+        expected = np.tril(np.ones((4, 4), dtype=bool), k=-1)
+        np.testing.assert_array_equal(op.weights != 0.0, expected)
+        assert np.all(op.weights >= 0.0)
 
     def test_left_mask_requires_1d(self):
         cx = generate_unit_square_mesh(2)
-        with pytest.raises(ConfigError):
-            apply_left_sided_mask(np.ones((33, 33)), cx, p=1)
-
-    def test_right_sign_plus_is_identity(self):
-        cx = generate_interval_mesh(0, 1, 4)
-        assert right_sign_matrix(cx, 1, "plus") is None
+        for s in (0.5, 1.0):
+            with pytest.raises(ConfigError, match="1D"):
+                build_frac_derivative(cx, 0, FracConfig(s=s, sidedness="left_sided"))
 
     def test_right_sign_minus_pattern(self):
         cx = generate_interval_mesh(0, 1, 3)
-        signs = right_sign_matrix(cx, 1, "minus")
+        plus = build_frac_derivative(cx, 0, FracConfig()).weights
+        minus = build_frac_derivative(cx, 0, FracConfig(right_sign="minus")).weights
         expected = np.array([[1, -1, -1], [1, 1, -1], [1, 1, 1]], dtype=float)
-        np.testing.assert_array_equal(signs, expected)
+        np.testing.assert_array_equal(np.sign(minus), expected)
+        np.testing.assert_array_equal(np.abs(minus), plus)
+
+    def test_sidedness_requires_embedding(self):
+        edges = [(0, 1), (1, 2), (2, 3)]
+        cx = SimplicialComplex.from_simplices(
+            1, edges, edge_lengths=dict.fromkeys(edges, 1.0), n_vertices=4)
+        build_frac_derivative(cx, 0, FracConfig())
+        for cfg in (FracConfig(sidedness="left_sided"),
+                    FracConfig(right_sign="minus")):
+            with pytest.raises(MeshError, match="embedded"):
+                build_frac_derivative(cx, 0, cfg)
 
     def test_right_sign_minus_rejected_off_1d(self):
         cx = generate_unit_square_mesh(2)
@@ -228,28 +294,3 @@ class TestSidedness:
         a = plus.apply(Cochain(0, v)).values
         b = minus.apply(Cochain(0, v)).values
         assert np.max(np.abs(a - b)) > 1e-3
-
-
-class TestRiemannLiouvilleVariant:
-    def test_snapshot_1d(self):
-        # Characterization values for x^3 on 8 edges at s = 1/2, frozen
-        # from a verified run: this variant has no closed-form oracle.
-        cx = generate_interval_mesh(0, 1, 8)
-        op = build_riemann_liouville_experimental(cx, 0, FracConfig(s=0.5))
-        out = op.apply(Cochain(0, cx.vertex_coords[:, 0] ** 3)).values
-        expected = [0.15489439, 0.22800048, 0.33796479, 0.47600028,
-                    0.62132529, 0.73236305, 0.71527716, 0.25805907]
-        np.testing.assert_allclose(out, expected, atol=1e-7)
-
-    def test_constant_not_annihilated(self):
-        cx = generate_interval_mesh(0, 1, 8)
-        op = build_riemann_liouville_experimental(cx, 0, FracConfig(s=0.5))
-        out = op.apply(Cochain(0, np.ones(9))).values
-        assert np.max(np.abs(out)) > 0.1
-
-    def test_integer_order_reduces_to_coboundary(self):
-        cx = generate_interval_mesh(0, 1, 8)
-        op = build_riemann_liouville_experimental(cx, 0, FracConfig(s=1.0))
-        v = np.arange(9.0)
-        want = build_coboundary(cx, 0) @ v
-        assert np.array_equal(op.apply(Cochain(0, v)).values, want)

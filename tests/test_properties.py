@@ -1,0 +1,146 @@
+"""Property tests of the operator and the mesh files on random meshes."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fracdec import (
+    Cochain,
+    FracConfig,
+    SimplicialComplex,
+    build_coboundary,
+    build_frac_derivative,
+    generate_unit_square_mesh,
+    load_json,
+    load_off,
+    save_json,
+    save_off,
+)
+
+PROPERTY = settings(max_examples=12, derandomize=True, deadline=None)
+ORDERS = st.sampled_from([0.3, 0.5, 0.7])
+# The (sidedness, right_sign) pairs FracConfig accepts; 2D takes the first.
+PAIRS_1D = [("two_sided", "plus"), ("two_sided", "minus"), ("left_sided", "plus")]
+
+
+@st.composite
+def interval_meshes(draw):
+    """Interval [0, 1] cut into 2..24 edges of random relative lengths."""
+    n = draw(st.integers(2, 24))
+    gaps = draw(arrays(float, n, elements=st.floats(0.1, 1.0)))
+    x = np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
+    edges = [(i, i + 1) for i in range(n)]
+    return SimplicialComplex.from_simplices(1, edges, vertex_coords=x[:, None])
+
+
+@st.composite
+def square_meshes(draw):
+    """Unit square with n cells a side and jittered interior vertices."""
+    n = draw(st.integers(1, 4))
+    base = generate_unit_square_mesh(n)
+    coords = base.vertex_coords.copy()
+    interior = np.all((coords > 0.0) & (coords < 1.0), axis=1)
+    jitter = draw(arrays(float, (int(interior.sum()), 2),
+                         elements=st.floats(-0.25, 0.25)))
+    coords[interior] += jitter / n
+    return SimplicialComplex.from_simplices(2, base.simplices[2].tolist(),
+                                            vertex_coords=coords)
+
+
+@st.composite
+def operator_cases(draw):
+    """(complex, p, config) over both dimensions and every allowed pair."""
+    if draw(st.booleans()):
+        cx, p = draw(interval_meshes()), 0
+        sidedness, right_sign = draw(st.sampled_from(PAIRS_1D))
+    else:
+        cx, p = draw(square_meshes()), draw(st.integers(0, 1))
+        sidedness, right_sign = "two_sided", "plus"
+    config = FracConfig(s=draw(ORDERS), sidedness=sidedness,
+                        right_sign=right_sign,
+                        distance_mode=draw(st.sampled_from(["geodesic",
+                                                            "euclidean"])))
+    return cx, p, config
+
+
+def _values(draw, n):
+    return draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+
+
+@PROPERTY
+@given(st.data())
+def test_linearity(data):
+    cx, p, config = data.draw(operator_cases())
+    op = build_frac_derivative(cx, p, config)
+    n = cx.n_simplices(p)
+    a, b = _values(data.draw, n), _values(data.draw, n)
+    alpha, beta = data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0))
+    lhs = op.apply(Cochain(p, alpha * a + beta * b)).values
+    ra, rb = op.apply(Cochain(p, a)).values, op.apply(Cochain(p, b)).values
+    rhs = alpha * ra + beta * rb
+    scale = 1.0 + np.abs(alpha * ra).max() + np.abs(beta * rb).max()
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(st.data())
+def test_constants_annihilated_exactly(data):
+    cx, _, config = data.draw(operator_cases())
+    c = data.draw(st.floats(-1e3, 1e3))
+    out = build_frac_derivative(cx, 0, config).apply(
+        Cochain(0, np.full(cx.n_simplices(0), c))).values
+    assert np.array_equal(out, np.zeros(cx.n_simplices(1)))
+
+
+@PROPERTY
+@given(st.data())
+def test_integer_order_is_plain_coboundary(data):
+    cx, p, config = data.draw(operator_cases())
+    op = build_frac_derivative(cx, p, FracConfig(
+        s=1.0, sidedness=config.sidedness, right_sign=config.right_sign))
+    assert op.weights is None
+    v = _values(data.draw, cx.n_simplices(p))
+    assert np.array_equal(op.apply(Cochain(p, v)).values,
+                          build_coboundary(cx, p) @ v)
+
+
+@PROPERTY
+@given(square_meshes(), st.data())
+def test_d1_d0_is_zero(cx, data):
+    d0, d1 = (build_frac_derivative(cx, p, FracConfig(s=1.0)) for p in (0, 1))
+    assert (d1.coboundary @ d0.coboundary).count_nonzero() == 0
+    # Integer values keep every difference exact.
+    v = data.draw(arrays(np.int64, cx.n_simplices(0),
+                         elements=st.integers(-1000, 1000)))
+    out = d1.apply(d0.apply(Cochain(0, v))).values
+    assert np.array_equal(out, np.zeros(cx.n_simplices(2)))
+
+
+def _assert_same_complex(a, b):
+    assert a.dimension == b.dimension
+    for p in range(a.dimension + 1):
+        np.testing.assert_array_equal(a.simplices[p], b.simplices[p])
+    np.testing.assert_array_equal(a.vertex_coords, b.vertex_coords)
+    np.testing.assert_array_equal(a.edge_lengths, b.edge_lengths)
+
+
+@PROPERTY
+@given(st.one_of(interval_meshes(), square_meshes()))
+def test_mesh_file_round_trips(cx):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.json")
+        save_json(cx, path)
+        back = load_json(path)
+        _assert_same_complex(back, cx)
+        if cx.dimension == 2:
+            path = os.path.join(tmp, "mesh.off")
+            save_off(cx, path)
+            _assert_same_complex(load_off(path), cx)
+    v = Cochain(0, np.linspace(-1.0, 2.0, cx.n_simplices(0)))
+    a, b = (build_frac_derivative(m, 0, FracConfig()).apply(v).values
+            for m in (back, cx))
+    assert np.array_equal(a, b)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracdec import ConfigError, MLParams, SeriesConvergenceError, gamma, mittag_leffler
+from fracdec import ConfigError, SeriesConvergenceError, gamma, mittag_leffler
 
 
 class TestGamma:
@@ -61,9 +61,8 @@ class TestMittagLeffler:
             mittag_leffler(0.05, 1.0, 40.0, max_terms=5)
 
     def test_params_validation(self):
-        with pytest.raises(ConfigError):
-            MLParams(a=-1.0, b=1.0)
-        with pytest.raises(ConfigError):
-            MLParams(a=1.0, b=1.0, max_terms=0)
-        with pytest.raises(ConfigError):
-            MLParams(a=1.0, b=1.0, series_tol=0.0)
+        for kwargs in (dict(a=-1.0, b=1.0), dict(a=1.0, b=-0.5),
+                       dict(a=1.0, b=1.0, max_terms=0),
+                       dict(a=1.0, b=1.0, series_tol=0.0)):
+            with pytest.raises(ConfigError):
+                mittag_leffler(z=0.5, **kwargs)
