@@ -131,14 +131,8 @@ def l2_error_stairs(stairs, reference):
     return float(np.sqrt(steps.sum()))
 
 
-def linf_error(predicted, reference=None):
-    """Maximum absolute deviation, over pairs or two aligned vectors."""
-    if reference is None:
-        pairs = list(predicted)
-        if not pairs:
-            raise ConfigError("need at least one sample pair")
-        predicted = np.array([p for p, _ in pairs], dtype=float)
-        reference = np.array([r for _, r in pairs], dtype=float)
+def linf_error(predicted, reference):
+    """Maximum absolute deviation between two aligned vectors."""
     predicted = np.asarray(predicted, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if predicted.shape != reference.shape or predicted.size == 0:
@@ -239,14 +233,13 @@ def edge_integrals(field, complex_):
     return out
 
 
-def relative_l2_per_triangle(predicted, reference, zero_tol=1e-12,
-                             normalize="reference"):
+def relative_l2_per_triangle(predicted, reference, normalize="reference"):
     """Per-triangle relative vector error with summary statistics.
 
     normalize="reference" divides ||pred - ref|| by ||ref||;
     "predicted" divides by ||pred|| instead, which keeps the statistic
     meaningful when the discrete field dominates the analytic one.
-    Triangles whose normalizer is (near-)zero are flagged, reported
+    Triangles whose normalizer is at most 1e-12 are flagged, reported
     separately, and excluded from the summary.
     """
     predicted = np.asarray(predicted, dtype=float)
@@ -258,7 +251,7 @@ def relative_l2_per_triangle(predicted, reference, zero_tol=1e-12,
     denom = np.linalg.norm(reference if normalize == "reference" else predicted,
                            axis=1)
     err = np.linalg.norm(predicted - reference, axis=1)
-    flagged = denom <= zero_tol
+    flagged = denom <= 1e-12
     rel = np.where(flagged, np.nan, err / np.where(flagged, 1.0, denom))
     ok = rel[~flagged]
     summary = {
@@ -270,16 +263,15 @@ def relative_l2_per_triangle(predicted, reference, zero_tol=1e-12,
     return rel, summary
 
 
-def frac_derivative_1d(n_edges, family, config, domain=(0.0, 1.0)):
-    """Fractional 1-cochain of a family's vertex samples on [a, b]."""
-    complex_ = mesh.generate_interval_mesh(domain[0], domain[1], n_edges)
+def frac_derivative_1d(n_edges, family, config):
+    """Fractional 1-cochain of a family's vertex samples on [0, 1]."""
+    complex_ = mesh.generate_interval_mesh(0.0, 1.0, n_edges)
     alpha = mesh.Cochain(0, family.sample(complex_.vertex_coords[:, 0]))
     op = operator.build_frac_derivative(complex_, 0, config)
     return complex_, op.apply(alpha)
 
 
-def convergence_study(family, s, edge_counts, config=None, support="edge",
-                      domain=(0.0, 1.0)):
+def convergence_study(family, s, edge_counts, config=None, support="edge"):
     """Error table (n, error, ratio) for a 1D family.
 
     Two-sided families use the L2 norm of the piecewise-constant
@@ -290,9 +282,7 @@ def convergence_study(family, s, edge_counts, config=None, support="edge",
         raise ConfigError("edge_counts must be nonempty")
     if family.dim != 1:
         raise ConfigError("convergence studies are 1D only")
-    if family.fixed_s is not None and s != family.fixed_s:
-        raise ConfigError(f"family {family.name} has a closed form only at "
-                          f"s = {family.fixed_s}")
+    family.check_order(s)
     if config is None:
         config = operator.FracConfig(s=s)
     elif config.s != s:
@@ -300,7 +290,7 @@ def convergence_study(family, s, edge_counts, config=None, support="edge",
     rows = []
     prev = None
     for n in edge_counts:
-        complex_, deriv = frac_derivative_1d(n, family, config, domain)
+        complex_, deriv = frac_derivative_1d(n, family, config)
         if family.side == "left" or config.sidedness == "left_sided":
             bary = metric.barycenters(complex_, 1)[:, 0]
             err = linf_error(deriv.values, family.reference(bary, s))
@@ -314,7 +304,7 @@ def convergence_study(family, s, edge_counts, config=None, support="edge",
     return rows
 
 
-def s_sweep(family, s_values, edge_counts, config=None, domain=(0.0, 1.0)):
+def s_sweep(family, s_values, edge_counts, config=None):
     """Linf error against the fractional order, at fixed mesh sizes."""
     if family.dim != 1:
         raise ConfigError("s sweeps are 1D only")
@@ -322,7 +312,7 @@ def s_sweep(family, s_values, edge_counts, config=None, domain=(0.0, 1.0)):
     for n in edge_counts:
         for s in s_values:
             cfg = operator.FracConfig(s=s) if config is None else replace(config, s=s)
-            complex_, deriv = frac_derivative_1d(n, family, cfg, domain)
+            complex_, deriv = frac_derivative_1d(n, family, cfg)
             bary = metric.barycenters(complex_, 1)[:, 0]
             if family.side == "left" or cfg.sidedness == "left_sided":
                 ref = family.reference(bary, s)
@@ -344,9 +334,7 @@ def field_experiment_2d(n, family, config, normalize="reference"):
     """
     if family.dim != 2:
         raise ConfigError("2D field experiments need a 2D family")
-    if family.fixed_s is not None and config.s != family.fixed_s:
-        raise ConfigError(f"family {family.name} has a closed form only at "
-                          f"s = {family.fixed_s}")
+    family.check_order(config.s)
     complex_ = mesh.generate_unit_square_mesh(n)
     coords = complex_.vertex_coords
     alpha = mesh.Cochain(0, family.sample(coords[:, 0], coords[:, 1]))

@@ -48,7 +48,7 @@ def _write_rows(path, header, columns, rows, fmt):
                                   for v in r) + "\n")
 
 
-def _add_common(parser):
+def _add_operator(parser):
     parser.add_argument("--s", type=float, default=0.5, help="fractional order")
     parser.add_argument("--cs", type=float, default=None,
                         help="diagonal constant (default 2s/(1-s))")
@@ -56,6 +56,9 @@ def _add_common(parser):
     parser.add_argument("--right-sign", choices=("plus", "minus"), default="plus")
     parser.add_argument("--distance", choices=("geodesic", "euclidean"),
                         default="geodesic")
+
+
+def _add_table_output(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("-o", "--output", required=True)
 
@@ -132,8 +135,6 @@ def cmd_convergence(args):
 
 
 def cmd_field2d(args):
-    if args.family not in ("saddle_2d", "shifted_min_2d"):
-        raise ConfigError("field2d families: saddle_2d, shifted_min_2d")
     family = oracles.get_family(args.family)
     config = _config_from_args(args)
     result = analysis.field_experiment_2d(args.n, family, config,
@@ -159,12 +160,15 @@ def cmd_field2d(args):
 
 def cmd_oracle_sample(args):
     family = oracles.get_family(args.family, q=args.q)
+    if family.side == "left" and args.right_sign == "minus":
+        raise ConfigError(f"family {family.name} is one-sided; "
+                          "--right-sign minus does not apply")
+    family.check_order(args.s)
     pts = np.round(np.arange(1, args.points + 1) / (args.points + 1), 12)
     rows = []
     if family.dim == 1:
         for x in pts:
-            val = family.reference(float(x), args.s, args.right_sign) \
-                if family.side == "two_sided" else family.reference(float(x), args.s)
+            val = family.reference(float(x), args.s, args.right_sign)
             rows.append((float(x), family.name, args.s, float(val)))
         cols = ["x", "family", "s", "value"]
     else:
@@ -207,7 +211,8 @@ def build_parser():
     p.add_argument("--family", required=True, help="built-in function family")
     p.add_argument("--q", type=float, default=None, help="exponent for power family")
     p.add_argument("-p", type=int, default=0, help="source cochain degree")
-    _add_common(p)
+    _add_operator(p)
+    _add_table_output(p)
     p.set_defaults(func=cmd_frac_deriv)
 
     p = sub.add_parser("convergence", help="error tables and s sweeps")
@@ -217,7 +222,8 @@ def build_parser():
                    help="comma-separated mesh sizes")
     p.add_argument("--s-values", default=None,
                    help="comma-separated s values (Linf sweep mode)")
-    _add_common(p)
+    _add_operator(p)
+    _add_table_output(p)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("field2d", help="2D gradient-field experiment")
@@ -225,7 +231,8 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="grid subdivisions")
     p.add_argument("--normalize", choices=("reference", "predicted"),
                    default="reference")
-    _add_common(p)
+    _add_operator(p)
+    p.add_argument("-o", "--output", required=True, help="prefix of two CSV files")
     p.set_defaults(func=cmd_field2d)
 
     p = sub.add_parser("oracle-sample", help="sample the analytic ground truths")
@@ -233,7 +240,9 @@ def build_parser():
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--points", type=int, default=19,
                    help="number of interior sample points per axis")
-    _add_common(p)
+    p.add_argument("--s", type=float, default=0.5, help="order of the closed form")
+    p.add_argument("--right-sign", choices=("plus", "minus"), default="plus")
+    _add_table_output(p)
     p.set_defaults(func=cmd_oracle_sample)
     return parser
 

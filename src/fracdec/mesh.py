@@ -9,7 +9,6 @@ round-trips.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -21,12 +20,11 @@ from .errors import ConfigError, FormatError, GeometryError, MeshError
 _EDGE_LENGTH_RTOL = 1e-12
 
 
-def _faces(simplex):
-    """All proper faces of a vertex tuple, as sorted tuples."""
-    out = []
-    for k in range(1, len(simplex)):
-        out.extend(itertools.combinations(simplex, k))
-    return out
+def _facets(table):
+    """The (n, q+1, q) facets of an (n, q+1) simplex table: row r, slot k
+    is simplex r without its vertex k (still increasing)."""
+    return np.stack([np.delete(table, k, axis=1) for k in range(table.shape[1])],
+                    axis=1)
 
 
 @dataclass(frozen=True)
@@ -55,15 +53,12 @@ class SimplicialComplex:
         for p in range(self.dimension + 1):
             if p not in self.simplices:
                 raise MeshError(f"missing simplex table for degree {p}")
-        if self.edge_lengths is None:
+        lengths = self.edge_lengths
+        if lengths is None:
             if self.vertex_coords is None:
                 raise MeshError("edge lengths required when there is no embedding")
             lengths = self._euclidean_edge_lengths()
-            object.__setattr__(self, "edge_lengths", lengths)
-        else:
-            object.__setattr__(
-                self, "edge_lengths", np.asarray(self.edge_lengths, dtype=float)
-            )
+        object.__setattr__(self, "edge_lengths", np.asarray(lengths, dtype=float))
         self._validate()
 
     def _euclidean_edge_lengths(self):
@@ -72,16 +67,14 @@ class SimplicialComplex:
         return np.linalg.norm(diff, axis=1)
 
     def _validate(self):
-        known = {tuple(row) for p in self.simplices.values() for row in p}
         for p, table in self.simplices.items():
             if table.ndim != 2 or table.shape[1] != p + 1:
                 raise MeshError(f"degree-{p} table must have {p + 1} columns")
             if p > 0 and not np.all(table[:, :-1] < table[:, 1:]):
                 raise MeshError("simplex vertex indices must be strictly increasing")
-            for row in table:
-                for face in _faces(tuple(row)):
-                    if face not in known:
-                        raise MeshError(f"face {face} of {tuple(row)} is missing")
+        # Facets present at every degree means, by induction, every face is.
+        for p in range(1, self.dimension + 1):
+            self.locate(p - 1, _facets(self.simplices[p]))
         if len(self.edge_lengths) != len(self.simplices[1]):
             raise MeshError("edge_lengths must align with the edge table")
         if not np.all(np.isfinite(self.edge_lengths)) or np.any(self.edge_lengths <= 0):
@@ -130,37 +123,43 @@ class SimplicialComplex:
         Lower-degree faces are induced automatically so the closure
         property holds by construction.  ``edge_lengths``, if given, is a
         map from increasing vertex pairs to lengths (overriding any
-        embedding).  A vertex index that is not an integer in
-        [0, n_vertices), a duplicate top simplex or an edge without a
-        length raises MeshError before any geometry is computed.
+        embedding).  A ragged or wrong-width list, a vertex index that is
+        not an integer in [0, n_vertices), repeated vertices, a duplicate
+        top simplex or an edge without a length raises MeshError before
+        any geometry is computed.
         """
-        tops = [tuple(sorted(s)) for s in top_simplices]
-        if any(len(set(t)) != dimension + 1 for t in tops):
-            raise MeshError("top simplex with repeated vertices")
-        unique_tops = set()
-        for t in tops:
-            if t in unique_tops:
-                raise MeshError(f"duplicate top simplex {t}")
-            unique_tops.add(t)
-        verts = {v for s in tops for v in s}
+        try:
+            tops = np.array(top_simplices)
+            tops = tops.reshape(len(tops), dimension + 1)
+        except (TypeError, ValueError):  # ragged, or rows of another width
+            raise MeshError(f"every top simplex needs {dimension + 1} vertices") from None
         if vertex_coords is not None:
             vertex_coords = np.asarray(vertex_coords, dtype=float)
             n_vertices = len(vertex_coords)
-        if n_vertices is None:
-            if not verts:
-                raise MeshError("no top simplices and no vertex count")
-            n_vertices = max(verts) + 1
-        for v in sorted(verts):
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < n_vertices):
-                raise MeshError(f"vertex index {v!r} is not an integer "
-                                f"in [0, {n_vertices})")
-        tables = {dimension: sorted(unique_tops)}
+        if n_vertices is None and not len(tops):
+            raise MeshError("no top simplices and no vertex count")
+        # Integer-typed indices only (1.0 fails too); name a fractional one.
+        bad = np.ones(tops.shape, dtype=bool)
+        if tops.dtype.kind in "iu":
+            n_vertices = int(tops.max()) + 1 if n_vertices is None else n_vertices
+            bad = (tops < 0) | (tops >= n_vertices)
+        elif tops.dtype.kind == "f" and np.any(tops != np.round(tops)):
+            bad = tops != np.round(tops)
+        if np.any(bad):
+            span = "n_vertices" if n_vertices is None else n_vertices
+            raise MeshError(f"vertex index {tops[bad].tolist()[0]!r} is not an integer "
+                            f"in [0, {span})")
+        tops = np.sort(tops.astype(np.int64), axis=1)
+        if np.any(tops[:, 1:] == tops[:, :-1]):
+            raise MeshError("top simplex with repeated vertices")
+        top_table, counts = np.unique(tops, axis=0, return_counts=True)
+        if np.any(counts > 1):
+            dup = tuple(top_table[counts > 1][0].tolist())
+            raise MeshError(f"duplicate top simplex {dup}")
+        simplices = {dimension: top_table}
         for p in range(dimension - 1, 0, -1):
-            faces = {f for s in tables[p + 1] for f in itertools.combinations(s, p + 1)}
-            tables[p] = sorted(faces)
-        tables[0] = [(v,) for v in range(n_vertices)]
-        simplices = {p: np.asarray(t, dtype=int).reshape(len(t), p + 1)
-                     for p, t in tables.items()}
+            simplices[p] = np.unique(_facets(simplices[p + 1]).reshape(-1, p + 1), axis=0)
+        simplices[0] = np.arange(n_vertices, dtype=np.int64).reshape(-1, 1)
         lengths = None
         overridden = False
         if edge_lengths is not None:
@@ -199,10 +198,8 @@ def build_coboundary(complex_, p):
         raise ConfigError(f"degree {p} out of range for dimension {complex_.dimension}")
     cofaces = complex_.simplices[p + 1]
     n = len(cofaces)
-    # faces[r, k] is coface r with its vertex k left out.
-    faces = np.stack([np.delete(cofaces, k, axis=1) for k in range(p + 2)], axis=1)
     rows = np.repeat(np.arange(n), p + 2)
-    cols = complex_.locate(p, faces).ravel()
+    cols = complex_.locate(p, _facets(cofaces)).ravel()
     vals = np.tile((-1) ** np.arange(p + 2), n)
     shape = (n, complex_.n_simplices(p))
     return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64)
@@ -236,14 +233,12 @@ def generate_unit_square_mesh(n):
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    coords = np.array([[i / n, j / n] for j in range(n + 1) for i in range(n + 1)])
-    vid = lambda i, j: j * (n + 1) + i
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr, ul, ur = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
+    ticks = np.arange(n + 1) / n
+    coords = np.column_stack([np.tile(ticks, n + 1), np.repeat(ticks, n + 1)])
+    # Vertex (i, j) is j (n+1) + i; ll is each cell's lower-left vertex.
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    ur = ll + n + 2
+    tris = np.column_stack([ll, ll + 1, ur, ll, ur, ll + n + 1]).reshape(-1, 3)
     return SimplicialComplex.from_simplices(2, tris, vertex_coords=coords)
 
 

@@ -204,6 +204,12 @@ class ClosedFormFamily:
     default_right_sign: str = "plus"
     fixed_s: float | None = None    # closed form only valid at this order
 
+    def check_order(self, s):
+        """Raise ConfigError if the closed form does not hold at order s."""
+        if self.fixed_s is not None and s != self.fixed_s:
+            raise ConfigError(f"family {self.name} has a closed form only at "
+                              f"s = {self.fixed_s}")
+
 
 def _power_family(q):
     return ClosedFormFamily(
@@ -263,14 +269,15 @@ _FAMILIES = {
 
 
 def get_family(name, q=None):
-    """Look up a test family by identifier; "power" takes an exponent."""
+    """Look up a test family by identifier; only "power" takes an exponent."""
     if name == "power":
         return _power_family(3.0 if q is None else float(q))
-    try:
-        return _FAMILIES[name]
-    except KeyError:
+    if name not in _FAMILIES:
         raise ConfigError(f"unknown family {name!r}; choices: "
-                          f"{', '.join(sorted(_FAMILIES))}, power") from None
+                          f"{', '.join(sorted(_FAMILIES))}, power")
+    if q is not None:
+        raise ConfigError(f"family {name} takes no exponent q; only power does")
+    return _FAMILIES[name]
 
 
 def family_names():

@@ -210,14 +210,11 @@ class TestErrorNorms:
     def test_linf_vectors(self):
         assert linf_error([1.0, 2.0], [1.5, 2.0]) == pytest.approx(0.5)
 
-    def test_linf_pairs(self):
-        assert linf_error([(1.0, 0.0), (2.0, 2.5)]) == pytest.approx(1.0)
-
     def test_linf_validation(self):
         with pytest.raises(ConfigError):
             linf_error([1.0, 2.0], [1.0])
         with pytest.raises(ConfigError):
-            linf_error([])
+            linf_error([], [])
 
 
 class TestWhitney:

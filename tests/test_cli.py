@@ -191,6 +191,13 @@ class TestConvergence:
         assert run("convergence", "--family", "power", "--edge-counts", ",",
                    "-o", str(out)) == 2
 
+    def test_exponent_for_other_family_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run("convergence", "--family", "exp_x", "--q", "7",
+                   "--edge-counts", "4", "-o", str(out)) == 2
+        assert "takes no exponent q" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_accuracy_error_exit_4(self, tmp_path, monkeypatch):
         import fracdec.cli as cli_mod
 
@@ -234,6 +241,14 @@ class TestField2d:
         assert run("field2d", "--family", "power", "--n", "2",
                    "-o", str(tmp_path / "x")) == 2
 
+    def test_format_option_removed(self, tmp_path):
+        # field2d always writes two CSV files.
+        with pytest.raises(SystemExit) as exc:
+            run("field2d", "--family", "saddle_2d", "--n", "2", "--format", "json",
+                "-o", str(tmp_path / "exp"))
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
 
 class TestOracleSample:
     def test_1d(self, tmp_path):
@@ -251,6 +266,38 @@ class TestOracleSample:
         lines = out.read_text().splitlines()
         assert lines[1] == "x,y,family,s,value"
         assert len(lines) == 2 + 3 * 3 * 2  # two components per grid point
+
+    @pytest.mark.parametrize("option", [("--sidedness", "left"),
+                                        ("--distance", "euclidean"),
+                                        ("--cs", "3")])
+    def test_operator_options_removed(self, tmp_path, option):
+        # Sampling a closed form builds no operator.
+        with pytest.raises(SystemExit) as exc:
+            run("oracle-sample", "--family", "exp_x", "--points", "5", *option,
+                "-o", str(tmp_path / "o.csv"))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("family", ["exp_x", "power"])
+    def test_minus_on_one_sided_family_exit_2(self, tmp_path, capsys, family):
+        out = tmp_path / "o.csv"
+        assert run("oracle-sample", "--family", family, "--points", "5",
+                   "--right-sign", "minus", "-o", str(out)) == 2
+        assert "one-sided" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_minus_on_two_sided_family(self, tmp_path):
+        a, b = tmp_path / "plus.csv", tmp_path / "minus.csv"
+        for sign, out in (("plus", a), ("minus", b)):
+            assert run("oracle-sample", "--family", "cubic_x3", "--points", "3",
+                       "--right-sign", sign, "-o", str(out)) == 0
+        assert a.read_text().splitlines()[2:] != b.read_text().splitlines()[2:]
+
+    def test_order_of_2d_family_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run("oracle-sample", "--family", "saddle_2d", "--points", "3",
+                   "--s", "0.3", "-o", str(out)) == 2
+        assert "only at s = 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

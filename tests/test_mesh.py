@@ -1,5 +1,6 @@
 """Simplicial complex construction, coboundary, and file formats."""
 
+import itertools
 import json
 
 import numpy as np
@@ -59,6 +60,65 @@ class TestGenerators:
             assert all(tuple(t[i]) < tuple(t[i + 1]) for i in range(len(t) - 1))
 
 
+def oracle_faces(simplex):
+    """All proper faces of a vertex tuple, as sorted tuples."""
+    out = []
+    for k in range(1, len(simplex)):
+        out.extend(itertools.combinations(simplex, k))
+    return out
+
+
+def oracle_check_closure(simplices):
+    """The original tuple-set closure check of a complex's tables."""
+    known = {tuple(row) for table in simplices.values() for row in table}
+    for table in simplices.values():
+        for row in table:
+            for face in oracle_faces(tuple(row)):
+                if face not in known:
+                    raise MeshError(f"face {face} of {tuple(row)} is missing")
+
+
+def oracle_simplex_tables(dimension, top_simplices, n_vertices):
+    """The original tuple-and-set construction of every simplex table."""
+    tables = {dimension: sorted({tuple(sorted(s)) for s in top_simplices})}
+    for p in range(dimension - 1, 0, -1):
+        faces = {f for s in tables[p + 1] for f in itertools.combinations(s, p + 1)}
+        tables[p] = sorted(faces)
+    tables[0] = [(v,) for v in range(n_vertices)]
+    return {p: np.asarray(t, dtype=int).reshape(len(t), p + 1)
+            for p, t in tables.items()}
+
+
+def assert_oracle_tables(cx, top_simplices):
+    """cx's tables equal the oracle's for these tops: values, int64, C order."""
+    want = oracle_simplex_tables(cx.dimension, top_simplices, cx.n_simplices(0))
+    assert list(cx.simplices) == list(want)
+    for p, table in want.items():
+        got = cx.simplices[p]
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, table)
+
+
+class TestTablesMatchOracle:
+    def test_oracle_meshes(self, oracle_mesh):
+        top = oracle_mesh.simplices[oracle_mesh.dimension]
+        assert_oracle_tables(oracle_mesh, top.tolist())
+
+    @pytest.mark.parametrize("n", [1, 2, 1024, 2048])
+    def test_interval(self, n):
+        cx = generate_interval_mesh(0.0, 1.0, n)
+        assert_oracle_tables(cx, [(i, i + 1) for i in range(n)])
+
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_square(self, n):
+        cx = generate_unit_square_mesh(n)
+        # Each top listed in reverse, in reverse table order.
+        tops = cx.simplices[2][::-1, ::-1].tolist()
+        assert_oracle_tables(cx, tops)
+        again = SimplicialComplex.from_simplices(2, tops, vertex_coords=cx.vertex_coords)
+        assert_oracle_tables(again, tops)
+
+
 class TestValidation:
     def test_missing_face_rejected(self):
         simplices = {
@@ -67,8 +127,24 @@ class TestValidation:
             2: np.array([[0, 1, 2]]),
         }
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="not in the complex"):
             SimplicialComplex(2, simplices, vertex_coords=coords)
+
+    @pytest.mark.parametrize("missing", [None, (1, 2), (0, 1), (2,), (0,)])
+    def test_closure_matches_oracle(self, missing):
+        full = {0: [[0], [1], [2], [3]], 1: [[0, 1], [0, 2], [1, 2], [2, 3]],
+                2: [[0, 1, 2]]}
+        simplices = {p: np.array([r for r in t if tuple(r) != missing])
+                     for p, t in full.items()}
+        lengths = np.ones(len(simplices[1]))
+        if missing is None:
+            oracle_check_closure(simplices)
+            SimplicialComplex(2, simplices, edge_lengths=lengths)
+            return
+        with pytest.raises(MeshError, match="is missing"):
+            oracle_check_closure(simplices)
+        with pytest.raises(MeshError, match="not in the complex"):
+            SimplicialComplex(2, simplices, edge_lengths=lengths)
 
     def test_nonincreasing_simplex_rejected(self):
         simplices = {0: np.array([[0], [1]]), 1: np.array([[1, 0]])}
@@ -106,6 +182,16 @@ class TestValidation:
             SimplicialComplex.from_simplices(
                 2, tops, vertex_coords=[[0, 0], [1, 0], [0, 1]])
 
+    # Whole floats, strings and indices beyond 64 bits are not integers
+    # in range either; the message names a plain value.
+    @pytest.mark.parametrize("tops, index", [
+        ([(0, 1.0, 2)], "0.0"), ([("0", "1", "2")], "'0'"),
+        ([(0, 1, 2), (1, 2, 2 ** 70)], "[0-9]+")])
+    def test_non_integer_vertex_index(self, tops, index):
+        with pytest.raises(MeshError, match=f"index {index} is not an integer in"):
+            SimplicialComplex.from_simplices(
+                2, tops, vertex_coords=[[0, 0], [1, 0], [0, 1]])
+
     def test_vertex_index_beyond_vertex_count(self):
         with pytest.raises(MeshError, match="is not an integer in"):
             SimplicialComplex.from_simplices(
@@ -121,8 +207,14 @@ class TestValidation:
         with pytest.raises(MeshError):
             SimplicialComplex.from_simplices(1, [], edge_lengths={})
 
+    @pytest.mark.parametrize("dimension, tops", [
+        (2, [(0, 1, 2), (0, 1)]), (1, [(0, 1, 2)]), (1, [0, 1]), (2, [[(0, 1), 2]])])
+    def test_wrong_width_rejected(self, dimension, tops):
+        with pytest.raises(MeshError, match=f"needs {dimension + 1} vertices"):
+            SimplicialComplex.from_simplices(dimension, tops, n_vertices=3)
+
     def test_repeated_vertex_rejected(self):
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="repeated vertices"):
             SimplicialComplex.from_simplices(2, [(0, 1, 1)],
                                              vertex_coords=[[0, 0], [1, 0]])
 

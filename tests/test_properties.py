@@ -20,6 +20,7 @@ from fracdec import (
     save_json,
     save_off,
 )
+from test_mesh import assert_oracle_tables
 
 PROPERTY = settings(max_examples=12, derandomize=True, deadline=None)
 ORDERS = st.sampled_from([0.3, 0.5, 0.7])
@@ -121,6 +122,7 @@ def test_d1_d0_is_zero(cx, data):
 
 
 def _assert_same_complex(a, b):
+    assert_oracle_tables(a, b.simplices[b.dimension][::-1, ::-1].tolist())
     assert a.dimension == b.dimension
     for p in range(a.dimension + 1):
         np.testing.assert_array_equal(a.simplices[p], b.simplices[p])
@@ -131,6 +133,7 @@ def _assert_same_complex(a, b):
 @PROPERTY
 @given(st.one_of(interval_meshes(), square_meshes()))
 def test_mesh_file_round_trips(cx):
+    assert_oracle_tables(cx, cx.simplices[cx.dimension].tolist())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mesh.json")
         save_json(cx, path)
