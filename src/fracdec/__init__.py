@@ -42,20 +42,7 @@ from .operator import (
     build_frac_derivative,
     build_weight_matrix,
 )
-from .oracles import (
-    ClosedFormFamily,
-    QuadratureSpec,
-    caputo_power,
-    caputo_quadrature,
-    family_names,
-    frac_gradient_saddle,
-    frac_gradient_shifted_min,
-    get_family,
-    left_caputo_exp,
-    two_sided_cubic,
-    two_sided_poly,
-    two_sided_quadratic,
-)
+from .oracles import ClosedFormFamily, family_names, get_family
 from .analysis import (
     StairsFunction,
     WhitneyField,
@@ -84,10 +71,7 @@ __all__ = [
     "barycenters", "boundary_offsets", "simplex_distance",
     "gamma", "mittag_leffler",
     "FracConfig", "FracOperator", "build_frac_derivative", "build_weight_matrix",
-    "ClosedFormFamily", "QuadratureSpec", "caputo_power", "caputo_quadrature",
-    "family_names", "frac_gradient_saddle", "frac_gradient_shifted_min",
-    "get_family", "left_caputo_exp", "two_sided_cubic", "two_sided_poly",
-    "two_sided_quadratic",
+    "ClosedFormFamily", "family_names", "get_family",
     "StairsFunction", "WhitneyField", "convergence_study", "edge_integrals",
     "eval_at_barycenters", "field_experiment_2d", "frac_derivative_1d",
     "l2_error_stairs", "linf_error", "relative_l2_per_triangle", "s_sweep",

@@ -165,20 +165,16 @@ def cmd_oracle_sample(args):
                           "--right-sign minus does not apply")
     family.check_order(args.s)
     pts = np.round(np.arange(1, args.points + 1) / (args.points + 1), 12)
-    rows = []
     if family.dim == 1:
-        for x in pts:
-            val = family.reference(float(x), args.s, args.right_sign)
-            rows.append((float(x), family.name, args.s, float(val)))
+        vals = family.reference(pts, args.s, args.right_sign).tolist()
+        rows = [(x, family.name, args.s, v) for x, v in zip(pts.tolist(), vals)]
         cols = ["x", "family", "s", "value"]
     else:
-        for x in pts:
-            for y in pts:
-                vec = family.reference(float(x), float(y), args.s, args.right_sign)
-                rows.append((float(x), float(y), family.name + ":dx", args.s,
-                             float(vec[..., 0])))
-                rows.append((float(x), float(y), family.name + ":dy", args.s,
-                             float(vec[..., 1])))
+        x, y = (a.ravel() for a in np.meshgrid(pts, pts, indexing="ij"))
+        vecs = family.reference(x, y, args.s, args.right_sign).tolist()
+        rows = [(xi, yi, f"{family.name}:{axis}", args.s, v)
+                for xi, yi, vec in zip(x.tolist(), y.tolist(), vecs)
+                for axis, v in zip(("dx", "dy"), vec)]
         cols = ["x", "y", "family", "s", "value"]
     _write_rows(args.output, _header("oracle-sample", args), cols, rows,
                 args.format)

@@ -54,19 +54,20 @@ class SimplicialComplex:
             if p not in self.simplices:
                 raise MeshError(f"missing simplex table for degree {p}")
         lengths = self.edge_lengths
-        if lengths is None:
+        supplied = lengths is not None
+        if not supplied:
             if self.vertex_coords is None:
                 raise MeshError("edge lengths required when there is no embedding")
             lengths = self._euclidean_edge_lengths()
         object.__setattr__(self, "edge_lengths", np.asarray(lengths, dtype=float))
-        self._validate()
+        self._validate(supplied)
 
     def _euclidean_edge_lengths(self):
         edges = self.simplices[1]
         diff = self.vertex_coords[edges[:, 1]] - self.vertex_coords[edges[:, 0]]
         return np.linalg.norm(diff, axis=1)
 
-    def _validate(self):
+    def _validate(self, lengths_supplied):
         for p, table in self.simplices.items():
             if table.ndim != 2 or table.shape[1] != p + 1:
                 raise MeshError(f"degree-{p} table must have {p + 1} columns")
@@ -79,7 +80,9 @@ class SimplicialComplex:
             raise MeshError("edge_lengths must align with the edge table")
         if not np.all(np.isfinite(self.edge_lengths)) or np.any(self.edge_lengths <= 0):
             raise GeometryError("edge lengths must be strictly positive and finite")
-        if self.vertex_coords is not None and not self.lengths_overridden:
+        # Lengths derived from the embedding agree with it by construction.
+        if lengths_supplied and self.vertex_coords is not None \
+                and not self.lengths_overridden:
             euclid = self._euclidean_edge_lengths()
             if np.any(np.abs(self.edge_lengths - euclid) > _EDGE_LENGTH_RTOL * np.maximum(euclid, 1.0)):
                 raise MeshError("edge lengths disagree with the embedding")
@@ -138,17 +141,21 @@ class SimplicialComplex:
             n_vertices = len(vertex_coords)
         if n_vertices is None and not len(tops):
             raise MeshError("no top simplices and no vertex count")
-        # Integer-typed indices only (1.0 fails too); name a fractional one.
-        bad = np.ones(tops.shape, dtype=bool)
-        if tops.dtype.kind in "iu":
-            n_vertices = int(tops.max()) + 1 if n_vertices is None else n_vertices
-            bad = (tops < 0) | (tops >= n_vertices)
-        elif tops.dtype.kind == "f" and np.any(tops != np.round(tops)):
-            bad = tops != np.round(tops)
-        if np.any(bad):
+
+        def bad_index(v):
             span = "n_vertices" if n_vertices is None else n_vertices
-            raise MeshError(f"vertex index {tops[bad].tolist()[0]!r} is not an integer "
-                            f"in [0, {span})")
+            return MeshError(f"vertex index {v!r} is not an integer in [0, {span})")
+        # Integer-typed indices only (1.0 fails too).  When numpy could not
+        # make an integer array, name the entry that stopped it.
+        if tops.dtype.kind not in "iu":
+            for v in np.array(top_simplices, dtype=object).ravel():
+                if not isinstance(v, (int, np.integer)) or not 0 <= v < 2 ** 63:
+                    raise bad_index(v)
+        if n_vertices is None:
+            n_vertices = int(tops.max()) + 1
+        bad = (tops < 0) | (tops >= n_vertices)
+        if np.any(bad):
+            raise bad_index(tops[bad].tolist()[0])
         tops = np.sort(tops.astype(np.int64), axis=1)
         if np.any(tops[:, 1:] == tops[:, :-1]):
             raise MeshError("top simplex with repeated vertices")

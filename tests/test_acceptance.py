@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from caputo_oracle import caputo_quadrature, derivative
 from fracdec import (
     Cochain,
     FracConfig,
@@ -18,7 +19,6 @@ from fracdec import (
     barycenters,
     build_coboundary,
     build_frac_derivative,
-    caputo_quadrature,
     convergence_study,
     edge_integrals,
     eval_at_barycenters,
@@ -68,13 +68,13 @@ def test_oracle_cross_validation():
     checks = []
     fam = get_family("power", q=3)
     checks += [("power", abs(fam.reference(x, 0.5)
-                             - caputo_quadrature(fam.derivative, 0, 1, x, 0.5,
+                             - caputo_quadrature(lambda t: 3 * t ** 2, 0, 1, x, 0.5,
                                                  side="left"))) for x in xs]
     for name in ("cubic_x3", "poly_neg10x3_plus_10x2"):
         fam = get_family(name)
         sign = fam.default_right_sign
         checks += [(name, abs(fam.reference(x, 0.5, sign)
-                              - caputo_quadrature(fam.derivative, 0, 1, x, 0.5,
+                              - caputo_quadrature(derivative(fam), 0, 1, x, 0.5,
                                                   side="two_sided",
                                                   right_sign=sign)))
                    for x in xs]
@@ -82,14 +82,13 @@ def test_oracle_cross_validation():
     checks += [("exp_x", abs(fam.reference(x, 0.5)
                              - caputo_quadrature(math.exp, 0, 1, x, 0.5,
                                                  side="left"))) for x in xs]
-    for name, dfs in (("saddle_2d", (lambda t: -2 * t, lambda t: 2 * t)),
-                      ("shifted_min_2d", (lambda t: 2 * (t - 0.1),) * 2)):
+    for name in ("saddle_2d", "shifted_min_2d"):
         fam = get_family(name)
         for x in xs:
             vec = fam.reference(x, x, 0.5, "plus")
-            for comp, df in enumerate(dfs):
-                oracle = caputo_quadrature(df, 0, 1, x, 0.5, side="two_sided",
-                                           right_sign="plus")
+            for comp in range(2):
+                oracle = caputo_quadrature(derivative(fam, comp), 0, 1, x, 0.5,
+                                           side="two_sided", right_sign="plus")
                 checks.append((f"{name}[{comp}]", abs(float(vec[comp]) - oracle)))
     worst = max(d for _, d in checks)
     ok = worst < 1e-6

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
-from fracdec import AccuracyError, load_json, load_off
+from fracdec import AccuracyError, get_family, load_json, load_off
 from fracdec.cli import main
 
 
@@ -266,6 +267,17 @@ class TestOracleSample:
         lines = out.read_text().splitlines()
         assert lines[1] == "x,y,family,s,value"
         assert len(lines) == 2 + 3 * 3 * 2  # two components per grid point
+        # x outer, y inner, dx before dy, as the per-point loop wrote them.
+        pts = [0.25, 0.5, 0.75]
+        rows = [line.split(",") for line in lines[2:]]
+        assert [(float(r[0]), float(r[1]), r[2]) for r in rows] == [
+            (x, y, f"saddle_2d:{axis}") for x in pts for y in pts
+            for axis in ("dx", "dy")]
+        ref = get_family("saddle_2d").reference
+        for r in rows:
+            axis = 0 if r[2].endswith("dx") else 1
+            assert float(r[4]) == pytest.approx(ref(float(r[0]), float(r[1]))[axis],
+                                                rel=1e-13)
 
     @pytest.mark.parametrize("option", [("--sidedness", "left"),
                                         ("--distance", "euclidean"),
@@ -291,6 +303,19 @@ class TestOracleSample:
             assert run("oracle-sample", "--family", "cubic_x3", "--points", "3",
                        "--right-sign", sign, "-o", str(out)) == 0
         assert a.read_text().splitlines()[2:] != b.read_text().splitlines()[2:]
+
+    @pytest.mark.parametrize("family", ["cubic_x3", "poly_neg10x3_plus_10x2",
+                                        "constant"])
+    @pytest.mark.parametrize("s", ["1.5", "1", "0", "-0.5"])
+    def test_order_outside_unit_interval_exit_2(self, tmp_path, capsys, family, s):
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy divide warning before the exit
+            assert run("oracle-sample", "--family", family, "--points", "3",
+                       f"--s={s}", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "s in (0, 1)" in err
+        assert not out.exists()
 
     def test_order_of_2d_family_exit_2(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

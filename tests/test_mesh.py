@@ -158,9 +158,12 @@ class TestValidation:
 
     def test_length_embedding_mismatch_rejected(self):
         cx = generate_interval_mesh(0.0, 1.0, 2)
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="disagree with the embedding"):
             SimplicialComplex(1, cx.simplices, vertex_coords=cx.vertex_coords,
                               edge_lengths=np.array([0.5, 0.9]))
+        matching = SimplicialComplex(1, cx.simplices, vertex_coords=cx.vertex_coords,
+                                     edge_lengths=np.array([0.5, 0.5]))
+        assert not matching.lengths_overridden
 
     def test_overridden_lengths_accepted(self):
         edges = [(0, 1), (1, 2)]
@@ -182,11 +185,12 @@ class TestValidation:
             SimplicialComplex.from_simplices(
                 2, tops, vertex_coords=[[0, 0], [1, 0], [0, 1]])
 
-    # Whole floats, strings and indices beyond 64 bits are not integers
-    # in range either; the message names a plain value.
+    # Whole floats, strings, None and indices beyond 64 bits are not
+    # integers in range either; the message names the offending entry.
     @pytest.mark.parametrize("tops, index", [
-        ([(0, 1.0, 2)], "0.0"), ([("0", "1", "2")], "'0'"),
-        ([(0, 1, 2), (1, 2, 2 ** 70)], "[0-9]+")])
+        ([(0, 1.0, 2)], "1.0"), ([("0", "1", "2")], "'0'"),
+        ([(0, 1, 2), (1, 2, 2 ** 70)], str(2 ** 70)), ([(0, 1, 2 ** 70)], str(2 ** 70)),
+        ([(0, None, 2)], "None"), ([(0, 1, 2), (0, "x", 3)], "'x'")])
     def test_non_integer_vertex_index(self, tops, index):
         with pytest.raises(MeshError, match=f"index {index} is not an integer in"):
             SimplicialComplex.from_simplices(

@@ -1,27 +1,31 @@
-"""Closed-form ground truths against the singular-kernel quadrature."""
+"""Closed-form ground truths against the singular-kernel quadrature and
+the per-family forms they replaced."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fracdec import (
-    ConfigError,
-    QuadratureSpec,
-    caputo_power,
-    caputo_quadrature,
-    family_names,
-    frac_gradient_saddle,
-    frac_gradient_shifted_min,
-    gamma,
-    get_family,
-    left_caputo_exp,
-    two_sided_cubic,
-    two_sided_poly,
-    two_sided_quadratic,
-)
+import caputo_oracle
+from caputo_oracle import QuadratureSpec, caputo_quadrature
+from fracdec import ConfigError, family_names, gamma, get_family
+from fracdec.oracles import caputo_polynomial, caputo_power, left_caputo_exp
 
 POINTS = (0.15, 0.4, 0.85)
+ORDERS = [round(0.1 * k, 1) for k in range(1, 10)]
+CUBIC, QUADRATIC = (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0)
+
+
+def cubic(x, s, sign):
+    return get_family("cubic_x3").reference(x, s, sign)
+
+
+def quadratic(x, s, sign):
+    return caputo_polynomial(QUADRATIC, x, s, sign)
+
+
+def normwise(got, want):
+    return np.linalg.norm(np.ravel(got - want)) / np.linalg.norm(np.ravel(want))
 
 
 class TestPowerRule:
@@ -56,7 +60,7 @@ class TestTwoSidedForms:
         for x in POINTS:
             oracle = caputo_quadrature(lambda t: 3 * t ** 2, 0.0, 1.0, x, s,
                                        side="two_sided", right_sign=sign)
-            assert two_sided_cubic(x, s, sign) == pytest.approx(oracle, abs=1e-8)
+            assert cubic(x, s, sign) == pytest.approx(oracle, abs=1e-8)
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -64,28 +68,26 @@ class TestTwoSidedForms:
         for x in POINTS:
             oracle = caputo_quadrature(lambda t: 2 * t, 0.0, 1.0, x, s,
                                        side="two_sided", right_sign=sign)
-            assert two_sided_quadratic(x, s, sign) == pytest.approx(oracle, abs=1e-8)
+            assert quadratic(x, s, sign) == pytest.approx(oracle, abs=1e-8)
 
     def test_poly_is_linear_combination(self):
         for s in (0.4, 0.5):
             for sign in ("plus", "minus"):
                 x = np.linspace(0.05, 0.95, 7)
-                combo = -10 * two_sided_cubic(x, s, sign) \
-                    + 10 * two_sided_quadratic(x, s, sign)
-                np.testing.assert_allclose(two_sided_poly(x, s, sign), combo,
-                                           atol=1e-13)
+                combo = -10 * cubic(x, s, sign) + 10 * quadratic(x, s, sign)
+                poly = get_family("poly_neg10x3_plus_10x2").reference(x, s, sign)
+                np.testing.assert_allclose(poly, combo, atol=1e-13)
 
     def test_half_order_printed_forms(self):
         # At s = 1/2 the pieces reduce to the familiar explicit formulas.
         x = 0.3
         right_c = 3.0 / gamma(3.5) * math.sqrt(1 - x) * (0.75 + x + 2 * x * x)
         left_c = gamma(4.0) / gamma(3.5) * x ** 2.5
-        assert two_sided_cubic(x, 0.5, "minus") == pytest.approx(left_c - right_c,
-                                                                 rel=1e-12)
+        assert cubic(x, 0.5, "minus") == pytest.approx(left_c - right_c, rel=1e-12)
         right_q = 2.0 / gamma(2.5) * math.sqrt(1 - x) * (x + 0.5)
         left_q = 2.0 / gamma(2.5) * x ** 1.5
-        assert two_sided_quadratic(x, 0.5, "plus") == pytest.approx(
-            left_q + right_q, rel=1e-12)
+        assert quadratic(x, 0.5, "plus") == pytest.approx(left_q + right_q,
+                                                          rel=1e-12)
 
 
 class TestExponential:
@@ -101,6 +103,10 @@ class TestExponential:
         assert left_caputo_exp(0.7, 1e-6) == pytest.approx(math.exp(0.7) - 1.0,
                                                            abs=1e-4)
 
+    def test_negative_point_rejected(self):
+        with pytest.raises(ConfigError, match="x >= 0"):
+            left_caputo_exp(np.array([-0.5, 0.2]), 0.5)
+
     def test_vector_input(self):
         x = np.array([0.2, 0.5])
         out = left_caputo_exp(x, 0.5)
@@ -111,7 +117,7 @@ class TestExponential:
 class Test2DFields:
     def test_saddle_components(self):
         for (x, y) in ((0.2, 0.7), (0.5, 0.5)):
-            vec = frac_gradient_saddle(x, y, "plus")
+            vec = get_family("saddle_2d").reference(x, y, 0.5, "plus")
             ox = -caputo_quadrature(lambda t: 2 * t, 0, 1, x, 0.5,
                                     side="two_sided", right_sign="plus")
             oy = caputo_quadrature(lambda t: 2 * t, 0, 1, y, 0.5,
@@ -120,7 +126,7 @@ class Test2DFields:
 
     def test_shifted_min_components(self):
         for (x, y) in ((0.2, 0.7), (0.45, 0.1)):
-            vec = frac_gradient_shifted_min(x, y, "plus")
+            vec = get_family("shifted_min_2d").reference(x, y, 0.5, "plus")
             ox = caputo_quadrature(lambda t: 2 * (t - 0.1), 0, 1, x, 0.5,
                                    side="two_sided", right_sign="plus")
             oy = caputo_quadrature(lambda t: 2 * (t - 0.1), 0, 1, y, 0.5,
@@ -129,7 +135,7 @@ class Test2DFields:
 
     def test_vectorized_shape(self):
         x = np.linspace(0.1, 0.9, 5)
-        assert frac_gradient_saddle(x, x).shape == (5, 2)
+        assert get_family("saddle_2d").reference(x, x).shape == (5, 2)
 
 
 class TestQuadratureOracle:
@@ -182,4 +188,64 @@ class TestFamilyRegistry:
             fam = get_family(name)
             for x in POINTS:
                 fd = (fam.sample(x + h) - fam.sample(x - h)) / (2 * h)
-                assert fd == pytest.approx(fam.derivative(x), rel=1e-5)
+                assert fd == pytest.approx(caputo_oracle.derivative(fam)(x), rel=1e-5)
+
+
+class TestReplacedForms:
+    """The one polynomial form and the array Mittag-Leffler series against
+    the per-family forms and the scalar series they replaced."""
+
+    X = np.linspace(0.0, 1.0, 257)
+
+    @pytest.mark.parametrize("s", ORDERS)
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_1d_polynomial_families(self, s, sign):
+        x, old = self.X, caputo_oracle
+        for got, want in (
+                (cubic(x, s, sign), old.two_sided_cubic(x, s, sign)),
+                (quadratic(x, s, sign), old.two_sided_quadratic(x, s, sign)),
+                (get_family("poly_neg10x3_plus_10x2").reference(x, s, sign),
+                 old.two_sided_poly(x, s, sign))):
+            assert normwise(got, want) <= 1e-13
+        assert np.all(get_family("constant").reference(self.X, s, sign) == 0.0)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_2d_fields(self, sign):
+        x, y = np.meshgrid(self.X, self.X[::-1])
+        for name, replaced in (
+                ("saddle_2d", caputo_oracle.frac_gradient_saddle),
+                ("shifted_min_2d", caputo_oracle.frac_gradient_shifted_min)):
+            got = get_family(name).reference(x, y, 0.5, sign)
+            assert got.shape == x.shape + (2,)
+            assert normwise(got, replaced(x, y, sign)) <= 1e-13
+
+    def test_default_signs(self):
+        x = np.array([0.2, 0.7])
+        for name, sign in (("cubic_x3", "minus"), ("poly_neg10x3_plus_10x2", "plus"),
+                           ("constant", "plus")):
+            fam = get_family(name)
+            assert fam.default_right_sign == sign
+            np.testing.assert_array_equal(fam.reference(x, 0.4),
+                                          fam.reference(x, 0.4, sign))
+        for name in ("saddle_2d", "shifted_min_2d"):
+            fam = get_family(name)
+            assert fam.default_right_sign == "plus"
+            np.testing.assert_array_equal(fam.reference(x, x),
+                                          fam.reference(x, x, 0.5, "plus"))
+
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_exp_array_series(self, s):
+        x = (np.arange(2048) + 0.5) / 2048
+        got = get_family("exp_x").reference(x, s)
+        want = caputo_oracle.left_caputo_exp_series(x, s)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 1.5, -0.5])
+    def test_order_outside_unit_interval(self, s):
+        with pytest.raises(ConfigError, match="s in"):
+            caputo_polynomial(CUBIC, 0.5, s, "plus")
+
+    @pytest.mark.parametrize("x", [-0.1, 1.1, [0.5, 1.0 + 1e-12]])
+    def test_point_outside_unit_interval(self, x):
+        with pytest.raises(ConfigError, match="0 <= x <= 1"):
+            caputo_polynomial(CUBIC, x, 0.5, "plus")

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracdec import ConfigError, SeriesConvergenceError, gamma, mittag_leffler
+from caputo_oracle import mittag_leffler_series
+from fracdec import ConfigError, SeriesConvergenceError, gamma, mittag_leffler, special
 
 
 class TestGamma:
@@ -55,14 +56,35 @@ class TestMittagLeffler:
     def test_large_argument_rejected(self):
         with pytest.raises(ConfigError):
             mittag_leffler(1.0, 1.0, 80.0)
+        with pytest.raises(ConfigError):
+            mittag_leffler(1.0, 1.0, np.array([0.5, -50.5]))
 
     def test_term_budget_exhaustion(self):
         with pytest.raises(SeriesConvergenceError):
-            mittag_leffler(0.05, 1.0, 40.0, max_terms=5)
+            mittag_leffler(0.05, 1.0, 40.0)
+
+    def test_budget_is_a_module_constant(self, monkeypatch):
+        monkeypatch.setattr(special, "MAX_TERMS", 5)
+        with pytest.raises(SeriesConvergenceError, match="in 5 terms"):
+            mittag_leffler(1.0, 1.0, 1.0)
 
     def test_params_validation(self):
-        for kwargs in (dict(a=-1.0, b=1.0), dict(a=1.0, b=-0.5),
-                       dict(a=1.0, b=1.0, max_terms=0),
-                       dict(a=1.0, b=1.0, series_tol=0.0)):
+        for kwargs in (dict(a=-1.0, b=1.0), dict(a=1.0, b=-0.5)):
             with pytest.raises(ConfigError):
                 mittag_leffler(z=0.5, **kwargs)
+
+    def test_array_shapes(self):
+        assert isinstance(mittag_leffler(1.0, 1.0, 0.5), float)
+        z = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        out = mittag_leffler(1.0, 1.0, z)
+        assert out.shape == (2, 3)
+        np.testing.assert_allclose(out, np.exp(z), rtol=1e-14)
+        assert mittag_leffler(1.0, 1.0, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 1.5), (1.0, 1.3),
+                                      (1.0, 2.0), (2.0, 1.0), (2.0, 1.7)])
+    def test_array_matches_scalar_series(self, a, b):
+        z = np.linspace(-1.0, 5.0, 61)
+        want = np.array([mittag_leffler_series(a, b, zi) for zi in z])
+        np.testing.assert_allclose(mittag_leffler(a, b, z), want,
+                                   rtol=1e-13, atol=1e-15)
