@@ -3,7 +3,9 @@
 Every output file starts with a header line that records the exact
 experiment configuration; re-running with the same arguments produces a
 byte-identical file.  Exit codes: 0 success, 2 usage/config error,
-3 mesh, data or file I/O error, 4 numerical-accuracy error.
+3 mesh, data or file I/O error, 4 numerical-accuracy error, which
+includes a floating-point overflow, division by zero or invalid
+operation anywhere in a command.
 """
 
 from __future__ import annotations
@@ -164,6 +166,8 @@ def cmd_oracle_sample(args):
         raise ConfigError(f"family {family.name} is one-sided; "
                           "--right-sign minus does not apply")
     family.check_order(args.s)
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     pts = np.round(np.arange(1, args.points + 1) / (args.points + 1), 12)
     if family.dim == 1:
         vals = family.reference(pts, args.s, args.right_sign).tolist()
@@ -247,7 +251,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -259,6 +264,9 @@ def main(argv=None):
         return DATA_ERROR
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
+        return ACCURACY_ERROR
+    except FloatingPointError as exc:
+        print(f"floating-point error: {exc}", file=sys.stderr)
         return ACCURACY_ERROR
 
 

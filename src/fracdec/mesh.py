@@ -2,9 +2,11 @@
 
 Simplices are stored with strictly increasing vertex indices; the
 orientation of every simplex is the one implied by the global vertex
-ordering.  Simplex tables are sorted lexicographically so that row and
+ordering.  Every simplex table is kept in strictly increasing key
+order (sorted, no duplicate rows), where a row's key is its digits in
+base n_vertices; the complex checks this on construction, so row and
 column indices of the operators are reproducible across runs and file
-round-trips.
+round-trips, and lookups are binary searches.
 """
 
 from __future__ import annotations
@@ -27,14 +29,35 @@ def _facets(table):
                     axis=1)
 
 
+def _keys(rows, base):
+    """Key of each row of an (..., q) integer array: its digits in base
+    `base`, so key order is lexicographic row order.  A row with an
+    entry outside [0, base) gets key -1, which no valid row has."""
+    rows = np.asarray(rows, dtype=np.int64)
+    q = rows.shape[-1]
+    if int(base) ** q >= 2 ** 63:
+        raise MeshError(f"too many vertices to index degree-{q - 1} simplices")
+    place = base ** np.arange(q - 1, -1, -1, dtype=np.int64)
+    in_range = np.all((rows >= 0) & (rows < base), axis=-1)
+    return np.where(in_range, rows @ place, -1)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """An oriented simplicial complex with a local metric on its edges.
 
+    Construction checks the table invariant and raises MeshError where
+    it fails: every table is an integer array; the vertex table is
+    0, 1, ..., n_0 - 1; every row is strictly increasing; every table
+    is strictly increasing in its row keys, so sorted and free of
+    duplicate rows; every facet of a simplex is in the complex; and
+    vertex_coords, if given, has n_0 rows.
+
     Attributes:
         dimension: top dimension N of the complex.
         simplices: map p -> (n_p, p+1) integer array of p-simplices,
-            each row strictly increasing, rows sorted lexicographically.
+            each row strictly increasing, rows sorted lexicographically
+            without duplicates.
         vertex_coords: optional (n_0, d) embedding of the vertices.
         edge_lengths: positive edge lengths aligned with simplices[1].
         lengths_overridden: True when edge_lengths were supplied
@@ -48,11 +71,7 @@ class SimplicialComplex:
     lengths_overridden: bool = False
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise MeshError("complex must contain at least edges (dimension >= 1)")
-        for p in range(self.dimension + 1):
-            if p not in self.simplices:
-                raise MeshError(f"missing simplex table for degree {p}")
+        self._validate()
         lengths = self.edge_lengths
         supplied = lengths is not None
         if not supplied:
@@ -60,22 +79,40 @@ class SimplicialComplex:
                 raise MeshError("edge lengths required when there is no embedding")
             lengths = self._euclidean_edge_lengths()
         object.__setattr__(self, "edge_lengths", np.asarray(lengths, dtype=float))
-        self._validate(supplied)
+        self._validate_lengths(supplied)
 
     def _euclidean_edge_lengths(self):
         edges = self.simplices[1]
         diff = self.vertex_coords[edges[:, 1]] - self.vertex_coords[edges[:, 0]]
         return np.linalg.norm(diff, axis=1)
 
-    def _validate(self, lengths_supplied):
+    def _validate(self):
+        if self.dimension < 1:
+            raise MeshError("complex must contain at least edges (dimension >= 1)")
+        for p in range(self.dimension + 1):
+            if p not in self.simplices:
+                raise MeshError(f"missing simplex table for degree {p}")
         for p, table in self.simplices.items():
-            if table.ndim != 2 or table.shape[1] != p + 1:
-                raise MeshError(f"degree-{p} table must have {p + 1} columns")
+            if table.ndim != 2 or table.shape[1] != p + 1 or table.dtype.kind not in "iu":
+                raise MeshError(f"degree-{p} table must be integers in {p + 1} columns")
             if p > 0 and not np.all(table[:, :-1] < table[:, 1:]):
                 raise MeshError("simplex vertex indices must be strictly increasing")
-        # Facets present at every degree means, by induction, every face is.
-        for p in range(1, self.dimension + 1):
-            self.locate(p - 1, _facets(self.simplices[p]))
+        # Degree by degree: facets present at every degree means, by
+        # induction, every face is, and then every key is in range.
+        base = int(self.simplices[0].max(initial=-1)) + 1
+        for p in range(self.dimension + 1):
+            if p:
+                self.locate(p - 1, _facets(self.simplices[p]))
+            keys = _keys(self.simplices[p], base)
+            if np.any(keys[1:] <= keys[:-1]):
+                raise MeshError(f"degree-{p} table must be sorted, without duplicates")
+        n = self.n_simplices(0)
+        if not np.array_equal(self.simplices[0][:, 0], np.arange(n)):
+            raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
+        if self.vertex_coords is not None and len(self.vertex_coords) != n:
+            raise MeshError(f"{len(self.vertex_coords)} vertex coordinates for {n} vertices")
+
+    def _validate_lengths(self, lengths_supplied):
         if len(self.edge_lengths) != len(self.simplices[1]):
             raise MeshError("edge_lengths must align with the edge table")
         if not np.all(np.isfinite(self.edge_lengths)) or np.any(self.edge_lengths <= 0):
@@ -97,21 +134,13 @@ class SimplicialComplex:
         the result has shape rows.shape[:-1].  Raises MeshError if any
         of them is not in the table.
         """
-        table = self.simplices[p]
         rows = np.asarray(rows, dtype=np.int64)
         base = int(self.simplices[0].max(initial=-1)) + 1
-        if base ** (p + 1) >= 2 ** 63:
-            raise MeshError(f"too many vertices to index degree-{p} simplices")
-        # Lexicographic key of a row: its digits in base n_vertices.  The
-        # sentinel key -1 (row n) is what misses land on, even when the
-        # table is empty; out-of-range queries get key -2.
-        place = base ** np.arange(p, -1, -1, dtype=np.int64)
-        keys = np.append(table @ place, -1)
-        order = np.argsort(keys)
-        in_range = np.all((rows >= 0) & (rows < base), axis=-1)
-        query = np.where(in_range, rows @ place, -2)
-        pos = np.searchsorted(keys, query, sorter=order).clip(max=len(table))
-        found = order[pos]
+        # The table's keys increase; misses land on a wrong key or on
+        # the end sentinel, which no key reaches.
+        keys = np.append(_keys(self.simplices[p], base), np.iinfo(np.int64).max)
+        query = _keys(rows, base)
+        found = np.searchsorted(keys, query)
         miss = keys[found] != query
         if np.any(miss):
             bad = tuple(int(v) for v in rows[miss][0])
@@ -132,8 +161,7 @@ class SimplicialComplex:
         any geometry is computed.
         """
         try:
-            tops = np.array(top_simplices)
-            tops = tops.reshape(len(tops), dimension + 1)
+            tops = np.reshape(top_simplices, (len(top_simplices), dimension + 1))
         except (TypeError, ValueError):  # ragged, or rows of another width
             raise MeshError(f"every top simplex needs {dimension + 1} vertices") from None
         if vertex_coords is not None:
@@ -159,24 +187,24 @@ class SimplicialComplex:
         tops = np.sort(tops.astype(np.int64), axis=1)
         if np.any(tops[:, 1:] == tops[:, :-1]):
             raise MeshError("top simplex with repeated vertices")
-        top_table, counts = np.unique(tops, axis=0, return_counts=True)
-        if np.any(counts > 1):
-            dup = tuple(top_table[counts > 1][0].tolist())
+        first = np.unique(_keys(tops, n_vertices), return_index=True)[1]
+        if len(first) < len(tops):
+            dup = tuple(np.delete(tops, first, axis=0)[0].tolist())
             raise MeshError(f"duplicate top simplex {dup}")
-        simplices = {dimension: top_table}
+        simplices = {dimension: tops[first]}
         for p in range(dimension - 1, 0, -1):
-            simplices[p] = np.unique(_facets(simplices[p + 1]).reshape(-1, p + 1), axis=0)
+            faces = _facets(simplices[p + 1]).reshape(-1, p + 1)
+            simplices[p] = faces[np.unique(_keys(faces, n_vertices), return_index=True)[1]]
         simplices[0] = np.arange(n_vertices, dtype=np.int64).reshape(-1, 1)
         lengths = None
-        overridden = False
         if edge_lengths is not None:
             try:
                 lengths = np.array([edge_lengths[tuple(e)]
                                     for e in simplices[1].tolist()], dtype=float)
             except KeyError as exc:
                 raise MeshError(f"no length given for edge {exc.args[0]}") from None
-            overridden = vertex_coords is not None
-        return cls(dimension, simplices, vertex_coords, lengths, overridden)
+        return cls(dimension, simplices, vertex_coords, lengths,
+                   lengths_overridden=lengths is not None and vertex_coords is not None)
 
 
 @dataclass(frozen=True)
@@ -223,8 +251,8 @@ def apply_coboundary(matrix, cochain):
 
 def generate_interval_mesh(a, b, n_edges):
     """Uniform 1D mesh: n_edges+1 equally spaced vertices on [a, b]."""
-    if not a < b:
-        raise ConfigError(f"need a < b, got [{a}, {b}]")
+    if not -np.inf < a < b < np.inf:
+        raise ConfigError(f"need finite a < b, got [{a}, {b}]")
     if n_edges < 1:
         raise ConfigError("n_edges must be >= 1")
     coords = np.linspace(a, b, n_edges + 1).reshape(-1, 1)

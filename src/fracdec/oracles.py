@@ -158,7 +158,10 @@ _FAMILIES = {
 def get_family(name, q=None):
     """Look up a test family by identifier; only "power" takes an exponent."""
     if name == "power":
-        return _power_family(3.0 if q is None else float(q))
+        q = 3.0 if q is None else float(q)
+        if not 0 < q < math.inf:  # the power rule's domain
+            raise ConfigError(f"power family needs a finite exponent q > 0, got {q}")
+        return _power_family(q)
     if name not in _FAMILIES:
         raise ConfigError(f"unknown family {name!r}; choices: "
                           f"{', '.join(sorted(_FAMILIES))}, power")

@@ -1,11 +1,12 @@
 """Gamma and two-parameter Mittag-Leffler functions.
 
-Gamma is the standard library's, behind a pole check that raises the
-package's ConfigError.  The Mittag-Leffler function is summed directly
-as a power series, evaluated by Horner's rule over an array of
+Gamma is the standard library's, behind pole and overflow checks that
+raise the package's ConfigError.  The Mittag-Leffler function is summed
+directly as a power series, evaluated by Horner's rule over an array of
 arguments: every evaluation here has |z| <= 50, where the series
-converges quickly (Garrappa, SIAM J. Numer. Anal. 53, 2015, covers the
-regimes beyond it).
+converges quickly, and for z < 0 only where the alternating series does
+not cancel (Garrappa, SIAM J. Numer. Anal. 53, 2015, covers the regimes
+beyond it).
 """
 
 from __future__ import annotations
@@ -22,11 +23,26 @@ MAX_TERMS = 200
 
 
 def gamma(z):
-    """Gamma function for real z away from the poles at 0, -1, -2, ..."""
+    """Gamma function for real z away from the poles at 0, -1, -2, ...
+    and below the overflow near z = 171.6."""
     z = float(z)
     if z <= 0 and z == math.floor(z):
         raise ConfigError(f"gamma pole at z = {z:g}")
-    return math.gamma(z)
+    try:
+        g = math.gamma(z)
+    except OverflowError:
+        g = math.inf
+    if math.isinf(g):
+        raise ConfigError(f"gamma overflows at z = {z:g}")
+    return g
+
+
+def _horner(coef, z):
+    """sum_k coef[k] z^k over an array z."""
+    out = np.full(z.shape, coef[-1])
+    for c in reversed(coef[:-1]):
+        out = out * z + c
+    return out
 
 
 def mittag_leffler(a, b, z):
@@ -38,7 +54,10 @@ def mittag_leffler(a, b, z):
     whole array (for z >= 0 it is the per-point rule at the largest
     point); raises SeriesConvergenceError if MAX_TERMS are not enough.
     For z < 0 the terms alternate and cancel, so the rounding error is
-    relative to E_{a,b}(|z|) rather than to the value.
+    about eps E_{a,b}(|z|) rather than eps |E_{a,b}(z)|; when some z < 0,
+    a second pass at |z| raises SeriesConvergenceError wherever that
+    error exceeds 1e-10 relative to the value (for a = b = 1, below
+    about z = -6.5).
     """
     if a <= 0 or b <= 0:
         raise ConfigError("Mittag-Leffler parameters a, b must be positive")
@@ -55,9 +74,13 @@ def mittag_leffler(a, b, z):
         if not math.isfinite(total):
             break
         if term <= SERIES_TOL * total:
-            out = np.full(z.shape, c)
-            for ck in reversed(coef[:n - 1]):
-                out = out * z + ck
+            out = _horner(coef[:n], z)
+            if (z < 0).any():
+                bad = np.finfo(float).eps * _horner(coef[:n], np.abs(z)) > 1e-10 * np.abs(out)
+                if bad.any():
+                    raise SeriesConvergenceError(
+                        "Mittag-Leffler series loses more than 1e-10 relative "
+                        f"accuracy to cancellation at z = {z[bad].flat[0]:g}")
             return out if out.ndim else float(out)
         power *= r
     raise SeriesConvergenceError(

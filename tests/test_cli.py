@@ -349,3 +349,69 @@ class TestDeterminism:
         assert cfg["right_sign"] == "minus"
         assert cfg["command"] == "convergence"
         assert "seed" not in cfg
+
+
+_FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e308"]
+_INTS = ["0", "-1"]  # no run may allocate a huge mesh
+# (subcommand and the arguments it needs, numeric option, its values):
+# every numeric option of every subcommand.
+_NUMERIC_OPTIONS = [
+    (("gen-mesh", "interval"), "--a", _FLOATS),
+    (("gen-mesh", "interval"), "--b", _FLOATS),
+    (("gen-mesh", "interval"), "--edges", _INTS),
+    (("gen-mesh", "square"), "--n", _INTS),
+    (("frac-deriv", "--interval", "4", "--family", "power"), "--a", _FLOATS),
+    (("frac-deriv", "--interval", "4", "--family", "power"), "--b", _FLOATS),
+    (("frac-deriv", "--family", "power"), "--interval", _INTS),
+    (("frac-deriv", "--family", "saddle_2d"), "--square", _INTS),
+    (("frac-deriv", "--interval", "4", "--family", "power"), "--q", _FLOATS),
+    (("frac-deriv", "--interval", "4", "--family", "power"), "-p", _INTS),
+    (("frac-deriv", "--interval", "4", "--family", "power"), "--s", _FLOATS),
+    (("frac-deriv", "--interval", "4", "--family", "power"), "--cs", _FLOATS),
+    (("convergence", "--family", "power", "--edge-counts", "2,4"), "--q", _FLOATS),
+    (("convergence", "--family", "power", "--edge-counts", "2,4"), "--s", _FLOATS),
+    (("convergence", "--family", "power", "--edge-counts", "2,4"), "--cs", _FLOATS),
+    (("convergence", "--family", "power"), "--edge-counts", _INTS),
+    (("convergence", "--family", "power", "--edge-counts", "2,4"), "--s-values",
+     _FLOATS),
+    (("convergence", "--family", "power", "--edge-counts", "2,4", "--s-values",
+      "0.5"), "--q", _FLOATS),
+    (("field2d", "--family", "saddle_2d", "--n", "2"), "--s", _FLOATS),
+    (("field2d", "--family", "saddle_2d", "--n", "2"), "--cs", _FLOATS),
+    (("field2d", "--family", "saddle_2d"), "--n", _INTS),
+    (("oracle-sample", "--family", "power"), "--q", _FLOATS),
+    (("oracle-sample", "--family", "exp_x"), "--s", _FLOATS),
+    (("oracle-sample", "--family", "exp_x"), "--points", _INTS),
+]
+# The holes that once ended in a traceback or wrote non-finite tables.
+_EXPECTED_EXIT = {
+    **{(cmd, "--q", q): 2 for cmd in ("frac-deriv", "convergence", "oracle-sample")
+       for q in ("nan", "inf", "-inf", "0", "-1")},
+    # Gamma(q + 1) overflows in the power rule.
+    **{(cmd, "--q", q): 2 for cmd in ("convergence", "oracle-sample")
+       for q in ("1e308", "200")},
+    ("oracle-sample", "--points", "0"): 2,
+    ("oracle-sample", "--points", "-1"): 2,
+    ("field2d", "--cs", "1e308"): 4,
+}
+_CASES = [(base, opt, v) for base, opt, values in _NUMERIC_OPTIONS for v in values]
+_CASES += [(base, "--q", "200") for base, opt, _ in _NUMERIC_OPTIONS
+           if opt == "--q" and base[0] != "frac-deriv"]
+_CASE_IDS = [f"{base[0]}{'-sweep' if '--s-values' in base else ''}{opt}={v}"
+             for base, opt, v in _CASES]
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("base, option, value", _CASES, ids=_CASE_IDS)
+    def test_extreme_value_ends_in_documented_exit(self, tmp_path, capsys, base,
+                                                   option, value):
+        out = tmp_path / ("m.off" if "square" in base else "out")
+        code = run(*base, f"{option}={value}", "-o", str(out))
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code:
+            assert err.count("\n") == 1
+        want = _EXPECTED_EXIT.get((base[0], option, value))
+        if want is not None:
+            assert code == want, err

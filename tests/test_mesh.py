@@ -40,6 +40,9 @@ class TestGenerators:
     def test_interval_validation(self):
         with pytest.raises(ConfigError):
             generate_interval_mesh(1.0, 0.0, 4)
+        for a, b in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+            with pytest.raises(ConfigError, match="finite a < b"):
+                generate_interval_mesh(a, b, 4)
         with pytest.raises(ConfigError):
             generate_interval_mesh(0.0, 1.0, 0)
 
@@ -146,6 +149,38 @@ class TestValidation:
         with pytest.raises(MeshError, match="not in the complex"):
             SimplicialComplex(2, simplices, edge_lengths=lengths)
 
+    # Direct construction checks the table invariant: vertices 0..n-1,
+    # every table strictly increasing in its row keys, one coordinate
+    # row per vertex.
+    @pytest.mark.parametrize("vertices, edges, coords, message", [
+        ([0, 1, 2], [[1, 2], [0, 1]], 3, "degree-1 table must be sorted"),
+        ([0, 1, 2], [[0, 1], [0, 1], [1, 2]], 3, "degree-1 table must be sorted"),
+        ([2, 0, 1], [[0, 1], [1, 2]], 3, "degree-0 table must be sorted"),
+        ([0, 1, 1, 2], [[0, 1], [1, 2]], 4, "degree-0 table must be sorted"),
+        ([0, 1, 3], [[0, 1], [1, 3]], 3, r"vertex table must be 0, 1, \.\.\., 2"),
+        ([1, 2, 3], [[1, 2], [2, 3]], 3, r"vertex table must be 0, 1, \.\.\., 2"),
+        ([0, 1, 2], [[0, 1], [1, 5]], 3, r"\(5,\) is not in the complex"),
+        ([0, 1, 2], [[0, 1], [1, 2]], 2, "2 vertex coordinates for 3 vertices"),
+        ([0, 1, 2], [[0, 1], [1, 2]], 4, "4 vertex coordinates for 3 vertices"),
+    ], ids=["unsorted", "duplicate-row", "permuted-vertices", "duplicate-vertex",
+            "vertex-gap", "vertices-from-1", "edge-beyond-vertices",
+            "too-few-coords", "too-many-coords"])
+    def test_table_invariant_enforced(self, vertices, edges, coords, message):
+        simplices = {0: np.array(vertices).reshape(-1, 1), 1: np.array(edges)}
+        xs = np.arange(coords, dtype=float).reshape(-1, 1)
+        with pytest.raises(MeshError, match=message):
+            SimplicialComplex(1, simplices, vertex_coords=xs)
+        with pytest.raises(MeshError, match=message):
+            SimplicialComplex(1, simplices, vertex_coords=xs,
+                              edge_lengths=np.ones(len(edges)))
+
+    @pytest.mark.parametrize("edges", [np.array([[0.5, 1.0]]), np.empty((0, 2)),
+                                       np.array([[0, 1, 2]])])
+    def test_table_of_wrong_type_or_width_rejected(self, edges):
+        simplices = {0: np.array([[0], [1]]), 1: edges}
+        with pytest.raises(MeshError, match="degree-1 table must be integers in 2 columns"):
+            SimplicialComplex(1, simplices, edge_lengths=np.ones(len(edges)))
+
     def test_nonincreasing_simplex_rejected(self):
         simplices = {0: np.array([[0], [1]]), 1: np.array([[1, 0]])}
         with pytest.raises(MeshError):
@@ -248,14 +283,23 @@ class TestLocate:
                                           np.arange(len(table))[::-1][None])
 
     def test_unsorted_table(self):
+        # Tables are kept in key order, so locate never sorts; a complex
+        # built with a table out of order is rejected instead.
         simplices = {0: np.array([[0], [1], [2]]),
                      1: np.array([[1, 2], [0, 1], [0, 2]]),
                      2: np.array([[0, 1, 2]])}
-        cx = SimplicialComplex(2, simplices,
-                               vertex_coords=np.array([[0.0, 0.0], [1.0, 0.0],
-                                                       [0.0, 1.0]]))
-        np.testing.assert_array_equal(cx.locate(1, [[0, 1], [0, 2], [1, 2]]),
-                                      [1, 2, 0])
+        with pytest.raises(MeshError, match="degree-1 table must be sorted"):
+            SimplicialComplex(2, simplices,
+                              vertex_coords=np.array([[0.0, 0.0], [1.0, 0.0],
+                                                      [0.0, 1.0]]))
+
+    def test_empty_table(self):
+        cx = SimplicialComplex.from_simplices(1, [], edge_lengths={}, n_vertices=3)
+        assert cx.simplices[1].shape == (0, 2)
+        with pytest.raises(MeshError, match=r"\(0, 1\) is not in the complex"):
+            cx.locate(1, [[0, 1]])
+        assert cx.locate(1, np.empty((0, 2), dtype=np.int64)).shape == (0,)
+        assert cx.locate(0, np.empty((0, 1), dtype=np.int64)).shape == (0,)
 
     # (0, 11) has the same base-9 digits key as the edge (1, 2).
     @pytest.mark.parametrize("row", [(0, 4), (1, 3), (-1, 0), (2, 9), (1, 0),

@@ -177,6 +177,11 @@ class TestFamilyRegistry:
         assert fam.sample(3.0) == pytest.approx(9.0)
         assert fam.reference(0.5, 0.5) == pytest.approx(caputo_power(2.0, 0.5, 0.5))
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_power_exponent_outside_domain(self, q):
+        with pytest.raises(ConfigError, match="finite exponent q > 0"):
+            get_family("power", q=q)
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             get_family("sinc")

@@ -4,6 +4,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from fracdec import (
     Cochain,
     FracConfig,
+    MeshError,
     SimplicialComplex,
     build_coboundary,
     build_frac_derivative,
@@ -147,3 +149,26 @@ def test_mesh_file_round_trips(cx):
     a, b = (build_frac_derivative(m, 0, FracConfig()).apply(v).values
             for m in (back, cx))
     assert np.array_equal(a, b)
+
+
+@PROPERTY
+@given(st.one_of(interval_meshes(), square_meshes()), st.data())
+def test_tables_kept_in_key_order(cx, data):
+    # Relabel the vertices, shuffle the top list and reverse every top:
+    # from_simplices still builds the oracle's sorted tables.
+    n = cx.n_simplices(0)
+    relabel = np.array(data.draw(st.permutations(range(n))))
+    tops = data.draw(st.permutations(relabel[cx.simplices[cx.dimension]].tolist()))
+    tops = [top[::-1] for top in tops]
+    coords = np.empty_like(cx.vertex_coords)
+    coords[relabel] = cx.vertex_coords
+    built = SimplicialComplex.from_simplices(cx.dimension, tops, vertex_coords=coords)
+    assert_oracle_tables(built, tops)
+    # A row-shuffled copy of any table breaks the invariant.
+    p = data.draw(st.integers(0, cx.dimension))
+    table = built.simplices[p]
+    order = data.draw(st.permutations(range(len(table)))
+                      .filter(lambda o: o != sorted(o)))
+    shuffled = {**built.simplices, p: table[order]}
+    with pytest.raises(MeshError, match=f"degree-{p} table must be sorted"):
+        SimplicialComplex(cx.dimension, shuffled, vertex_coords=coords)

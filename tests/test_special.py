@@ -34,6 +34,12 @@ class TestGamma:
             with pytest.raises(ConfigError):
                 gamma(z)
 
+    def test_overflow_raises(self):
+        assert gamma(171.0) == pytest.approx(math.factorial(170), rel=1e-12)
+        for z in (172.0, 201.0, 1e308, math.inf):
+            with pytest.raises(ConfigError, match="overflows"):
+                gamma(z)
+
 
 class TestMittagLeffler:
     def test_exp_identity(self):
@@ -88,3 +94,26 @@ class TestMittagLeffler:
         want = np.array([mittag_leffler_series(a, b, zi) for zi in z])
         np.testing.assert_allclose(mittag_leffler(a, b, z), want,
                                    rtol=1e-13, atol=1e-15)
+
+    def test_negative_z_within_the_cancellation_bound(self):
+        # eps * e^5 / e^-5 = 4.9e-12 is inside the 1e-10 bound.
+        assert mittag_leffler(1.0, 1.0, -5.0) == pytest.approx(math.exp(-5.0),
+                                                               rel=1e-11)
+        z = np.array([-5.0, -1.0, 0.0, 3.0])
+        np.testing.assert_allclose(mittag_leffler(1.0, 1.0, z), np.exp(z), rtol=1e-11)
+
+    @pytest.mark.parametrize("z", [-10.0, -20.0, -40.0, [0.5, -20.0, 2.0]])
+    def test_negative_z_cancellation_raises(self, z):
+        # The series once returned -1.08e-7 for e^-20 and 44.7 for e^-40.
+        with pytest.raises(SeriesConvergenceError, match="at z = -[124]0"):
+            mittag_leffler(1.0, 1.0, z)
+
+    def test_negative_z_guard_costs_nothing_at_nonnegative_z(self, monkeypatch):
+        passes = []
+        horner = special._horner
+        monkeypatch.setattr(special, "_horner",
+                            lambda coef, z: passes.append(z) or horner(coef, z))
+        mittag_leffler(1.0, 0.7, np.linspace(0.0, 5.0, 11))
+        assert len(passes) == 1
+        mittag_leffler(1.0, 0.7, np.linspace(-1.0, 5.0, 11))
+        assert len(passes) == 3
