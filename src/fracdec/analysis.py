@@ -271,29 +271,35 @@ def frac_derivative_1d(n_edges, family, config):
     return complex_, op.apply(alpha)
 
 
+def _check_sides(family, config):
+    """A two-sided family has no left-sided closed form to compare with."""
+    if family.side == "two_sided" and config.sidedness == "left_sided":
+        raise ConfigError(f"family {family.name} is two-sided; a left-sided "
+                          "operator has no closed form to compare with")
+
+
 def convergence_study(family, s, edge_counts, config=None, support="edge"):
     """Error table (n, error, ratio) for a 1D family.
 
     Two-sided families use the L2 norm of the piecewise-constant
     comparison; left-sided families use the Linf norm at edge
-    barycenters against the left-sided closed form.
+    barycenters against the left-sided closed form.  A two-sided family
+    under a left-sided operator raises ConfigError.
     """
     if not edge_counts:
         raise ConfigError("edge_counts must be nonempty")
     if family.dim != 1:
         raise ConfigError("convergence studies are 1D only")
-    family.check_order(s)
-    if config is None:
-        config = operator.FracConfig(s=s)
-    elif config.s != s:
-        config = replace(config, s=s)
+    config = replace(operator.FracConfig() if config is None else config, s=s)
+    _check_sides(family, config)
     rows = []
     prev = None
     for n in edge_counts:
         complex_, deriv = frac_derivative_1d(n, family, config)
-        if family.side == "left" or config.sidedness == "left_sided":
+        if family.side == "left":
             bary = metric.barycenters(complex_, 1)[:, 0]
-            err = linf_error(deriv.values, family.reference(bary, s))
+            err = linf_error(deriv.values,
+                             family.reference(bary, s, config.right_sign))
         else:
             stairs = to_stairs(complex_, deriv, support=support)
             ref = lambda t: family.reference(t, s, config.right_sign)
@@ -308,16 +314,15 @@ def s_sweep(family, s_values, edge_counts, config=None):
     """Linf error against the fractional order, at fixed mesh sizes."""
     if family.dim != 1:
         raise ConfigError("s sweeps are 1D only")
+    config = operator.FracConfig() if config is None else config
+    _check_sides(family, config)
     rows = []
     for n in edge_counts:
         for s in s_values:
-            cfg = operator.FracConfig(s=s) if config is None else replace(config, s=s)
+            cfg = replace(config, s=s)
             complex_, deriv = frac_derivative_1d(n, family, cfg)
             bary = metric.barycenters(complex_, 1)[:, 0]
-            if family.side == "left" or cfg.sidedness == "left_sided":
-                ref = family.reference(bary, s)
-            else:
-                ref = family.reference(bary, s, cfg.right_sign)
+            ref = family.reference(bary, s, cfg.right_sign)
             rows.append({"n": int(n), "s": float(s),
                          "linf_error": linf_error(deriv.values, ref)})
     return rows
@@ -334,7 +339,6 @@ def field_experiment_2d(n, family, config, normalize="reference"):
     """
     if family.dim != 2:
         raise ConfigError("2D field experiments need a 2D family")
-    family.check_order(config.s)
     complex_ = mesh.generate_unit_square_mesh(n)
     coords = complex_.vertex_coords
     alpha = mesh.Cochain(0, family.sample(coords[:, 0], coords[:, 1]))

@@ -65,22 +65,38 @@ def _add_table_output(parser):
     parser.add_argument("-o", "--output", required=True)
 
 
+def _reject_unread(args, names, use):
+    """Reject the named options that were given but are not read for use."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ConfigError(f"{', '.join(given)} cannot be used with {use}")
+
+
+def _interval_mesh(args, n_edges):
+    """Interval mesh on [--a, --b], by default [0, 1]; the ends are
+    stored back on args so that the header records them."""
+    args.a = 0.0 if args.a is None else args.a
+    args.b = 1.0 if args.b is None else args.b
+    return mesh.generate_interval_mesh(args.a, args.b, n_edges)
+
+
 def _load_mesh(args):
-    if args.mesh is not None:
-        if args.mesh.endswith(".off"):
-            return mesh.load_off(args.mesh)
-        return mesh.load_json(args.mesh)
     if args.interval is not None:
-        return mesh.generate_interval_mesh(args.a, args.b, args.interval)
+        return _interval_mesh(args, args.interval)
+    _reject_unread(args, ("a", "b"), "--mesh or --square")
     if args.square is not None:
         return mesh.generate_unit_square_mesh(args.square)
-    raise ConfigError("one of --mesh/--interval/--square is required")
+    if args.mesh.endswith(".off"):
+        return mesh.load_off(args.mesh)
+    return mesh.load_json(args.mesh)
 
 
 def cmd_gen_mesh(args):
     if args.kind == "interval":
-        cx = mesh.generate_interval_mesh(args.a, args.b, args.edges)
+        _reject_unread(args, ("n",), "interval meshes; they take --edges")
+        cx = _interval_mesh(args, 16 if args.edges is None else args.edges)
     else:
+        _reject_unread(args, ("edges", "a", "b"), "square meshes; they take --n")
         if args.n is None:
             raise ConfigError("square meshes need --n")
         cx = mesh.generate_unit_square_mesh(args.n)
@@ -101,16 +117,16 @@ def cmd_frac_deriv(args):
     coords = cx.vertex_coords
     if coords is None:
         raise MeshError("the mesh must be embedded to sample a function")
-    if family.dim == 1:
-        alpha = mesh.Cochain(0, family.sample(coords[:, 0]))
-    else:
-        alpha = mesh.Cochain(0, family.sample(coords[:, 0], coords[:, 1]))
-    op = operator.build_frac_derivative(cx, args.p, config)
+    if family.dim > coords.shape[1]:
+        raise ConfigError(f"family {family.name} is {family.dim}D; the mesh is "
+                          f"embedded in {coords.shape[1]}D")
+    alpha = mesh.Cochain(0, family.sample(*coords.T[:family.dim]))
+    op = operator.build_frac_derivative(cx, 0, config)
     deriv = op.apply(alpha)
     rows = [(i, float(v)) for i, v in enumerate(deriv.values)]
     _write_rows(args.output, _header("frac-deriv", args),
                 ["simplex_index", "value"], rows, args.format)
-    print(f"wrote {args.output}: {len(rows)} degree-{args.p + 1} values")
+    print(f"wrote {args.output}: {len(rows)} degree-1 values")
     return 0
 
 
@@ -165,7 +181,6 @@ def cmd_oracle_sample(args):
     if family.side == "left" and args.right_sign == "minus":
         raise ConfigError(f"family {family.name} is one-sided; "
                           "--right-sign minus does not apply")
-    family.check_order(args.s)
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     pts = np.round(np.arange(1, args.points + 1) / (args.points + 1), 12)
@@ -195,22 +210,22 @@ def build_parser():
 
     p = sub.add_parser("gen-mesh", help="generate a mesh file")
     p.add_argument("kind", choices=("interval", "square"))
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--edges", type=int, default=16)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--a", type=float, default=None, help="interval start (default 0)")
+    p.add_argument("--b", type=float, default=None, help="interval end (default 1)")
+    p.add_argument("--edges", type=int, default=None, help="interval edges (default 16)")
+    p.add_argument("--n", type=int, default=None, help="square cells per side")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen_mesh)
 
     p = sub.add_parser("frac-deriv", help="fractional derivative of a sampled function")
-    p.add_argument("--mesh", default=None, help="mesh file (.json or .off)")
-    p.add_argument("--interval", type=int, default=None, metavar="N")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--square", type=int, default=None, metavar="N")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--mesh", default=None, help="mesh file (.json or .off)")
+    source.add_argument("--interval", type=int, default=None, metavar="N")
+    source.add_argument("--square", type=int, default=None, metavar="N")
+    p.add_argument("--a", type=float, default=None, help="--interval start (default 0)")
+    p.add_argument("--b", type=float, default=None, help="--interval end (default 1)")
     p.add_argument("--family", required=True, help="built-in function family")
     p.add_argument("--q", type=float, default=None, help="exponent for power family")
-    p.add_argument("-p", type=int, default=0, help="source cochain degree")
     _add_operator(p)
     _add_table_output(p)
     p.set_defaults(func=cmd_frac_deriv)

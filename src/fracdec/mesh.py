@@ -84,7 +84,14 @@ class SimplicialComplex:
     def _euclidean_edge_lengths(self):
         edges = self.simplices[1]
         diff = self.vertex_coords[edges[:, 1]] - self.vertex_coords[edges[:, 0]]
-        return np.linalg.norm(diff, axis=1)
+        # Only edges whose squared length overflows (above ~1e154) are rescaled.
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(diff, axis=1)
+        big = np.isinf(lengths) & np.isfinite(diff).all(axis=1)
+        if big.any():
+            scale = np.abs(diff[big]).max(axis=1)
+            lengths[big] = scale * np.linalg.norm(diff[big] / scale[:, None], axis=1)
+        return lengths
 
     def _validate(self):
         if self.dimension < 1:

@@ -2,12 +2,12 @@
 
 Closed forms for the test families: the power rule, x^(1-s) E_{1,2-s}(x)
 for e^x, and one two-sided form for polynomials, so that each
-polynomial family is just its coefficient tuple.  Two-sided closed
-forms carry an explicit right_sign: "plus" adds the right-hand
-integral, "minus" subtracts it.  Note the defaults differ per family;
-they follow the convention under which each closed form was originally
-stated.  The test suite checks every form against a quadrature of the
-defining Caputo integrals.
+polynomial family is just its coefficient tuple.  Every family holds
+at every order s in (0, 1), and every reference takes right_sign
+with the default "plus" of FracConfig: "plus" adds the right-hand
+integral, "minus" subtracts it, and a left-sided form ignores it.  The
+test suite checks every form against a quadrature of the defining
+Caputo integrals.
 """
 
 from __future__ import annotations
@@ -86,68 +86,65 @@ def left_caputo_exp(x, s):
 
 @dataclass(frozen=True)
 class ClosedFormFamily:
-    """A named test function with its fractional-derivative ground truth."""
+    """A named test function with its fractional-derivative ground truth.
+
+    reference is f(x, s, right_sign="plus") in 1D and
+    f(x, y, s, right_sign="plus") in 2D, for every s in (0, 1).
+    """
 
     name: str
     dim: int
     side: str                       # "left" or "two_sided"
     sample: object                  # f(x) or f(x, y)
-    reference: object               # closed form, see below
+    reference: object               # closed form, see above
     coeffs: tuple | None = None     # polynomial families: 1D, or one per axis in 2D
-    default_right_sign: str = "plus"
-    fixed_s: float | None = None    # closed form only stated at this order
-
-    def check_order(self, s):
-        """Raise ConfigError if the closed form does not hold at order s."""
-        if self.fixed_s is not None and s != self.fixed_s:
-            raise ConfigError(f"family {self.name} has a closed form only at "
-                              f"s = {self.fixed_s}")
 
 
 def _power_family(q):
+    def sample(x):
+        x = np.asarray(x, dtype=float)
+        if not q.is_integer() and (x < 0).any():
+            raise ConfigError(f"x^{q:g} needs x >= 0 for a non-integer exponent")
+        return x ** q
     return ClosedFormFamily(
-        name=f"power{q:g}", dim=1, side="left",
-        sample=lambda x: np.asarray(x, dtype=float) ** q,
-        reference=lambda x, s, right_sign=None: caputo_power(q, s, x),
+        name=f"power{q:g}", dim=1, side="left", sample=sample,
+        reference=lambda x, s, right_sign="plus": caputo_power(q, s, x),
     )
 
 
-def _polynomial_family(name, coeffs, right_sign="plus"):
-    """Two-sided family sum_m coeffs[m] t^m in 1D, with right_sign as
-    the default sign of its reference."""
+def _polynomial_family(name, coeffs):
+    """Two-sided family sum_m coeffs[m] t^m in 1D."""
     return ClosedFormFamily(
         name=name, dim=1, side="two_sided",
         sample=lambda x: polyval(x, coeffs),
-        reference=lambda x, s, right_sign=right_sign:
+        reference=lambda x, s, right_sign="plus":
         caputo_polynomial(coeffs, x, s, right_sign),
-        coeffs=coeffs, default_right_sign=right_sign,
+        coeffs=coeffs,
     )
 
 
-def _gradient_family(name, cx, cy, right_sign="plus"):
-    """Two-sided fractional gradient of p(x) + q(y) on [0, 1]^2 at
-    s = 1/2: each component is the 1D derivative of its axis polynomial."""
-    def reference(x, y, s=0.5, right_sign=right_sign):
+def _gradient_family(name, cx, cy):
+    """Two-sided fractional gradient of p(x) + q(y) on [0, 1]^2: each
+    component is the 1D derivative of its axis polynomial."""
+    def reference(x, y, s, right_sign="plus"):
         return np.stack([caputo_polynomial(cx, x, s, right_sign),
                          caputo_polynomial(cy, y, s, right_sign)], axis=-1)
     return ClosedFormFamily(
         name=name, dim=2, side="two_sided",
         sample=lambda x, y: polyval(x, cx) + polyval(y, cy),
-        reference=reference, coeffs=(cx, cy), default_right_sign=right_sign,
-        fixed_s=0.5,
+        reference=reference, coeffs=(cx, cy),
     )
 
 
 _FAMILIES = {
     "constant": _polynomial_family("constant", (1.0,)),
-    # At s = 1/2 the stated form of x^3 subtracts the right-hand part.
-    "cubic_x3": _polynomial_family("cubic_x3", (0.0, 0.0, 0.0, 1.0), "minus"),
+    "cubic_x3": _polynomial_family("cubic_x3", (0.0, 0.0, 0.0, 1.0)),
     "poly_neg10x3_plus_10x2": _polynomial_family(
         "poly_neg10x3_plus_10x2", (0.0, 0.0, 10.0, -10.0)),
     "exp_x": ClosedFormFamily(
         name="exp_x", dim=1, side="left",
         sample=lambda x: np.exp(np.asarray(x, dtype=float)),
-        reference=lambda x, s, right_sign=None: left_caputo_exp(x, s),
+        reference=lambda x, s, right_sign="plus": left_caputo_exp(x, s),
     ),
     "saddle_2d": _gradient_family("saddle_2d", (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)),
     "shifted_min_2d": _gradient_family(  # (x - .1)^2 + (y - .1)^2
@@ -168,7 +165,3 @@ def get_family(name, q=None):
     if q is not None:
         raise ConfigError(f"family {name} takes no exponent q; only power does")
     return _FAMILIES[name]
-
-
-def family_names():
-    return sorted(_FAMILIES) + ["power"]

@@ -1,5 +1,7 @@
 """Stairs comparison, Whitney reconstruction, and the study harness."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,24 +11,26 @@ from fracdec import (
     ConfigError,
     FracConfig,
     MeshError,
-    StairsFunction,
-    apply_coboundary,
     build_coboundary,
     convergence_study,
-    edge_integrals,
-    eval_at_barycenters,
     field_experiment_2d,
     frac_derivative_1d,
     generate_interval_mesh,
     generate_unit_square_mesh,
     get_family,
+    s_sweep,
+)
+from fracdec.analysis import (
+    StairsFunction,
+    edge_integrals,
+    eval_at_barycenters,
     l2_error_stairs,
     linf_error,
     relative_l2_per_triangle,
-    s_sweep,
     to_stairs,
     whitney_reconstruct,
 )
+from fracdec.mesh import apply_coboundary
 from fracdec import analysis
 
 
@@ -356,9 +360,28 @@ class TestStudies:
         rows = convergence_study(fam, 0.5, [8, 16], config=cfg)
         assert rows[1]["error"] < rows[0]["error"]
 
-    def test_fixed_s_guard(self):
-        with pytest.raises(ConfigError):
-            field_experiment_2d(2, get_family("saddle_2d"), FracConfig(s=0.3))
+    def test_field_experiment_at_any_order(self):
+        # The 2D closed forms hold at every s in (0, 1).
+        fam = get_family("saddle_2d")
+        for mode, s in itertools.product(("geodesic", "euclidean"), (0.3, 0.7)):
+            res = field_experiment_2d(8, fam, FracConfig(s=s, distance_mode=mode),
+                                      normalize="predicted")
+            c = res["centers"]
+            np.testing.assert_array_equal(res["reference"],
+                                          fam.reference(c[:, 0], c[:, 1], s))
+            assert np.all(np.isfinite(res["predicted"]))
+            assert 0.5 < res["summary"]["mean"] < 1.5
+
+    def test_two_sided_family_needs_two_sided_operator(self):
+        left = FracConfig(sidedness="left_sided")
+        for name in ("cubic_x3", "constant"):
+            with pytest.raises(ConfigError, match="two-sided"):
+                convergence_study(get_family(name), 0.5, [4], config=left)
+            with pytest.raises(ConfigError, match="two-sided"):
+                s_sweep(get_family(name), [0.5], [4], config=left)
+        # A left family under the default two-sided operator stays accepted.
+        assert convergence_study(get_family("power"), 0.5, [4])[0]["error"] > 0
+        assert s_sweep(get_family("exp_x"), [0.5], [4])[0]["linf_error"] > 0
 
     def test_dimension_guards(self):
         with pytest.raises(ConfigError):

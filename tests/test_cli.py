@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from caputo_oracle import caputo_quadrature, derivative
 from fracdec import AccuracyError, get_family, load_json, load_off
 from fracdec.cli import main
 
@@ -29,6 +30,24 @@ class TestGenMesh:
     def test_square_requires_n(self, tmp_path):
         out = tmp_path / "m.off"
         assert run("gen-mesh", "square", "-o", str(out)) == 2
+
+    @pytest.mark.parametrize("kind, option", [
+        ("square", ("--edges", "4")), ("square", ("--a", "0.5")),
+        ("square", ("--b", "2")), ("interval", ("--n", "3"))])
+    def test_option_of_other_kind_exit_2(self, tmp_path, capsys, kind, option):
+        # Square meshes take only --n, interval meshes only --a, --b, --edges.
+        out = tmp_path / "m.json"
+        size = ("--n", "2") if kind == "square" else ()
+        assert run("gen-mesh", kind, *size, *option, "-o", str(out)) == 2
+        assert f"{option[0]} cannot be used with {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_interval_ends_and_default_size(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert run("gen-mesh", "interval", "--a", "-1", "--b", "3",
+                   "-o", str(out)) == 0
+        x = load_json(out).vertex_coords[:, 0]
+        assert len(x) == 17 and (x[0], x[-1]) == (-1.0, 3.0)
 
     def test_missing_output_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -65,7 +84,70 @@ class TestFracDeriv:
 
     def test_no_mesh_source_exit_2(self, tmp_path):
         out = tmp_path / "d.csv"
-        assert run("frac-deriv", "--family", "power", "-o", str(out)) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("frac-deriv", "--family", "power", "-o", str(out))
+        assert exc.value.code == 2
+
+    def test_two_mesh_sources_exit_2(self, tmp_path):
+        # --mesh, --interval and --square are one mutually exclusive group.
+        mesh_path = tmp_path / "m.json"
+        run("gen-mesh", "interval", "--edges", "4", "-o", str(mesh_path))
+        out = tmp_path / "d.csv"
+        for source in (("--mesh", str(mesh_path), "--square", "5"),
+                       ("--interval", "4", "--square", "5")):
+            with pytest.raises(SystemExit) as exc:
+                run("frac-deriv", *source, "--family", "power", "-o", str(out))
+            assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [("--square", "2"), ("--mesh", "m.json")])
+    @pytest.mark.parametrize("option", [("--a", "0.5"), ("--b", "2")])
+    def test_interval_ends_need_interval_exit_2(self, tmp_path, capsys, source,
+                                                option):
+        mesh_path = tmp_path / "m.json"
+        run("gen-mesh", "interval", "--edges", "4", "-o", str(mesh_path))
+        if source[0] == "--mesh":
+            source = ("--mesh", str(mesh_path))
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", *source, "--family", "saddle_2d", *option,
+                   "-o", str(out)) == 2
+        assert "cannot be used with --mesh or --square" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_records_only_read_options(self, tmp_path):
+        def header(*argv):
+            out = tmp_path / "d.csv"
+            assert run("frac-deriv", *argv, "-o", str(out)) == 0
+            return json.loads(out.read_text().splitlines()[0][len("# config: "):])
+        interval = header("--interval", "4", "--family", "power")
+        assert (interval["a"], interval["b"]) == (0.0, 1.0)
+        square = header("--square", "2", "--family", "saddle_2d")
+        assert not {"a", "b", "p", "mesh", "interval"} & set(square)
+
+    def test_2d_family_on_1d_mesh_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("frac-deriv", "--interval", "4", "--family", "saddle_2d",
+                   "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "embedded in 1D" in err
+        assert not out.exists()
+
+    def test_power_left_of_zero_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--interval", "4", "--a", "-1", "--family",
+                   "power", "--q", "0.5", "-o", str(out)) == 2
+        assert "x >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        # An integer power is defined there.
+        assert run("frac-deriv", "--interval", "4", "--a", "-1", "--family",
+                   "power", "--q", "2", "-o", str(out)) == 0
+
+    def test_source_degree_option_removed(self, tmp_path):
+        # Vertex samples are a 0-cochain, so there is no -p.
+        with pytest.raises(SystemExit) as exc:
+            run("frac-deriv", "--interval", "4", "--family", "power", "-p", "0",
+                "-o", str(tmp_path / "d.csv"))
+        assert exc.value.code == 2
 
     def test_corrupt_mesh_exit_3(self, tmp_path):
         bad = tmp_path / "bad.off"
@@ -192,6 +274,14 @@ class TestConvergence:
         assert run("convergence", "--family", "power", "--edge-counts", ",",
                    "-o", str(out)) == 2
 
+    @pytest.mark.parametrize("sweep", [(), ("--s-values", "0.5")])
+    def test_two_sided_family_left_sided_exit_2(self, tmp_path, capsys, sweep):
+        out = tmp_path / "c.csv"
+        assert run("convergence", "--family", "cubic_x3", "--sidedness", "left",
+                   "--edge-counts", "2,4", *sweep, "-o", str(out)) == 2
+        assert "is two-sided" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exponent_for_other_family_exit_2(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert run("convergence", "--family", "exp_x", "--q", "7",
@@ -276,7 +366,7 @@ class TestOracleSample:
         ref = get_family("saddle_2d").reference
         for r in rows:
             axis = 0 if r[2].endswith("dx") else 1
-            assert float(r[4]) == pytest.approx(ref(float(r[0]), float(r[1]))[axis],
+            assert float(r[4]) == pytest.approx(ref(float(r[0]), float(r[1]), 0.5)[axis],
                                                 rel=1e-13)
 
     @pytest.mark.parametrize("option", [("--sidedness", "left"),
@@ -317,12 +407,22 @@ class TestOracleSample:
         assert err.count("\n") == 1 and "s in (0, 1)" in err
         assert not out.exists()
 
-    def test_order_of_2d_family_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "o.csv"
-        assert run("oracle-sample", "--family", "saddle_2d", "--points", "3",
-                   "--s", "0.3", "-o", str(out)) == 2
-        assert "only at s = 0.5" in capsys.readouterr().err
-        assert not out.exists()
+    def test_2d_family_at_any_order(self, tmp_path):
+        # The 2D closed forms hold at every s in (0, 1), not only at 1/2.
+        fam = get_family("saddle_2d")
+        for s in (0.1, 0.3, 0.7, 0.9):
+            out = tmp_path / f"o{s}.csv"
+            assert run("oracle-sample", "--family", "saddle_2d", "--points", "3",
+                       "--s", str(s), "-o", str(out)) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+            assert len(rows) == 3 * 3 * 2
+            for x, y, name, s_col, value in rows:
+                axis = 0 if name.endswith("dx") else 1
+                t = float(x) if axis == 0 else float(y)
+                want = caputo_quadrature(derivative(fam, axis), 0, 1, t, s,
+                                         side="two_sided", right_sign="plus")
+                assert float(s_col) == s
+                assert abs(float(value) - want) <= 1e-8
 
 
 class TestDeterminism:
@@ -365,7 +465,6 @@ _NUMERIC_OPTIONS = [
     (("frac-deriv", "--family", "power"), "--interval", _INTS),
     (("frac-deriv", "--family", "saddle_2d"), "--square", _INTS),
     (("frac-deriv", "--interval", "4", "--family", "power"), "--q", _FLOATS),
-    (("frac-deriv", "--interval", "4", "--family", "power"), "-p", _INTS),
     (("frac-deriv", "--interval", "4", "--family", "power"), "--s", _FLOATS),
     (("frac-deriv", "--interval", "4", "--family", "power"), "--cs", _FLOATS),
     (("convergence", "--family", "power", "--edge-counts", "2,4"), "--q", _FLOATS),

@@ -14,7 +14,6 @@ from fracdec import (
     GeometryError,
     MeshError,
     SimplicialComplex,
-    apply_coboundary,
     build_coboundary,
     generate_interval_mesh,
     generate_unit_square_mesh,
@@ -23,6 +22,7 @@ from fracdec import (
     save_json,
     save_off,
 )
+from fracdec.mesh import apply_coboundary
 
 
 class TestGenerators:
@@ -36,6 +36,25 @@ class TestGenerators:
     def test_interval_arbitrary_domain(self):
         cx = generate_interval_mesh(-2.0, 3.0, 10)
         np.testing.assert_allclose(cx.edge_lengths, 0.5)
+
+    def test_long_edges_do_not_overflow(self):
+        # The squared differences of these edges overflow; their lengths do not.
+        with np.errstate(over="raise"):
+            cx = generate_interval_mesh(0.0, 1e308, 16)
+            tilted = SimplicialComplex.from_simplices(
+                1, [(0, 1), (1, 2)],
+                vertex_coords=np.array([[0.0, 0.0], [3e200, -4e200], [3e200, -3e200]]))
+        np.testing.assert_array_equal(cx.edge_lengths, np.diff(cx.vertex_coords[:, 0]))
+        np.testing.assert_allclose(tilted.edge_lengths, [5e200, 1e200], rtol=1e-15)
+
+    def test_edge_lengths_are_the_plain_norm(self, oracle_mesh):
+        # Where the plain norm is finite, the lengths are it, bit for bit.
+        for cx in (oracle_mesh, generate_interval_mesh(-2.0, 3.0, 7),
+                   generate_unit_square_mesh(5)):
+            edges = cx.simplices[1]
+            diff = cx.vertex_coords[edges[:, 1]] - cx.vertex_coords[edges[:, 0]]
+            np.testing.assert_array_equal(cx._euclidean_edge_lengths(),
+                                          np.linalg.norm(diff, axis=1))
 
     def test_interval_validation(self):
         with pytest.raises(ConfigError):

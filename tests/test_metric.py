@@ -11,15 +11,17 @@ from fracdec import (
     GeometryError,
     MeshError,
     SimplicialComplex,
-    all_pairs_vertex_distance,
     barycenters,
-    boundary_offsets,
     generate_interval_mesh,
     generate_unit_square_mesh,
-    simplex_distance,
 )
 from fracdec import metric
-from fracdec.metric import DistanceTable
+from fracdec.metric import (
+    DistanceTable,
+    all_pairs_vertex_distance,
+    boundary_offsets,
+    simplex_distance,
+)
 
 
 def _fake_vertex_distances(monkeypatch, entries):

@@ -12,14 +12,13 @@ from fracdec import (
     SimplicialComplex,
     build_coboundary,
     build_frac_derivative,
-    build_weight_matrix,
-    gamma,
     generate_interval_mesh,
     generate_unit_square_mesh,
-    simplex_distance,
 )
 from fracdec import metric
-from fracdec.metric import DistanceTable
+from fracdec.metric import DistanceTable, simplex_distance
+from fracdec.operator import build_weight_matrix
+from fracdec.special import gamma
 
 
 def oracle_weights(d, config):

@@ -8,8 +8,9 @@ import pytest
 
 import caputo_oracle
 from caputo_oracle import QuadratureSpec, caputo_quadrature
-from fracdec import ConfigError, family_names, gamma, get_family
+from fracdec import ConfigError, get_family
 from fracdec.oracles import caputo_polynomial, caputo_power, left_caputo_exp
+from fracdec.special import gamma
 
 POINTS = (0.15, 0.4, 0.85)
 ORDERS = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -135,7 +136,20 @@ class Test2DFields:
 
     def test_vectorized_shape(self):
         x = np.linspace(0.1, 0.9, 5)
-        assert get_family("saddle_2d").reference(x, x).shape == (5, 2)
+        assert get_family("saddle_2d").reference(x, x, 0.5).shape == (5, 2)
+
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.7, 0.9])
+    @pytest.mark.parametrize("name", ["saddle_2d", "shifted_min_2d"])
+    def test_every_order_vs_quadrature(self, name, s):
+        # The 2D families hold at every s in (0, 1), not only at 1/2.
+        fam = get_family(name)
+        for (x, y) in ((0.15, 0.85), (0.4, 0.4), (0.85, 0.15)):
+            for sign in ("plus", "minus"):
+                vec = fam.reference(x, y, s, sign)
+                want = [caputo_quadrature(caputo_oracle.derivative(fam, axis), 0, 1,
+                                          t, s, side="two_sided", right_sign=sign)
+                        for axis, t in enumerate((x, y))]
+                np.testing.assert_allclose(vec, want, rtol=0, atol=1e-8)
 
 
 class TestQuadratureOracle:
@@ -166,16 +180,28 @@ class TestQuadratureOracle:
 
 class TestFamilyRegistry:
     def test_names(self):
-        names = family_names()
+        # An unknown name lists every family there is.
+        with pytest.raises(ConfigError, match="choices") as exc:
+            get_family("sinc")
         for required in ("constant", "cubic_x3", "exp_x",
                          "poly_neg10x3_plus_10x2", "saddle_2d",
                          "shifted_min_2d", "power"):
-            assert required in names
+            assert required in str(exc.value)
+            get_family(required)
 
     def test_power_exponent(self):
         fam = get_family("power", q=2.0)
         assert fam.sample(3.0) == pytest.approx(9.0)
         assert fam.reference(0.5, 0.5) == pytest.approx(caputo_power(2.0, 0.5, 0.5))
+
+    def test_power_sample_domain(self):
+        # A non-integer power has no real value left of 0; an integer one does.
+        with pytest.raises(ConfigError, match="x >= 0"):
+            get_family("power", q=0.5).sample(np.array([-1.0, 0.5]))
+        np.testing.assert_array_equal(get_family("power", q=2.0).sample([-1.0, 0.5]),
+                                      [1.0, 0.25])
+        np.testing.assert_array_equal(get_family("power", q=0.5).sample([0.0, 0.25]),
+                                      [0.0, 0.5])
 
     @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_power_exponent_outside_domain(self, q):
@@ -225,18 +251,18 @@ class TestReplacedForms:
             assert normwise(got, replaced(x, y, sign)) <= 1e-13
 
     def test_default_signs(self):
+        # Every reference defaults to right_sign="plus", as FracConfig does.
         x = np.array([0.2, 0.7])
-        for name, sign in (("cubic_x3", "minus"), ("poly_neg10x3_plus_10x2", "plus"),
-                           ("constant", "plus")):
+        for name in ("cubic_x3", "poly_neg10x3_plus_10x2", "constant", "exp_x"):
             fam = get_family(name)
-            assert fam.default_right_sign == sign
             np.testing.assert_array_equal(fam.reference(x, 0.4),
-                                          fam.reference(x, 0.4, sign))
+                                          fam.reference(x, 0.4, "plus"))
+        np.testing.assert_array_equal(get_family("power").reference(x, 0.4),
+                                      get_family("power").reference(x, 0.4, "plus"))
         for name in ("saddle_2d", "shifted_min_2d"):
             fam = get_family(name)
-            assert fam.default_right_sign == "plus"
-            np.testing.assert_array_equal(fam.reference(x, x),
-                                          fam.reference(x, x, 0.5, "plus"))
+            np.testing.assert_array_equal(fam.reference(x, x, 0.4),
+                                          fam.reference(x, x, 0.4, "plus"))
 
     @pytest.mark.parametrize("s", ORDERS)
     def test_exp_array_series(self, s):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from caputo_oracle import mittag_leffler_series
-from fracdec import ConfigError, SeriesConvergenceError, gamma, mittag_leffler, special
+from fracdec import ConfigError, SeriesConvergenceError, special
+from fracdec.special import gamma, mittag_leffler
 
 
 class TestGamma:
