@@ -22,6 +22,7 @@ from . import mesh, metric, operator
 from .errors import AccuracyError, ConfigError, GeometryError, MeshError
 
 _L2_QUAD_TOL = 1e-10
+_L2_QUAD_RTOL = 1e-10
 # Local vertex pairs of a triangle's edges, in edge_values column order.
 _TRIANGLE_EDGES = np.array([(0, 1), (0, 2), (1, 2)])
 
@@ -106,8 +107,9 @@ def l2_error_stairs(stairs, reference):
     [0, 1] by an endpoint-grading polynomial and integrated with
     24-point Gauss-Legendre in one vectorised pass; the difference to a
     16-point rule on the same step estimates its error.  Steps whose
-    estimate exceeds 1e-10 (an interior kink, say) are redone by
-    adaptive quadrature at absolute tolerance 1e-10.
+    estimate exceeds 1e-10 plus 1e-10 times the step's value (an
+    interior kink, say) are redone by adaptive quadrature at absolute
+    tolerance 1e-10.
     """
     (fine_x, fine_w), (coarse_x, coarse_w) = _FINE_RULE, _COARSE_RULE
     lo = stairs.breakpoints[:-1, None]
@@ -118,7 +120,8 @@ def l2_error_stairs(stairs, reference):
     steps = h[:, 0] * (sq[:, :len(fine_x)] @ fine_w)
     coarse = h[:, 0] * (sq[:, len(fine_x):] @ coarse_w)
     # "not <=" also sends NaN estimates to the fallback.
-    for i in np.flatnonzero(~(np.abs(steps - coarse) <= _L2_QUAD_TOL)):
+    tol = _L2_QUAD_TOL + _L2_QUAD_RTOL * np.abs(steps)
+    for i in np.flatnonzero(~(np.abs(steps - coarse) <= tol)):
         v = stairs.values[i]
         val, err = quad(lambda t: (v - reference(t)) ** 2,
                         stairs.breakpoints[i], stairs.breakpoints[i + 1],

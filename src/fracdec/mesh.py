@@ -62,6 +62,13 @@ class SimplicialComplex:
         edge_lengths: positive edge lengths aligned with simplices[1].
         lengths_overridden: True when edge_lengths were supplied
             explicitly instead of being derived from the embedding.
+        lattice: provenance, not geometry: the vertex grid shape, (n+1,)
+            or (n+1, n+1), set only by generate_interval_mesh and
+            generate_unit_square_mesh, whose vertex v sits at
+            np.unravel_index(v, lattice).  The operator applies W by FFT
+            on such a complex.  It is not an __init__ argument, so
+            dataclasses.replace and every other construction leave it
+            None.
     """
 
     dimension: int
@@ -69,6 +76,7 @@ class SimplicialComplex:
     vertex_coords: np.ndarray | None = None
     edge_lengths: np.ndarray = field(default=None)  # type: ignore[assignment]
     lengths_overridden: bool = False
+    lattice: tuple[int, ...] | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         self._validate()
@@ -263,8 +271,11 @@ def generate_interval_mesh(a, b, n_edges):
     if n_edges < 1:
         raise ConfigError("n_edges must be >= 1")
     coords = np.linspace(a, b, n_edges + 1).reshape(-1, 1)
-    edges = [(i, i + 1) for i in range(n_edges)]
-    return SimplicialComplex.from_simplices(1, edges, vertex_coords=coords)
+    first = np.arange(n_edges, dtype=np.int64)
+    edges = np.column_stack([first, first + 1])
+    cx = SimplicialComplex.from_simplices(1, edges, vertex_coords=coords)
+    object.__setattr__(cx, "lattice", (n_edges + 1,))
+    return cx
 
 
 def generate_unit_square_mesh(n):
@@ -281,7 +292,9 @@ def generate_unit_square_mesh(n):
     ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     ur = ll + n + 2
     tris = np.column_stack([ll, ll + 1, ur, ll, ur, ll + n + 1]).reshape(-1, 3)
-    return SimplicialComplex.from_simplices(2, tris, vertex_coords=coords)
+    cx = SimplicialComplex.from_simplices(2, tris, vertex_coords=coords)
+    object.__setattr__(cx, "lattice", (n + 1, n + 1))
+    return cx
 
 
 def load_off(path):

@@ -1,19 +1,24 @@
 """Weight matrix assembly and the fractional discrete exterior derivative.
 
 The operator on p-cochains is (1 / Gamma(1 - s)) * W * D_p, where D_p
-is the signed coboundary and W is a dense matrix of inverse
+is the signed coboundary and W is the matrix of inverse
 distance-to-the-s weights between (p+1)-simplices.  Rows of W index the
 target simplex, columns the source simplex.  In 1D the sidedness and the
-right-side sign are folded into W when it is built.  At s = 1 the
+right-side sign are folded into W when it is built.  W is a dense array,
+except on meshes from the two generators, where it is a multi-level
+Toeplitz operator built from a few rows and applied by FFT; the dense
+path is its oracle.  At s = 1 the
 operator is the plain coboundary, bit-exactly (Kronecker branch).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from . import mesh, metric
 from .errors import ConfigError, GeometryError, MeshError
@@ -66,60 +71,153 @@ class FracConfig:
         return 2.0 * self.s / (1.0 - self.s)
 
 
-def build_weight_matrix(complex_, p, config):
-    """Dense weight matrix W over the (p+1)-simplices.
+def _weight_rows(complex_, p, config, rows=None):
+    """Rows of the weight matrix W over the (p+1)-simplices, in the
+    order given; all of W, in place of its distance table, when rows is
+    None.
 
     Off-diagonal entry (i, j) is distance(i, j)^(-s); every diagonal
-    entry is C_s times the largest off-diagonal weight.  Only valid for
-    s in (0, 1); s = 1 takes the Kronecker branch in the operator.
+    entry is C_s times the largest off-diagonal weight of the rows, and
+    in 1D the sidedness and right-side sign are folded in row by row.
+    Only valid for s in (0, 1); s = 1 takes the Kronecker branch in the
+    operator.
     """
     if config.s >= 1.0:
         raise ConfigError("s = 1 is integer order: weight matrix is the identity")
     # The distance table is ours alone, so the weights overwrite it.
-    w = metric.simplex_distance(complex_, p + 1, config.distance_mode).entries
-    if w.shape[0] < 2:
+    w = metric.simplex_distance(complex_, p + 1, config.distance_mode,
+                                rows=rows).entries
+    if w.shape[1] < 2:
         raise MeshError("weight matrix needs at least two simplices")
+    diagonal = (np.arange(len(w)), np.arange(len(w)) if rows is None else rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.power(w, -config.s, out=w)
-    np.fill_diagonal(w, 0.0)
+    w[diagonal] = 0.0
     # A zero off-diagonal distance gives inf, a negative one NaN.
     top = w.max()
     if not np.isfinite(top):
         raise GeometryError("zero distance between distinct simplices")
-    np.fill_diagonal(w, config.diagonal_constant * top)
+    w[diagonal] = config.diagonal_constant * top
+    _fold_sides(w, complex_, p + 1, config, rows)
     return w
 
 
-def _fold_sides(w, complex_, q, config):
-    """Fold the 1D sidedness and right-side sign into W over q-simplices.
+def _fold_sides(w, complex_, q, config, rows):
+    """Fold the 1D sidedness and right-side sign into rows of W over
+    q-simplices (all rows when rows is None).
 
     left_sided keeps source j for target t iff barycenter_x(j) <
     barycenter_x(t); the strict comparison zeroes the diagonal as well,
     which is what reproduces the left-sided undershoot behaviour seen in
     the 1D exp experiment.  right_sign "minus" negates the sources
-    strictly to the right of the target.  W is changed in place.
+    strictly to the right of the target.  w is changed in place.
     """
     if config.sidedness == "two_sided" and config.right_sign == "plus":
         return
     x = metric.barycenters(complex_, q)[:, 0]
+    target = x if rows is None else x[rows]
     if config.sidedness == "left_sided":
-        np.multiply(w, x[None, :] < x[:, None], out=w)
+        np.multiply(w, x[None, :] < target[:, None], out=w)
     else:
-        np.negative(w, out=w, where=x[None, :] > x[:, None])
+        np.negative(w, out=w, where=x[None, :] > target[:, None])
+
+
+@dataclass(frozen=True)
+class _LatticeWeights:
+    """W on a generator mesh, applied by FFT without forming it.
+
+    A simplex's class is its vertex offsets from its lowest vertex on
+    the lattice, its cell that vertex's lattice coordinates.  Between
+    two classes W depends only on the difference of the cells, so each
+    class pair is a multi-level Toeplitz block.  Its symbol sits in a
+    circulant of `grid` points per axis (at least 2m - 1 on an axis of m
+    lattice points, so no lag wraps onto another), kept as its rfftn.
+    """
+
+    grid: tuple[int, ...]
+    slots: np.ndarray     # table index -> flat (class, cell) position
+    symbols: np.ndarray   # (classes, classes, *rfft shape of grid)
+    exponent: int         # W is 2^exponent times the symbols' matrix
+
+    @classmethod
+    def build(cls, complex_, p, config):
+        """Take the symbols from the rows of each class's corner cells.
+
+        Along every axis the class boxes differ in size by at most one
+        cell, so the lags seen from a box's two ends cover every lag to
+        any other box.  The rows share the dense path's weights, so the
+        diagonal is C_s times the largest weight they hold, and in 1D
+        left_sided leaves a lower-triangular symbol and "minus" a
+        negated upper part.
+        """
+        simp = complex_.simplices[p + 1]
+        coords = np.stack(np.unravel_index(simp, complex_.lattice), axis=-1)
+        cells = coords[:, 0]
+        # Offsets lie in (-m, m) on an axis of m points; shifted by m - 1
+        # they are the digits of the class key.
+        reach = max(complex_.lattice) - 1
+        offsets = (coords[:, 1:] - cells[:, None] + reach).reshape(len(simp), -1)
+        _, kind = np.unique(mesh._keys(offsets, 2 * reach + 1), return_inverse=True)
+        kinds = kind.max() + 1
+        grid = tuple(scipy.fft.next_fast_len(2 * m - 1, real=True)
+                     for m in complex_.lattice)
+        size = math.prod(grid)
+        slots = kind * size + np.ravel_multi_index(cells.T, grid)
+        index = np.empty(kinds * size, dtype=np.int64)
+        index[slots] = np.arange(len(simp))
+        corners = []
+        for k in range(kinds):
+            box = cells[kind == k]
+            for corner in itertools.product(*zip(box.min(axis=0), box.max(axis=0))):
+                corners.append(k * size + np.ravel_multi_index(corner, grid))
+        rows = np.unique(index[corners])
+        w = _weight_rows(complex_, p, config, rows)
+        lag = np.zeros(w.shape, dtype=np.int64)
+        for axis, n in enumerate(grid):
+            lag = lag * n + (cells[rows, None, axis] - cells[None, :, axis]) % n
+        pair = kind[rows, None] * kinds + kind[None, :]
+        # The symbols are kept over 2^exponent, which brings the largest
+        # weight into [0.5, 1) exactly, so the transform cannot overflow
+        # where W @ x would not (say at a huge C_s).
+        exponent = int(np.frexp(np.abs(w).max())[1])
+        table = np.zeros(kinds * kinds * size)
+        table[pair * size + lag] = np.ldexp(w, -exponent)
+        axes = tuple(range(2, 2 + len(grid)))
+        symbols = scipy.fft.rfftn(table.reshape(kinds, kinds, *grid), axes=axes)
+        return cls(grid, slots, symbols, exponent)
+
+    @property
+    def shape(self):
+        return (len(self.slots), len(self.slots))
+
+    @property
+    def nbytes(self):
+        return self.slots.nbytes + self.symbols.nbytes
+
+    def __matmul__(self, values):
+        kinds = len(self.symbols)
+        axes = tuple(range(1, 1 + len(self.grid)))
+        x = np.zeros(kinds * math.prod(self.grid))
+        x[self.slots] = values
+        spectra = scipy.fft.rfftn(x.reshape(kinds, *self.grid), axes=axes)
+        mixed = np.einsum("ij...,j...->i...", self.symbols, spectra)
+        y = scipy.fft.irfftn(mixed, s=self.grid, axes=axes)
+        return np.ldexp(y.reshape(-1)[self.slots], self.exponent)
 
 
 @dataclass(frozen=True)
 class FracOperator:
     """Assembled fractional discrete exterior derivative D_p^s.
 
-    apply maps alpha to scale * W * (D_p alpha).  weights is None only
-    in the integer branch, where apply is the plain coboundary.
+    apply maps alpha to scale * W * (D_p alpha).  weights is the dense
+    array, or on a generator mesh the FFT-applied _LatticeWeights; it is
+    None only in the integer branch, where apply is the plain coboundary.
     """
 
     p: int
     config: FracConfig
     coboundary: object
-    weights: np.ndarray | None = None
+    weights: np.ndarray | _LatticeWeights | None = None
     scale: float = 1.0
 
     def apply(self, cochain):
@@ -138,7 +236,8 @@ def build_frac_derivative(complex_, p, config):
     At s = 1 the weight matrix is skipped entirely so that applying the
     operator is bit-identical to the plain coboundary.  left_sided and
     right_sign "minus" are defined only on 1D complexes and rejected
-    elsewhere, at any s.
+    elsewhere, at any s.  A complex from a mesh generator (its lattice
+    is set) gets the FFT-applied weights, any other the dense matrix.
     """
     if complex_.dimension != 1:
         for name, default in (("sidedness", "two_sided"), ("right_sign", "plus")):
@@ -149,7 +248,9 @@ def build_frac_derivative(complex_, p, config):
     d = mesh.build_coboundary(complex_, p)
     if config.s >= 1.0:
         return FracOperator(p=p, config=config, coboundary=d)
-    w = build_weight_matrix(complex_, p, config)
-    _fold_sides(w, complex_, p + 1, config)
+    if complex_.lattice is None:
+        w = _weight_rows(complex_, p, config)
+    else:
+        w = _LatticeWeights.build(complex_, p, config)
     scale = 1.0 / gamma(1.0 - config.s)
     return FracOperator(p=p, config=config, coboundary=d, weights=w, scale=scale)

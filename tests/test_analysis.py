@@ -201,6 +201,20 @@ class TestErrorNorms:
         convergence_study(fam, 0.5, [256, 1024])
         assert quad_calls == []
 
+    def test_l2_large_step_needs_no_fallback(self, quad_calls):
+        # s = 0.7, "minus", n = 4: the last step's estimate is 1.8e-10 on
+        # a value of 10.61, inside the relative part of the threshold.
+        # An absolute 1e-10 alone sent it to quad, whose conservative
+        # error estimate then raised AccuracyError.
+        fam = get_family("poly_neg10x3_plus_10x2")
+        cfg = FracConfig(s=0.7, right_sign="minus")
+        (row,) = convergence_study(fam, 0.7, [4], config=cfg, support="edge")
+        assert quad_calls == []
+        cx, deriv = frac_derivative_1d(4, fam, cfg)
+        stairs = to_stairs(cx, deriv, support="edge")
+        want = quad_oracle_l2(stairs, lambda t: fam.reference(t, 0.7, "minus"))
+        assert row["error"] == pytest.approx(want, rel=1e-10)
+
     def test_l2_interior_kink_falls_back_to_quad(self, quad_calls):
         # sqrt|t - 0.3| has an unbounded derivative inside the second
         # step, which the graded rule cannot resolve; only that step

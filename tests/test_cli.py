@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from caputo_oracle import caputo_quadrature, derivative
-from fracdec import AccuracyError, get_family, load_json, load_off
+from fracdec import AccuracyError, get_family, load_json, load_off, metric
 from fracdec.cli import main
 
 
@@ -241,6 +241,24 @@ class TestFracDeriv:
                    "--cs", "inf", "-o", str(out)) == 2
         assert "c_s must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dense_memory_guard_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A loaded mesh takes the dense path; the guard stops it before
+        # allocating, in one line that points at the generators.
+        mesh_path = tmp_path / "m.json"
+        assert run("gen-mesh", "interval", "--edges", "64", "-o", str(mesh_path)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(metric, "_memory_budget", lambda: 2 ** 15)
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--mesh", str(mesh_path), "--family", "exp_x",
+                   "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dense distances over 64 ")
+        assert "--interval or --square" in err and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+        # The generated mesh needs no dense table.
+        assert run("frac-deriv", "--interval", "64", "--family", "exp_x",
+                   "-o", str(out)) == 0
 
     def test_bad_s_exit_2(self, tmp_path):
         out = tmp_path / "d.csv"

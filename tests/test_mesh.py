@@ -1,5 +1,7 @@
 """Simplicial complex construction, coboundary, and file formats."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -55,6 +57,30 @@ class TestGenerators:
             diff = cx.vertex_coords[edges[:, 1]] - cx.vertex_coords[edges[:, 0]]
             np.testing.assert_array_equal(cx._euclidean_edge_lengths(),
                                           np.linalg.norm(diff, axis=1))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2048])
+    def test_interval_tables_as_from_tuples(self, n):
+        # The numpy edge table gives the tables of the old tuple list.
+        def digest(cx):
+            return [hashlib.sha256(t.tobytes() + str((t.dtype, t.shape)).encode())
+                    .hexdigest() for _, t in sorted(cx.simplices.items())]
+        cx = generate_interval_mesh(0.0, 1.0, n)
+        tuples = SimplicialComplex.from_simplices(
+            1, [(i, i + 1) for i in range(n)],
+            vertex_coords=np.linspace(0.0, 1.0, n + 1).reshape(-1, 1))
+        assert digest(cx) == digest(tuples)
+
+    def test_lattice_provenance(self, tmp_path):
+        # Only the generators record a lattice; copies and files do not.
+        line, square = generate_interval_mesh(0.0, 1.0, 5), generate_unit_square_mesh(3)
+        assert (line.lattice, square.lattice) == ((6,), (4, 4))
+        save_json(line, tmp_path / "l.json")
+        save_off(square, tmp_path / "s.off")
+        for cx in (load_json(tmp_path / "l.json"), load_off(tmp_path / "s.off"),
+                   SimplicialComplex.from_simplices(2, square.simplices[2],
+                                                    vertex_coords=square.vertex_coords),
+                   dataclasses.replace(line)):
+            assert cx.lattice is None
 
     def test_interval_validation(self):
         with pytest.raises(ConfigError):

@@ -222,6 +222,27 @@ class TestSimplexDistanceOracles:
             np.testing.assert_array_equal(d, d.T)
             np.testing.assert_array_equal(np.diag(d), 0.0)
 
+    def test_row_slabs_match_the_table(self, oracle_mesh):
+        for p in range(oracle_mesh.dimension + 1):
+            n = oracle_mesh.n_simplices(p)
+            rows = np.array([n - 1, 0, n // 2, 0])
+            for mode in ("euclidean", "geodesic"):
+                whole = simplex_distance(oracle_mesh, p, mode).entries
+                slab = simplex_distance(oracle_mesh, p, mode, rows=rows).entries
+                assert slab.shape == (4, n) and slab.flags.c_contiguous
+                np.testing.assert_array_equal(slab[np.arange(4), rows], 0.0)
+                if mode == "euclidean":
+                    np.testing.assert_array_equal(slab, whole[rows])
+                else:
+                    # Dijkstra from one side only: equal up to roundoff.
+                    np.testing.assert_allclose(slab, whole[rows], rtol=1e-14)
+
+    def test_slab_of_disconnected_complex_raises(self):
+        cx = SimplicialComplex.from_simplices(
+            1, [(0, 1), (2, 3)], vertex_coords=np.array([[0.0], [1.0], [2.0], [3.0]]))
+        with pytest.raises(ConnectivityError, match="unreachable from vertex 0"):
+            simplex_distance(cx, 1, "geodesic", rows=np.array([0]))
+
     def test_geodesic_blocks_do_not_change_the_table(self, monkeypatch):
         cx = generate_unit_square_mesh(4)
         whole = simplex_distance(cx, 1, "geodesic").entries

@@ -1,5 +1,7 @@
 """Weight matrices and the fractional derivative operator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from fracdec import (
 )
 from fracdec import metric
 from fracdec.metric import DistanceTable, simplex_distance
-from fracdec.operator import build_weight_matrix
+from fracdec.operator import _weight_rows
 from fracdec.special import gamma
 
 
@@ -45,8 +47,10 @@ def oracle_signed(w, x):
 
 def _fake_distances(monkeypatch, entries):
     """Make the next simplex_distance call return the given table."""
-    def fake(complex_, p, mode="geodesic"):
-        return DistanceTable(p=p, mode=mode, entries=np.array(entries))
+    def fake(complex_, p, mode="geodesic", rows=None):
+        table = np.array(entries)
+        return DistanceTable(p=p, mode=mode,
+                             entries=table if rows is None else table[rows])
     monkeypatch.setattr(metric, "simplex_distance", fake)
 
 
@@ -91,7 +95,7 @@ class TestWeightMatrix:
     def test_hand_computed_4_edges(self):
         # Four edges of length 1/4: edge barycenters are |i-j|/4 apart.
         cx = generate_interval_mesh(0.0, 1.0, 4)
-        w = build_weight_matrix(cx, 0, FracConfig(s=0.5))
+        w = _weight_rows(cx, 0, FracConfig(s=0.5))
         for i in range(4):
             for j in range(4):
                 if i != j:
@@ -102,20 +106,20 @@ class TestWeightMatrix:
 
     def test_symmetry(self):
         cx = generate_unit_square_mesh(3)
-        w = build_weight_matrix(cx, 0, FracConfig(s=0.5))
+        w = _weight_rows(cx, 0, FracConfig(s=0.5))
         np.testing.assert_allclose(w, w.T, atol=1e-14)
 
     def test_s_one_rejected(self):
         cx = generate_interval_mesh(0, 1, 4)
         with pytest.raises(ConfigError):
-            build_weight_matrix(cx, 0, FracConfig(s=1.0))
+            _weight_rows(cx, 0, FracConfig(s=1.0))
 
     def test_zero_distance_rejected(self, monkeypatch):
         cx = generate_interval_mesh(0, 1, 3)
         _fake_distances(monkeypatch, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
                                       [0.0, 1.0, 0.0]])
         with pytest.raises(GeometryError):
-            build_weight_matrix(cx, 0, FracConfig())
+            _weight_rows(cx, 0, FracConfig())
 
     def test_coincident_barycenters_rejected(self):
         # Edges (0, 1) and (2, 3) share the midpoint 0.5: their Euclidean
@@ -135,12 +139,12 @@ class TestWeightMatrix:
         _fake_distances(monkeypatch, [[0.0, 1.0, -2.0], [1.0, 0.0, 1.0],
                                       [-2.0, 1.0, 0.0]])
         with pytest.raises(GeometryError):
-            build_weight_matrix(cx, 0, FracConfig(s=0.3))
+            _weight_rows(cx, 0, FracConfig(s=0.3))
 
     def test_single_simplex_rejected(self):
         cx = generate_interval_mesh(0, 1, 1)
         with pytest.raises(MeshError, match="two simplices"):
-            build_weight_matrix(cx, 0, FracConfig())
+            _weight_rows(cx, 0, FracConfig())
 
     @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
     def test_bit_identical_to_mask_assembly(self, oracle_mesh, mode):
@@ -148,7 +152,7 @@ class TestWeightMatrix:
             cfg = FracConfig(s=s, c_s=c_s, distance_mode=mode)
             for q in range(1, oracle_mesh.dimension + 1):
                 d = simplex_distance(oracle_mesh, q, mode).entries
-                w = build_weight_matrix(oracle_mesh, q - 1, cfg)
+                w = _weight_rows(oracle_mesh, q - 1, cfg)
                 assert w.flags.c_contiguous
                 np.testing.assert_array_equal(w, oracle_weights(d, cfg))
 
@@ -250,10 +254,10 @@ class TestOracleAssembly:
 class TestSidedness:
     def test_left_mask_strictly_left(self):
         cx = generate_interval_mesh(0, 1, 4)
-        op = build_frac_derivative(cx, 0, FracConfig(sidedness="left_sided"))
+        w = _weight_rows(cx, 0, FracConfig(sidedness="left_sided"))
         expected = np.tril(np.ones((4, 4), dtype=bool), k=-1)
-        np.testing.assert_array_equal(op.weights != 0.0, expected)
-        assert np.all(op.weights >= 0.0)
+        np.testing.assert_array_equal(w != 0.0, expected)
+        assert np.all(w >= 0.0)
 
     def test_left_mask_requires_1d(self):
         cx = generate_unit_square_mesh(2)
@@ -263,8 +267,8 @@ class TestSidedness:
 
     def test_right_sign_minus_pattern(self):
         cx = generate_interval_mesh(0, 1, 3)
-        plus = build_frac_derivative(cx, 0, FracConfig()).weights
-        minus = build_frac_derivative(cx, 0, FracConfig(right_sign="minus")).weights
+        plus = _weight_rows(cx, 0, FracConfig())
+        minus = _weight_rows(cx, 0, FracConfig(right_sign="minus"))
         expected = np.array([[1, -1, -1], [1, 1, -1], [1, 1, 1]], dtype=float)
         np.testing.assert_array_equal(np.sign(minus), expected)
         np.testing.assert_array_equal(np.abs(minus), plus)
@@ -293,3 +297,154 @@ class TestSidedness:
         a = plus.apply(Cochain(0, v)).values
         b = minus.apply(Cochain(0, v)).values
         assert np.max(np.abs(a - b)) > 1e-3
+
+
+def _dense_twin(cx):
+    """The same complex without generator provenance: a dense operator."""
+    twin = dataclasses.replace(cx)
+    assert cx.lattice is not None and twin.lattice is None
+    return twin
+
+
+def _relative_gap(cx, p, cfg, trials=2):
+    """Largest |lattice W x - dense W x| over max |dense W x|, on random x."""
+    fast = build_frac_derivative(cx, p, cfg).weights
+    dense = build_frac_derivative(_dense_twin(cx), p, cfg).weights
+    assert isinstance(dense, np.ndarray) and not isinstance(fast, np.ndarray)
+    assert fast.shape == dense.shape
+    rng = np.random.default_rng(len(dense))
+    gap = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(dense.shape[1])
+        want = dense @ x
+        gap = max(gap, np.max(np.abs(fast @ x - want)) / np.max(np.abs(want)))
+    return gap
+
+
+_SIDES = [("two_sided", "plus"), ("two_sided", "minus"), ("left_sided", "plus")]
+
+
+class TestLatticeBackend:
+    """W applied by FFT on generator meshes, against the dense oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 999, 2048])
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    @pytest.mark.parametrize("sidedness, right_sign", _SIDES)
+    def test_interval_matches_dense(self, n, mode, sidedness, right_sign):
+        cx = generate_interval_mesh(0.0, 1.0, n)
+        for s in (0.1, 0.5, 0.9):
+            cfg = FracConfig(s=s, sidedness=sidedness, right_sign=right_sign,
+                             distance_mode=mode)
+            assert _relative_gap(cx, 0, cfg) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 24])
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_square_matches_dense(self, n, mode, p):
+        cx = generate_unit_square_mesh(n)
+        for s in (0.1, 0.5, 0.9):
+            cfg = FracConfig(s=s, c_s=None if s != 0.5 else 1.25,
+                             distance_mode=mode)
+            assert _relative_gap(cx, p, cfg) <= 1e-12
+
+    def test_small_matrix_entrywise(self):
+        # Every column of the FFT operator, against the dense matrix.
+        for cx, p, cfg in ((generate_interval_mesh(-1.0, 2.0, 6), 0,
+                            FracConfig(s=0.3, right_sign="minus")),
+                           (generate_unit_square_mesh(3), 1,
+                            FracConfig(s=0.7, distance_mode="euclidean"))):
+            fast = build_frac_derivative(cx, p, cfg).weights
+            dense = build_frac_derivative(_dense_twin(cx), p, cfg).weights
+            cols = np.column_stack([fast @ e for e in np.eye(len(dense))])
+            np.testing.assert_allclose(cols, dense, rtol=0,
+                                       atol=1e-13 * np.abs(dense).max())
+
+    def test_single_edge_same_error(self):
+        cx = generate_interval_mesh(0.0, 1.0, 1)
+        for complex_ in (cx, _dense_twin(cx)):
+            with pytest.raises(MeshError, match="two simplices"):
+                build_frac_derivative(complex_, 0, FracConfig())
+
+    def test_copies_are_dense(self, tmp_path):
+        cx = generate_unit_square_mesh(3)
+        moved = dataclasses.replace(cx, vertex_coords=cx.vertex_coords * 2.0,
+                                    edge_lengths=None)
+        rebuilt = SimplicialComplex.from_simplices(
+            2, cx.simplices[2], vertex_coords=cx.vertex_coords)
+        for copy in (moved, rebuilt):
+            assert copy.lattice is None
+            op = build_frac_derivative(copy, 0, FracConfig())
+            assert isinstance(op.weights, np.ndarray)
+
+    def test_integer_order_has_no_weights(self):
+        for cx, p in ((generate_interval_mesh(0, 1, 9), 0),
+                      (generate_unit_square_mesh(4), 1)):
+            op = build_frac_derivative(cx, p, FracConfig(s=1.0))
+            assert op.weights is None
+            v = np.random.default_rng(1).normal(size=cx.n_simplices(p))
+            assert np.array_equal(op.apply(Cochain(p, v)).values,
+                                  build_coboundary(cx, p) @ v)
+
+    def test_constants_annihilate_exactly(self):
+        for cx, cfg in ((generate_interval_mesh(0, 1, 37),
+                         FracConfig(s=0.3, sidedness="left_sided")),
+                        (generate_interval_mesh(0, 1, 37),
+                         FracConfig(s=0.9, right_sign="minus")),
+                        (generate_unit_square_mesh(7),
+                         FracConfig(distance_mode="euclidean"))):
+            op = build_frac_derivative(cx, 0, cfg)
+            assert not isinstance(op.weights, np.ndarray)
+            out = op.apply(Cochain(0, np.full(cx.n_simplices(0), -2.5)))
+            np.testing.assert_array_equal(out.values, 0.0)
+
+    def test_smaller_than_dense(self):
+        cx = generate_unit_square_mesh(16)
+        op = build_frac_derivative(cx, 0, FracConfig())
+        e = cx.n_simplices(1)
+        assert op.weights.shape == (e, e)
+        assert op.weights.nbytes < 8 * e * e / 10
+
+    def test_huge_diagonal_constant_stays_finite(self):
+        # The symbols are scaled by a power of two, so a C_s near the top
+        # of the float range overflows no more than the dense product.
+        cx = generate_unit_square_mesh(2)
+        cfg = FracConfig(c_s=1e307)
+        v = np.random.default_rng(2).normal(size=cx.n_simplices(1))
+        fast = build_frac_derivative(cx, 0, cfg).weights @ v
+        dense = build_frac_derivative(_dense_twin(cx), 0, cfg).weights @ v
+        assert np.all(np.isfinite(fast))
+        np.testing.assert_allclose(fast, dense, rtol=0,
+                                   atol=1e-13 * np.abs(dense).max())
+
+
+class TestDenseMemoryGuard:
+    def test_guard_names_the_generators(self, monkeypatch):
+        cx = generate_unit_square_mesh(3)
+        monkeypatch.setattr(metric, "_memory_budget", lambda: 1000)
+        for complex_ in (_dense_twin(cx), cx):
+            with pytest.raises(ConfigError, match="--interval or --square"):
+                metric.simplex_distance(complex_, 1, "geodesic")
+            with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
+                build_frac_derivative(_dense_twin(cx), 0, FracConfig())
+        # Slabs of rows and the FFT path allocate nothing of size E^2.
+        assert metric.simplex_distance(cx, 1, "euclidean",
+                                       rows=np.array([0, 5])).entries.shape == (2, 33)
+        build_frac_derivative(cx, 0, FracConfig())
+
+    def test_guard_needs_e_squared_plus_v_squared(self, monkeypatch):
+        cx = _dense_twin(generate_interval_mesh(0, 1, 10))
+        need = 8 * (10 ** 2 + 11 ** 2)
+        monkeypatch.setattr(metric, "_memory_budget", lambda: need)
+        metric.simplex_distance(cx, 1, "geodesic")
+        monkeypatch.setattr(metric, "_memory_budget", lambda: need - 1)
+        with pytest.raises(ConfigError):
+            metric.simplex_distance(cx, 1, "geodesic")
+
+    def test_no_budget_no_check(self, monkeypatch):
+        monkeypatch.setattr(metric, "_memory_budget", lambda: None)
+        cx = _dense_twin(generate_interval_mesh(0, 1, 10))
+        assert metric.simplex_distance(cx, 1, "euclidean").entries.shape == (10, 10)
+
+    def test_budget_is_physical_memory(self):
+        budget = metric._memory_budget()
+        assert budget is None or budget > 2 ** 20
