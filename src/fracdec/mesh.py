@@ -62,13 +62,17 @@ class SimplicialComplex:
         edge_lengths: positive edge lengths aligned with simplices[1].
         lengths_overridden: True when edge_lengths were supplied
             explicitly instead of being derived from the embedding.
-        lattice: provenance, not geometry: the vertex grid shape, (n+1,)
-            or (n+1, n+1), set only by generate_interval_mesh and
-            generate_unit_square_mesh, whose vertex v sits at
-            np.unravel_index(v, lattice).  The operator applies W by FFT
-            on such a complex.  It is not an __init__ argument, so
-            dataclasses.replace and every other construction leave it
-            None.
+        lattice: the vertex grid shape, (n+1,) or (n+1, n+1), when the
+            complex is, bit for bit, the mesh that
+            generate_interval_mesh(c[0], c[-1], n) or
+            generate_unit_square_mesh(n) builds: the same top table,
+            vertex coordinates (c) and edge lengths, with
+            lengths_overridden False.  Vertex v then sits at
+            np.unravel_index(v, lattice), and the operator applies W by
+            FFT.  Otherwise None.  It is read from the content, not
+            passed in, so a mesh file written from a generator mesh, a
+            from_simplices rebuild and a dataclasses.replace copy get
+            it too, and a moved copy does not.
     """
 
     dimension: int
@@ -77,6 +81,10 @@ class SimplicialComplex:
     edge_lengths: np.ndarray = field(default=None)  # type: ignore[assignment]
     lengths_overridden: bool = False
     lattice: tuple[int, ...] | None = field(default=None, init=False, compare=False)
+    # Degree p -> the keys of the degree-p table, then a sentinel above
+    # every key: computed once, for validation and every later locate.
+    _table_keys: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                               repr=False, compare=False)
 
     def __post_init__(self):
         self._validate()
@@ -87,7 +95,38 @@ class SimplicialComplex:
                 raise MeshError("edge lengths required when there is no embedding")
             lengths = self._euclidean_edge_lengths()
         object.__setattr__(self, "edge_lengths", np.asarray(lengths, dtype=float))
-        self._validate_lengths(supplied)
+        euclid = self._validate_lengths(supplied)
+        object.__setattr__(self, "lattice", self._generator_lattice(euclid))
+
+    def _generator_lattice(self, euclid):
+        """The vertex grid of the generator mesh that this complex is,
+        bit for bit, or None; shapes are compared first.  Lengths
+        derived from the embedding are the generator's once coordinates
+        and tables are; supplied ones must equal euclid, the derived
+        lengths."""
+        coords, dim = self.vertex_coords, self.dimension
+        if self.lengths_overridden or coords is None or dim > 2 \
+                or coords.shape[1:] != (dim,) or coords.dtype != np.float64:
+            return None
+        m = round(len(coords) ** (1 / dim))
+        n = m - 1
+        counts = (n, n) if dim == 1 else (n * (3 * n + 2), 2 * n * n)
+        if n < 1 or m ** dim != len(coords) \
+                or (self.n_simplices(1), self.n_simplices(dim)) != counts:
+            return None
+        # The top table's facets are all in the edge table, so equal
+        # top tables and edge counts make every table equal.
+        ends = (coords[0, 0], coords[-1, 0]) if dim == 1 else ()
+        if ends and not -np.inf < ends[0] < ends[1] < np.inf:
+            return None
+        lattice = (m,) * dim
+        want_coords, want_tops = _generator_tables(lattice, *ends)
+        if not (_same_bits(coords, want_coords)
+                and np.array_equal(self.simplices[dim], want_tops)):
+            return None
+        if euclid is not None and not _same_bits(self.edge_lengths, euclid):
+            return None
+        return lattice
 
     def _euclidean_edge_lengths(self):
         edges = self.simplices[1]
@@ -118,7 +157,7 @@ class SimplicialComplex:
         for p in range(self.dimension + 1):
             if p:
                 self.locate(p - 1, _facets(self.simplices[p]))
-            keys = _keys(self.simplices[p], base)
+            keys = self._sorted_keys(p, base)[:-1]
             if np.any(keys[1:] <= keys[:-1]):
                 raise MeshError(f"degree-{p} table must be sorted, without duplicates")
         n = self.n_simplices(0)
@@ -128,6 +167,8 @@ class SimplicialComplex:
             raise MeshError(f"{len(self.vertex_coords)} vertex coordinates for {n} vertices")
 
     def _validate_lengths(self, lengths_supplied):
+        """Check the edge lengths; return the lengths derived from the
+        embedding when they were computed for the check, else None."""
         if len(self.edge_lengths) != len(self.simplices[1]):
             raise MeshError("edge_lengths must align with the edge table")
         if not np.all(np.isfinite(self.edge_lengths)) or np.any(self.edge_lengths <= 0):
@@ -138,9 +179,19 @@ class SimplicialComplex:
             euclid = self._euclidean_edge_lengths()
             if np.any(np.abs(self.edge_lengths - euclid) > _EDGE_LENGTH_RTOL * np.maximum(euclid, 1.0)):
                 raise MeshError("edge lengths disagree with the embedding")
+            return euclid
+        return None
 
     def n_simplices(self, p):
         return len(self.simplices[p])
+
+    def _sorted_keys(self, p, base):
+        """The degree-p table's keys in base `base` and the sentinel."""
+        keys = self._table_keys.get(p)
+        if keys is None:
+            keys = np.append(_keys(self.simplices[p], base), np.iinfo(np.int64).max)
+            self._table_keys[p] = keys
+        return keys
 
     def locate(self, p, rows):
         """Row indices in the degree-p table of the given p-simplices.
@@ -153,7 +204,7 @@ class SimplicialComplex:
         base = int(self.simplices[0].max(initial=-1)) + 1
         # The table's keys increase; misses land on a wrong key or on
         # the end sentinel, which no key reaches.
-        keys = np.append(_keys(self.simplices[p], base), np.iinfo(np.int64).max)
+        keys = self._sorted_keys(p, base)
         query = _keys(rows, base)
         found = np.searchsorted(keys, query)
         miss = keys[found] != query
@@ -264,18 +315,37 @@ def apply_coboundary(matrix, cochain):
     return Cochain(cochain.degree + 1, matrix @ cochain.values)
 
 
+def _same_bits(x, y):
+    """Whether two float64 arrays have the same shape and bits."""
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _generator_tables(lattice, a=0.0, b=1.0):
+    """Vertex coordinates and top table, already in key order, of the
+    generator mesh on a vertex grid: (n+1,) is the interval [a, b] with
+    n edges, (n+1, n+1) the unit square with n-by-n cells."""
+    n = lattice[0] - 1
+    if len(lattice) == 1:
+        first = np.arange(n, dtype=np.int64)
+        return (np.linspace(a, b, n + 1).reshape(-1, 1),
+                np.column_stack([first, first + 1]))
+    ticks = np.arange(n + 1) / n
+    coords = np.column_stack([np.tile(ticks, n + 1), np.repeat(ticks, n + 1)])
+    # Vertex (i, j) is j (n+1) + i; ll is each cell's lower-left vertex,
+    # and its cell's two triangles meet on the diagonal from ll to ur.
+    ll = (np.arange(n, dtype=np.int64)[:, None] * (n + 1) + np.arange(n)).ravel()
+    ur = ll + n + 2
+    return coords, np.column_stack([ll, ll + 1, ur, ll, ll + n + 1, ur]).reshape(-1, 3)
+
+
 def generate_interval_mesh(a, b, n_edges):
     """Uniform 1D mesh: n_edges+1 equally spaced vertices on [a, b]."""
     if not -np.inf < a < b < np.inf:
         raise ConfigError(f"need finite a < b, got [{a}, {b}]")
     if n_edges < 1:
         raise ConfigError("n_edges must be >= 1")
-    coords = np.linspace(a, b, n_edges + 1).reshape(-1, 1)
-    first = np.arange(n_edges, dtype=np.int64)
-    edges = np.column_stack([first, first + 1])
-    cx = SimplicialComplex.from_simplices(1, edges, vertex_coords=coords)
-    object.__setattr__(cx, "lattice", (n_edges + 1,))
-    return cx
+    coords, edges = _generator_tables((n_edges + 1,), a, b)
+    return SimplicialComplex.from_simplices(1, edges, vertex_coords=coords)
 
 
 def generate_unit_square_mesh(n):
@@ -286,15 +356,8 @@ def generate_unit_square_mesh(n):
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    ticks = np.arange(n + 1) / n
-    coords = np.column_stack([np.tile(ticks, n + 1), np.repeat(ticks, n + 1)])
-    # Vertex (i, j) is j (n+1) + i; ll is each cell's lower-left vertex.
-    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
-    ur = ll + n + 2
-    tris = np.column_stack([ll, ll + 1, ur, ll, ur, ll + n + 1]).reshape(-1, 3)
-    cx = SimplicialComplex.from_simplices(2, tris, vertex_coords=coords)
-    object.__setattr__(cx, "lattice", (n + 1, n + 1))
-    return cx
+    coords, tris = _generator_tables((n + 1, n + 1))
+    return SimplicialComplex.from_simplices(2, tris, vertex_coords=coords)
 
 
 def load_off(path):

@@ -54,7 +54,8 @@ def _check_dense_memory(complex_, p):
             f"dense distances over {complex_.n_simplices(p)} degree-{p} simplices "
             f"need {need / 2 ** 30:.1f} GiB, more than the {budget / 2 ** 30:.1f} GiB "
             f"of memory; meshes from generate_interval_mesh or "
-            f"generate_unit_square_mesh (--interval or --square) need no dense table")
+            f"generate_unit_square_mesh (--interval or --square, or a mesh file "
+            f"written by gen-mesh) need no dense table")
 
 
 def _vertex_distance(complex_, sources=None):

@@ -1,12 +1,26 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import itertools
 import json
 import warnings
 
 import pytest
 
 from caputo_oracle import caputo_quadrature, derivative
-from fracdec import AccuracyError, get_family, load_json, load_off, metric
+import numpy as np
+
+from fracdec import (
+    AccuracyError,
+    Cochain,
+    FracConfig,
+    build_frac_derivative,
+    generate_interval_mesh,
+    generate_unit_square_mesh,
+    get_family,
+    load_json,
+    load_off,
+    metric,
+)
 from fracdec.cli import main
 
 
@@ -243,27 +257,88 @@ class TestFracDeriv:
         assert not out.exists()
 
     def test_dense_memory_guard_exit_2(self, tmp_path, capsys, monkeypatch):
-        # A loaded mesh takes the dense path; the guard stops it before
+        # A mesh file off the generator lattice (one interior vertex
+        # nudged) takes the dense path; the guard stops it before
         # allocating, in one line that points at the generators.
         mesh_path = tmp_path / "m.json"
         assert run("gen-mesh", "interval", "--edges", "64", "-o", str(mesh_path)) == 0
         capsys.readouterr()
+        doc = json.loads(mesh_path.read_text())
+        doc["vertices"][32][0] += 1e-3
+        nudged = tmp_path / "nudged.json"
+        nudged.write_text(json.dumps(doc))
         monkeypatch.setattr(metric, "_memory_budget", lambda: 2 ** 15)
         out = tmp_path / "d.csv"
-        assert run("frac-deriv", "--mesh", str(mesh_path), "--family", "exp_x",
+        assert run("frac-deriv", "--mesh", str(nudged), "--family", "exp_x",
                    "-o", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dense distances over 64 ")
-        assert "--interval or --square" in err and err.count("\n") == 1
+        assert "--interval or --square, or a mesh file written by gen-mesh" in err
+        assert err.count("\n") == 1
         assert "Traceback" not in err and not out.exists()
-        # The generated mesh needs no dense table.
-        assert run("frac-deriv", "--interval", "64", "--family", "exp_x",
-                   "-o", str(out)) == 0
+        # The generated mesh, and the file written from it, need no dense table.
+        for source in (("--interval", "64"), ("--mesh", str(mesh_path))):
+            assert run("frac-deriv", *source, "--family", "exp_x",
+                       "-o", str(out)) == 0
 
     def test_bad_s_exit_2(self, tmp_path):
         out = tmp_path / "d.csv"
         assert run("frac-deriv", "--interval", "4", "--family", "power",
                    "--s", "1.5", "-o", str(out)) == 2
+
+
+# kind -> gen-mesh arguments, file name, the frac-deriv source that
+# generates the same mesh, and a family on it.
+_GENERATED = {
+    "interval": (("interval", "--a", "-1", "--b", "2", "--edges", "50"), "m.json",
+                 ("--interval", "50", "--a", "-1", "--b", "2"), "poly_neg10x3_plus_10x2"),
+    "square": (("square", "--n", "6"), "m.off", ("--square", "6"), "saddle_2d"),
+}
+
+
+def _gen_mesh_file(tmp_path, kind):
+    gen, name, _, _ = _GENERATED[kind]
+    path = tmp_path / name
+    assert run("gen-mesh", *gen, "-o", str(path)) == 0
+    return path
+
+
+class TestMeshFileLattice:
+    """A gen-mesh file is the generator's mesh, so it takes the FFT path."""
+
+    @pytest.mark.parametrize("kind", _GENERATED)
+    def test_file_loads_as_lattice(self, tmp_path, kind):
+        path = _gen_mesh_file(tmp_path, kind)
+        if kind == "interval":
+            loaded, want = load_json(path), generate_interval_mesh(-1.0, 2.0, 50)
+        else:
+            loaded, want = load_off(path), generate_unit_square_mesh(6)
+        assert loaded.lattice == want.lattice is not None
+        configs = [FracConfig(s=0.3), FracConfig(s=0.7, distance_mode="euclidean")]
+        if kind == "interval":
+            configs += [FracConfig(s=0.4, sidedness="left_sided"),
+                        FracConfig(s=0.6, right_sign="minus")]
+        for cfg, p in itertools.product(configs, range(want.dimension)):
+            v = Cochain(p, np.sin(np.arange(want.n_simplices(p))))
+            a, b = (build_frac_derivative(cx, p, cfg) for cx in (loaded, want))
+            assert not isinstance(a.weights, np.ndarray)
+            assert np.array_equal(a.apply(v).values, b.apply(v).values)
+
+    @pytest.mark.parametrize("options", [(), ("--s", "0.3", "--distance", "euclidean"),
+                                         ("--format", "json")])
+    @pytest.mark.parametrize("kind", _GENERATED)
+    def test_rows_match_generator(self, tmp_path, kind, options):
+        # Byte-identical data rows; the # config: header names the source.
+        path = _gen_mesh_file(tmp_path, kind)
+        _, _, source, family = _GENERATED[kind]
+        outs = []
+        for i, src in enumerate((("--mesh", str(path)), source)):
+            out = tmp_path / f"d{i}.out"
+            assert run("frac-deriv", *src, "--family", family, *options,
+                       "-o", str(out)) == 0
+            outs.append(out.read_bytes().split(b"\n", 1))
+        assert outs[0][0].startswith(b"# config: ") and outs[0][0] != outs[1][0]
+        assert outs[0][1] == outs[1][1]
 
 
 class TestConvergence:

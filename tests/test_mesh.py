@@ -70,17 +70,21 @@ class TestGenerators:
             vertex_coords=np.linspace(0.0, 1.0, n + 1).reshape(-1, 1))
         assert digest(cx) == digest(tuples)
 
-    def test_lattice_provenance(self, tmp_path):
-        # Only the generators record a lattice; copies and files do not.
-        line, square = generate_interval_mesh(0.0, 1.0, 5), generate_unit_square_mesh(3)
+    def test_lattice_from_content(self, tmp_path):
+        # A file, a rebuild or a copy of a generator mesh has its content,
+        # so it is a lattice mesh too.
+        line, square = generate_interval_mesh(-1.0, 2.0, 5), generate_unit_square_mesh(3)
         assert (line.lattice, square.lattice) == ((6,), (4, 4))
         save_json(line, tmp_path / "l.json")
+        save_json(square, tmp_path / "s.json")
         save_off(square, tmp_path / "s.off")
-        for cx in (load_json(tmp_path / "l.json"), load_off(tmp_path / "s.off"),
-                   SimplicialComplex.from_simplices(2, square.simplices[2],
-                                                    vertex_coords=square.vertex_coords),
-                   dataclasses.replace(line)):
-            assert cx.lattice is None
+        rebuilt = SimplicialComplex.from_simplices(
+            2, square.simplices[2][::-1, ::-1], vertex_coords=square.vertex_coords)
+        for cx, lattice in ((load_json(tmp_path / "l.json"), (6,)),
+                            (load_json(tmp_path / "s.json"), (4, 4)),
+                            (load_off(tmp_path / "s.off"), (4, 4)),
+                            (rebuilt, (4, 4)), (dataclasses.replace(line), (6,))):
+            assert cx.lattice == lattice
 
     def test_interval_validation(self):
         with pytest.raises(ConfigError):
@@ -145,6 +149,90 @@ def assert_oracle_tables(cx, top_simplices):
         got = cx.simplices[p]
         assert got.dtype == np.int64 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, table)
+
+
+def _square_with(cx, tops=None, coords=None):
+    """A copy of a square mesh with other top simplices or coordinates."""
+    return SimplicialComplex.from_simplices(
+        2, cx.simplices[2] if tops is None else tops,
+        vertex_coords=cx.vertex_coords if coords is None else coords)
+
+
+class TestLatticeRecognition:
+    """lattice is set exactly for the generators' content, bit for bit."""
+
+    @pytest.mark.parametrize("a, b, n", [
+        (0.0, 1.0, 1), (-0.0, 1.0, 3), (-1.0, 2.0, 7), (0.1, 0.3, 1000),
+        (1e-100, 2e-100, 5), (-1e300, 1e300, 4), (0.0, 1e308, 16)])
+    def test_generated_intervals(self, a, b, n):
+        assert generate_interval_mesh(a, b, n).lattice == (n + 1,)
+
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_one_ulp_off_is_dense(self, direction):
+        line = generate_interval_mesh(-1.0, 2.0, 7)
+        for v in range(1, 7):
+            coords = line.vertex_coords.copy()
+            coords[v, 0] = np.nextafter(coords[v, 0], direction)
+            moved = SimplicialComplex.from_simplices(1, line.simplices[1],
+                                                     vertex_coords=coords)
+            assert moved.lattice is None
+        square = generate_unit_square_mesh(3)
+        for v, axis in itertools.product(range(16), range(2)):
+            coords = square.vertex_coords.copy()
+            coords[v, axis] = np.nextafter(coords[v, axis], direction)
+            assert _square_with(square, coords=coords).lattice is None
+
+    def test_flipped_diagonal_is_dense(self):
+        # Cell 4 of a 3-by-3 square split along its other diagonal.
+        square = generate_unit_square_mesh(3)
+        ll, n = 5, 3
+        tops = square.simplices[2].copy()
+        tops[8:10] = [[ll, ll + 1, ll + n + 1], [ll + 1, ll + n + 1, ll + n + 2]]
+        flipped = _square_with(square, tops=tops)
+        assert flipped.n_simplices(1) == square.n_simplices(1)
+        assert flipped.lattice is None
+
+    def test_explicit_edge_lengths_are_dense(self, tmp_path):
+        # The generator's own lengths, but given in the file.
+        line = generate_interval_mesh(0.0, 1.0, 6)
+        save_json(line, tmp_path / "l.json")
+        doc = json.loads((tmp_path / "l.json").read_text())
+        doc["edge_lengths"] = {f"{i},{j}": float(length) for (i, j), length
+                               in zip(line.simplices[1].tolist(), line.edge_lengths)}
+        (tmp_path / "l.json").write_text(json.dumps(doc))
+        loaded = load_json(tmp_path / "l.json")
+        assert loaded.lengths_overridden
+        np.testing.assert_array_equal(loaded.edge_lengths, line.edge_lengths)
+        assert loaded.lattice is None
+
+    def test_supplied_lengths_one_ulp_off_are_dense(self):
+        # Within the embedding tolerance, so accepted, but not the bits.
+        square = generate_unit_square_mesh(2)
+        assert dataclasses.replace(square).lattice == (3, 3)
+        off = dataclasses.replace(
+            square, edge_lengths=np.nextafter(square.edge_lengths, np.inf))
+        assert not off.lengths_overridden and off.lattice is None
+
+    def test_relabelled_vertices_are_dense(self):
+        # The same geometry under other vertex labels.
+        for cx in (generate_interval_mesh(0.0, 1.0, 6), generate_unit_square_mesh(3)):
+            n = cx.n_simplices(0)
+            relabel = np.random.default_rng(n).permutation(n)
+            coords = np.empty_like(cx.vertex_coords)
+            coords[relabel] = cx.vertex_coords
+            moved = SimplicialComplex.from_simplices(
+                cx.dimension, relabel[cx.simplices[cx.dimension]], vertex_coords=coords)
+            assert moved.lattice is None
+
+    def test_nonzero_z_is_dense(self, tmp_path):
+        square = generate_unit_square_mesh(3)
+        save_off(square, tmp_path / "s.off")
+        lines = (tmp_path / "s.off").read_text().splitlines()
+        for i in range(2, 2 + square.n_simplices(0)):
+            lines[i] = lines[i].rsplit(" ", 1)[0] + " 0.5"
+        (tmp_path / "s.off").write_text("\n".join(lines) + "\n")
+        lifted = load_off(tmp_path / "s.off")
+        assert lifted.vertex_coords.shape == (16, 3) and lifted.lattice is None
 
 
 class TestTablesMatchOracle:

@@ -299,18 +299,28 @@ class TestSidedness:
         assert np.max(np.abs(a - b)) > 1e-3
 
 
-def _dense_twin(cx):
-    """The same complex without generator provenance: a dense operator."""
-    twin = dataclasses.replace(cx)
-    assert cx.lattice is not None and twin.lattice is None
-    return twin
+def _fast_and_dense(cx, p, cfg):
+    """The FFT-applied W of a lattice mesh and its dense oracle, the
+    whole matrix from the dense helper."""
+    assert cx.lattice is not None
+    fast = build_frac_derivative(cx, p, cfg).weights
+    assert not isinstance(fast, np.ndarray)
+    return fast, _weight_rows(cx, p, cfg)
+
+
+def _nudged(cx):
+    """The same tables with one interior vertex moved off the lattice:
+    a mesh that takes the dense path."""
+    coords = cx.vertex_coords.copy()
+    coords[len(coords) // 2] += 1e-3
+    moved = dataclasses.replace(cx, vertex_coords=coords, edge_lengths=None)
+    assert moved.lattice is None
+    return moved
 
 
 def _relative_gap(cx, p, cfg, trials=2):
     """Largest |lattice W x - dense W x| over max |dense W x|, on random x."""
-    fast = build_frac_derivative(cx, p, cfg).weights
-    dense = build_frac_derivative(_dense_twin(cx), p, cfg).weights
-    assert isinstance(dense, np.ndarray) and not isinstance(fast, np.ndarray)
+    fast, dense = _fast_and_dense(cx, p, cfg)
     assert fast.shape == dense.shape
     rng = np.random.default_rng(len(dense))
     gap = 0.0
@@ -353,28 +363,36 @@ class TestLatticeBackend:
                             FracConfig(s=0.3, right_sign="minus")),
                            (generate_unit_square_mesh(3), 1,
                             FracConfig(s=0.7, distance_mode="euclidean"))):
-            fast = build_frac_derivative(cx, p, cfg).weights
-            dense = build_frac_derivative(_dense_twin(cx), p, cfg).weights
+            fast, dense = _fast_and_dense(cx, p, cfg)
             cols = np.column_stack([fast @ e for e in np.eye(len(dense))])
             np.testing.assert_allclose(cols, dense, rtol=0,
                                        atol=1e-13 * np.abs(dense).max())
 
     def test_single_edge_same_error(self):
         cx = generate_interval_mesh(0.0, 1.0, 1)
-        for complex_ in (cx, _dense_twin(cx)):
+        assert cx.lattice == (2,)
+        for build in (build_frac_derivative, _weight_rows):
             with pytest.raises(MeshError, match="two simplices"):
-                build_frac_derivative(complex_, 0, FracConfig())
+                build(cx, 0, FracConfig())
 
-    def test_copies_are_dense(self, tmp_path):
+    def test_copies_follow_content(self):
+        # A moved copy is dense; a rebuild or copy with the same content
+        # is a lattice mesh and gives the generator's output bit for bit.
         cx = generate_unit_square_mesh(3)
         moved = dataclasses.replace(cx, vertex_coords=cx.vertex_coords * 2.0,
                                     edge_lengths=None)
+        assert moved.lattice is None
+        assert isinstance(build_frac_derivative(moved, 0, FracConfig()).weights,
+                          np.ndarray)
+        v = np.random.default_rng(3).normal(size=cx.n_simplices(0))
+        want = build_frac_derivative(cx, 0, FracConfig()).apply(Cochain(0, v)).values
         rebuilt = SimplicialComplex.from_simplices(
-            2, cx.simplices[2], vertex_coords=cx.vertex_coords)
-        for copy in (moved, rebuilt):
-            assert copy.lattice is None
+            2, cx.simplices[2][::-1], vertex_coords=cx.vertex_coords)
+        for copy in (rebuilt, dataclasses.replace(cx)):
+            assert copy.lattice == (4, 4)
             op = build_frac_derivative(copy, 0, FracConfig())
-            assert isinstance(op.weights, np.ndarray)
+            assert not isinstance(op.weights, np.ndarray)
+            assert np.array_equal(op.apply(Cochain(0, v)).values, want)
 
     def test_integer_order_has_no_weights(self):
         for cx, p in ((generate_interval_mesh(0, 1, 9), 0),
@@ -410,8 +428,7 @@ class TestLatticeBackend:
         cx = generate_unit_square_mesh(2)
         cfg = FracConfig(c_s=1e307)
         v = np.random.default_rng(2).normal(size=cx.n_simplices(1))
-        fast = build_frac_derivative(cx, 0, cfg).weights @ v
-        dense = build_frac_derivative(_dense_twin(cx), 0, cfg).weights @ v
+        fast, dense = (w @ v for w in _fast_and_dense(cx, 0, cfg))
         assert np.all(np.isfinite(fast))
         np.testing.assert_allclose(fast, dense, rtol=0,
                                    atol=1e-13 * np.abs(dense).max())
@@ -421,18 +438,19 @@ class TestDenseMemoryGuard:
     def test_guard_names_the_generators(self, monkeypatch):
         cx = generate_unit_square_mesh(3)
         monkeypatch.setattr(metric, "_memory_budget", lambda: 1000)
-        for complex_ in (_dense_twin(cx), cx):
-            with pytest.raises(ConfigError, match="--interval or --square"):
+        for complex_ in (_nudged(cx), cx):
+            with pytest.raises(ConfigError, match="--interval or --square, or a "
+                                                  "mesh file written by gen-mesh"):
                 metric.simplex_distance(complex_, 1, "geodesic")
             with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
-                build_frac_derivative(_dense_twin(cx), 0, FracConfig())
+                build_frac_derivative(_nudged(cx), 0, FracConfig())
         # Slabs of rows and the FFT path allocate nothing of size E^2.
         assert metric.simplex_distance(cx, 1, "euclidean",
                                        rows=np.array([0, 5])).entries.shape == (2, 33)
         build_frac_derivative(cx, 0, FracConfig())
 
     def test_guard_needs_e_squared_plus_v_squared(self, monkeypatch):
-        cx = _dense_twin(generate_interval_mesh(0, 1, 10))
+        cx = _nudged(generate_interval_mesh(0, 1, 10))
         need = 8 * (10 ** 2 + 11 ** 2)
         monkeypatch.setattr(metric, "_memory_budget", lambda: need)
         metric.simplex_distance(cx, 1, "geodesic")
@@ -442,7 +460,7 @@ class TestDenseMemoryGuard:
 
     def test_no_budget_no_check(self, monkeypatch):
         monkeypatch.setattr(metric, "_memory_budget", lambda: None)
-        cx = _dense_twin(generate_interval_mesh(0, 1, 10))
+        cx = _nudged(generate_interval_mesh(0, 1, 10))
         assert metric.simplex_distance(cx, 1, "euclidean").entries.shape == (10, 10)
 
     def test_budget_is_physical_memory(self):

@@ -16,6 +16,7 @@ from fracdec import (
     SimplicialComplex,
     build_coboundary,
     build_frac_derivative,
+    generate_interval_mesh,
     generate_unit_square_mesh,
     load_json,
     load_off,
@@ -130,6 +131,7 @@ def _assert_same_complex(a, b):
         np.testing.assert_array_equal(a.simplices[p], b.simplices[p])
     np.testing.assert_array_equal(a.vertex_coords, b.vertex_coords)
     np.testing.assert_array_equal(a.edge_lengths, b.edge_lengths)
+    assert a.lattice == b.lattice
 
 
 @PROPERTY
@@ -149,6 +151,18 @@ def test_mesh_file_round_trips(cx):
     a, b = (build_frac_derivative(m, 0, FracConfig()).apply(v).values
             for m in (back, cx))
     assert np.array_equal(a, b)
+
+
+@PROPERTY
+@given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.integers(1, 64))
+def test_generated_intervals_are_lattices(a, width, n):
+    # Any ends give a lattice mesh, and its file is one too.
+    cx = generate_interval_mesh(a, a + width, n)
+    assert cx.lattice == (n + 1,)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.json")
+        save_json(cx, path)
+        _assert_same_complex(load_json(path), cx)
 
 
 @PROPERTY
