@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import mesh, metric, operator
 from .errors import AccuracyError, ConfigError, GeometryError, MeshError
@@ -97,6 +96,14 @@ def _graded_gauss_rule(m):
 
 _FINE_RULE = _graded_gauss_rule(24)
 _COARSE_RULE = _graded_gauss_rule(16)
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported at the first call: only steps that
+    the L2 norm's Gauss rules cannot resolve need it."""
+    from scipy.integrate import quad as adaptive_quad
+
+    return adaptive_quad(func, a, b, **kwargs)
 
 
 def l2_error_stairs(stairs, reference):

@@ -6,7 +6,9 @@ ordering.  Every simplex table is kept in strictly increasing key
 order (sorted, no duplicate rows), where a row's key is its digits in
 base n_vertices; the complex checks this on construction, so row and
 column indices of the operators are reproducible across runs and file
-round-trips, and lookups are binary searches.
+round-trips, and lookups are binary searches.  The coboundary is kept
+as each coface's table of facet rows and applied as a signed gather, so
+the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, FormatError, GeometryError, MeshError
 
 _EDGE_LENGTH_RTOL = 1e-12
+# Below this length an edge's squared length is subnormal.
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 def _facets(table):
@@ -131,13 +134,15 @@ class SimplicialComplex:
     def _euclidean_edge_lengths(self):
         edges = self.simplices[1]
         diff = self.vertex_coords[edges[:, 1]] - self.vertex_coords[edges[:, 0]]
-        # Only edges whose squared length overflows (above ~1e154) are rescaled.
-        with np.errstate(over="ignore"):
+        # Only edges whose squared length overflows (above ~1e154) or is
+        # subnormal (below ~1e-154) are rescaled by their largest component.
+        with np.errstate(over="ignore", under="ignore"):
             lengths = np.linalg.norm(diff, axis=1)
-        big = np.isinf(lengths) & np.isfinite(diff).all(axis=1)
-        if big.any():
-            scale = np.abs(diff[big]).max(axis=1)
-            lengths[big] = scale * np.linalg.norm(diff[big] / scale[:, None], axis=1)
+        odd = np.isinf(lengths) | (lengths < _SQRT_TINY)
+        if odd.any():
+            odd &= np.isfinite(diff).all(axis=1) & diff.any(axis=1)
+            scale = np.abs(diff[odd]).max(axis=1)
+            lengths[odd] = scale * np.linalg.norm(diff[odd] / scale[:, None], axis=1)
         return lengths
 
     def _validate(self):
@@ -288,6 +293,46 @@ class Cochain:
             raise ConfigError("cochain values must be finite")
 
 
+@dataclass(frozen=True)
+class Coboundary:
+    """The signed incidence matrix D_p, kept as its facet table.
+
+    Row r of facets holds, in slot k, the row index of the p-simplex
+    that coface r has without its vertex k; that entry of D_p is
+    (-1)^k and every other entry of row r is 0.
+    """
+
+    facets: np.ndarray  # (n_{p+1}, p+2) row indices into the degree-p table
+    n_columns: int
+
+    @property
+    def shape(self):
+        return (len(self.facets), self.n_columns)
+
+    @property
+    def nnz(self):
+        return self.facets.size
+
+    def __matmul__(self, values):
+        """D_p @ values, for values of shape (n_columns,) or (n_columns, m).
+
+        Each row is summed from 0.0 in increasing column order, which is
+        decreasing slot order (dropping a later vertex leaves an earlier
+        facet), as a CSR product sums; the results match it bit for bit,
+        signed zeros included.
+        """
+        values = np.asarray(values)
+        out = np.zeros((len(self.facets),) + values.shape[1:],
+                       dtype=np.result_type(values, np.int64))
+        for k in range(self.facets.shape[1] - 1, -1, -1):
+            term = np.take(values, self.facets[:, k], axis=0)
+            if k % 2:
+                out -= term
+            else:
+                out += term
+        return out
+
+
 def build_coboundary(complex_, p):
     """Signed incidence matrix D_p sending p-cochains to (p+1)-cochains.
 
@@ -297,13 +342,8 @@ def build_coboundary(complex_, p):
     """
     if not 0 <= p < complex_.dimension:
         raise ConfigError(f"degree {p} out of range for dimension {complex_.dimension}")
-    cofaces = complex_.simplices[p + 1]
-    n = len(cofaces)
-    rows = np.repeat(np.arange(n), p + 2)
-    cols = complex_.locate(p, _facets(cofaces)).ravel()
-    vals = np.tile((-1) ** np.arange(p + 2), n)
-    shape = (n, complex_.n_simplices(p))
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64)
+    facets = complex_.locate(p, _facets(complex_.simplices[p + 1]))
+    return Coboundary(facets, complex_.n_simplices(p))
 
 
 def apply_coboundary(matrix, cochain):

@@ -1,28 +1,28 @@
 """Distances between simplices under the local metric.
 
-Vertex-to-vertex distances come from shortest edge paths (Dijkstra from
-each source).  Simplex-to-simplex distances extend the vertex distances
-by the barycenter-to-boundary offsets l(sigma), or use Euclidean
-barycenter distances when an embedding is available.  A table can be
-asked for a few rows only; then Dijkstra runs from those rows'
-vertices alone and nothing of size E^2 or V^2 is allocated.
+Vertex-to-vertex distances are shortest edge paths.  Simplex-to-simplex
+distances extend the vertex distances by the barycenter-to-boundary
+offsets l(sigma), or use Euclidean barycenter distances, accumulated
+axis by axis, when an embedding is available.  A table can be asked for
+a few rows only; then nothing of size E^2 or V^2 is allocated.  On a
+generator mesh (its lattice is set) those rows' vertex distances are
+closed-form lattice path lengths; on any other complex, and for the
+whole table, they come from Dijkstra (scipy, imported at first use).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, ConnectivityError, GeometryError, MeshError
 
 DISTANCE_MODES = ("geodesic", "euclidean")
-# The geodesic table is built in row blocks of about this many entries,
-# so its temporaries stay small (and in cache) next to the table itself.
+# Distance tables are built in row blocks of about this many entries,
+# so their temporaries stay small (and in cache) next to the table itself.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -60,17 +60,42 @@ def _check_dense_memory(complex_, p):
 
 def _vertex_distance(complex_, sources=None):
     """Shortest-path distances from the source vertices (all when None)
-    to every vertex, one row per source."""
+    to every vertex, one row per source, by Dijkstra."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     edges = complex_.simplices[1]
     n = complex_.n_simplices(0)
     w = complex_.edge_lengths
-    graph = sp.csr_matrix((w, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    graph = csr_matrix((w, (edges[:, 0], edges[:, 1])), shape=(n, n))
     dist = dijkstra(graph, directed=False, indices=sources)
     if np.any(np.isinf(dist)):
         i, j = np.argwhere(np.isinf(dist))[0]
         i = i if sources is None else sources[i]
         raise ConnectivityError(f"vertex {j} is unreachable from vertex {i}")
     return dist
+
+
+def _lattice_vertex_distance(complex_, sources):
+    """Shortest-path distances from the source vertices to every vertex
+    of a generator mesh, in closed form.
+
+    In 1D it is |x_i - x_j|.  On the unit square with cell size h, a
+    vertex a cells along x and b along y away is h (sqrt(2) min(|a|, |b|)
+    + ||a| - |b||) away when a b >= 0, since the diagonals run from
+    lower left to upper right, and h (|a| + |b|) otherwise.
+    """
+    if len(complex_.lattice) == 1:
+        x = complex_.vertex_coords[:, 0]
+        return np.abs(x[sources, None] - x[None, :])
+    m = complex_.lattice[0]
+    y, x = np.divmod(np.arange(m * m), m)
+    a = x[None, :] - x[sources, None]
+    b = y[None, :] - y[sources, None]
+    along, across = np.abs(a), np.abs(b)
+    short = np.minimum(along, across)
+    diagonal = math.sqrt(2.0) * short + np.abs(along - across)
+    return np.where(a * b >= 0, diagonal, along + across) / (m - 1)
 
 
 def all_pairs_vertex_distance(complex_):
@@ -119,7 +144,8 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
     geodesic: min over vertex pairs of d_m(u, v) + l(sigma) + l(eta),
     zero on the diagonal.  euclidean: distance between barycenters.
     rows=None gives the dense symmetric table, after a check that it
-    fits in memory; an index array gives just those rows, in that order.
+    fits in memory; an index array gives just those rows, in that order,
+    from closed-form vertex distances on a lattice mesh.
     """
     if mode not in DISTANCE_MODES:
         raise ConfigError(f"unknown distance mode {mode!r}")
@@ -127,19 +153,39 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
         _check_dense_memory(complex_, p)
     simp = complex_.simplices[p]
     picked = np.arange(len(simp)) if rows is None else np.asarray(rows)
+    step = max(1, _BLOCK_ENTRIES // max(len(simp), complex_.n_simplices(0), 1))
     if mode == "euclidean":
         b = barycenters(complex_, p)
-        return DistanceTable(p=p, mode=mode, entries=cdist(b[picked], b))
+        entries = np.empty((len(picked), len(simp)))
+        # Squares summed axis by axis in row blocks, as cdist sums them,
+        # so the table is cdist's bit for bit, with its silent over- and
+        # underflow of the squares in 2D.  In 1D it is |d|, which is
+        # sqrt(d * d) wherever d * d neither overflows nor underflows.
+        with np.errstate(over="ignore", under="ignore"):
+            for start in range(0, len(picked), step):
+                block = entries[start:start + step]
+                here = b[picked[start:start + step]]
+                d = here[:, 0, None] - b[None, :, 0]
+                if b.shape[1] == 1:
+                    np.abs(d, out=block)
+                    continue
+                np.multiply(d, d, out=block)
+                for axis in range(1, b.shape[1]):
+                    d = here[:, axis, None] - b[None, :, axis]
+                    block += d * d
+                np.sqrt(block, out=block)
+        return DistanceTable(p=p, mode=mode, entries=entries)
 
     if rows is None:
         dm, src = all_pairs_vertex_distance(complex_).entries, simp
     else:
-        # Dijkstra from the rows' vertices only; src indexes dm's rows.
+        # Distances from the rows' vertices only; src indexes dm's rows.
         sources, src = np.unique(simp[picked], return_inverse=True)
-        dm, src = _vertex_distance(complex_, sources), src.reshape(-1, p + 1)
+        vertex_distance = (_vertex_distance if complex_.lattice is None
+                           else _lattice_vertex_distance)
+        dm, src = vertex_distance(complex_, sources), src.reshape(-1, p + 1)
     offs = boundary_offsets(complex_, p)
     entries = np.empty((len(picked), len(simp)))
-    step = max(1, _BLOCK_ENTRIES // max(len(simp), dm.shape[1], 1))
     for start in range(0, len(picked), step):
         block = slice(start, start + step)
         # near[a, v]: distance from the nearest vertex of simplex a to v.

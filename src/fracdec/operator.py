@@ -6,19 +6,19 @@ distance-to-the-s weights between (p+1)-simplices.  Rows of W index the
 target simplex, columns the source simplex.  In 1D the sidedness and the
 right-side sign are folded into W when it is built.  W is a dense array,
 except on meshes from the two generators, where it is a multi-level
-Toeplitz operator built from a few rows and applied by FFT; the dense
-path is its oracle.  At s = 1 the
-operator is the plain coboundary, bit-exactly (Kronecker branch).
+Toeplitz operator built from a few rows, whose distances are closed
+form, and applied by numpy.fft; the dense path is its oracle.  At s = 1
+the operator is the plain coboundary, bit-exactly (Kronecker branch).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import mesh, metric
 from .errors import ConfigError, GeometryError, MeshError
@@ -122,6 +122,22 @@ def _fold_sides(w, complex_, q, config, rows):
         np.negative(w, out=w, where=x[None, :] > target[:, None])
 
 
+@functools.lru_cache(maxsize=256)
+def _fast_len(n):
+    """The smallest 5-smooth integer >= n (a product of 2s, 3s and 5s,
+    lengths that numpy.fft's real transforms handle fastest)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest p35 * 2^k >= n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @dataclass(frozen=True)
 class _LatticeWeights:
     """W on a generator mesh, applied by FFT without forming it.
@@ -159,8 +175,7 @@ class _LatticeWeights:
         offsets = (coords[:, 1:] - cells[:, None] + reach).reshape(len(simp), -1)
         _, kind = np.unique(mesh._keys(offsets, 2 * reach + 1), return_inverse=True)
         kinds = kind.max() + 1
-        grid = tuple(scipy.fft.next_fast_len(2 * m - 1, real=True)
-                     for m in complex_.lattice)
+        grid = tuple(_fast_len(2 * m - 1) for m in complex_.lattice)
         size = math.prod(grid)
         slots = kind * size + np.ravel_multi_index(cells.T, grid)
         index = np.empty(kinds * size, dtype=np.int64)
@@ -183,7 +198,7 @@ class _LatticeWeights:
         table = np.zeros(kinds * kinds * size)
         table[pair * size + lag] = np.ldexp(w, -exponent)
         axes = tuple(range(2, 2 + len(grid)))
-        symbols = scipy.fft.rfftn(table.reshape(kinds, kinds, *grid), axes=axes)
+        symbols = np.fft.rfftn(table.reshape(kinds, kinds, *grid), axes=axes)
         return cls(grid, slots, symbols, exponent)
 
     @property
@@ -199,9 +214,9 @@ class _LatticeWeights:
         axes = tuple(range(1, 1 + len(self.grid)))
         x = np.zeros(kinds * math.prod(self.grid))
         x[self.slots] = values
-        spectra = scipy.fft.rfftn(x.reshape(kinds, *self.grid), axes=axes)
+        spectra = np.fft.rfftn(x.reshape(kinds, *self.grid), axes=axes)
         mixed = np.einsum("ij...,j...->i...", self.symbols, spectra)
-        y = scipy.fft.irfftn(mixed, s=self.grid, axes=axes)
+        y = np.fft.irfftn(mixed, s=self.grid, axes=axes)
         return np.ldexp(y.reshape(-1)[self.slots], self.exponent)
 
 
@@ -216,7 +231,7 @@ class FracOperator:
 
     p: int
     config: FracConfig
-    coboundary: object
+    coboundary: mesh.Coboundary
     weights: np.ndarray | _LatticeWeights | None = None
     scale: float = 1.0
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import ConfigError, SeriesConvergenceError
 
@@ -35,6 +34,14 @@ def gamma(z):
     if math.isinf(g):
         raise ConfigError(f"gamma overflows at z = {z:g}")
     return g
+
+
+def _rgamma(x):
+    """1 / Gamma(x) for x > 0; 0.0 where Gamma(x) overflows."""
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return 0.0
 
 
 def _horner(coef, z):
@@ -65,18 +72,19 @@ def mittag_leffler(a, b, z):
     r = float(np.max(np.abs(z), initial=0.0))
     if r > 50:
         raise ConfigError("series evaluation is restricted to |z| <= 50")
-    coef = rgamma(a * np.arange(MAX_TERMS) + b).tolist()  # 0 once gamma overflows
+    coef = []
     total = 0.0
     power = 1.0
-    for n, c in enumerate(coef, start=1):
-        term = c * power
+    for k in range(MAX_TERMS):
+        coef.append(_rgamma(a * k + b))
+        term = coef[-1] * power
         total += term
         if not math.isfinite(total):
             break
         if term <= SERIES_TOL * total:
-            out = _horner(coef[:n], z)
+            out = _horner(coef, z)
             if (z < 0).any():
-                bad = np.finfo(float).eps * _horner(coef[:n], np.abs(z)) > 1e-10 * np.abs(out)
+                bad = np.finfo(float).eps * _horner(coef, np.abs(z)) > 1e-10 * np.abs(out)
                 if bad.any():
                     raise SeriesConvergenceError(
                         "Mittag-Leffler series loses more than 1e-10 relative "

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracdec import (
     ConnectivityError,
@@ -26,6 +27,21 @@ def floyd_warshall_vertex_distance(complex_):
         i, j = np.argwhere(np.isinf(dist))[0]
         raise ConnectivityError(f"vertex {j} is unreachable from vertex {i}")
     return DistanceTable(p=0, mode="geodesic", entries=np.minimum(dist, dist.T))
+
+
+def dense_coboundary(complex_, p):
+    """D_p as a scipy CSR matrix, built from the simplex tables by a
+    dict lookup of every facet: the coboundary oracle.  Its product
+    sums each row in increasing column order from 0.0."""
+    face_index = {tuple(row): i for i, row in enumerate(complex_.simplices[p].tolist())}
+    rows, cols, vals = [], [], []
+    for r, simplex in enumerate(complex_.simplices[p + 1].tolist()):
+        for k in range(p + 2):
+            rows.append(r)
+            cols.append(face_index[tuple(simplex[:k] + simplex[k + 1:])])
+            vals.append((-1) ** k)
+    shape = (complex_.n_simplices(p + 1), complex_.n_simplices(p))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64)
 
 
 @pytest.fixture(scope="session")

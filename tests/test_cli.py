@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from caputo_oracle import caputo_quadrature, derivative
 import numpy as np
 
+import fracdec
 from fracdec import (
     AccuracyError,
     Cochain,
@@ -67,6 +71,19 @@ class TestGenMesh:
         with pytest.raises(SystemExit) as exc:
             run("gen-mesh", "interval")
         assert exc.value.code == 2
+
+    def test_short_edges(self, tmp_path):
+        # Squared edge lengths of 2e-301 underflow; the lengths must not.
+        out, deriv = tmp_path / "m.json", tmp_path / "d.csv"
+        assert run("gen-mesh", "interval", "--a", "1e-300", "--b", "2e-300",
+                   "--edges", "5", "-o", str(out)) == 0
+        cx = load_json(out)
+        np.testing.assert_allclose(cx.edge_lengths, (2e-300 - 1e-300) / 5, rtol=1e-15)
+        assert cx.lattice == (6,)
+        for source in (("--interval", "4", "--a", "1e-300", "--b", "2e-300"),
+                       ("--mesh", str(out))):
+            assert run("frac-deriv", *source, "--family", "power",
+                       "-o", str(deriv)) == 0
 
 
 class TestFracDeriv:
@@ -607,3 +624,43 @@ class TestNumericOptions:
         want = _EXPECTED_EXIT.get((base[0], option, value))
         if want is not None:
             assert code == want, err
+
+
+# Runs CLI commands in one fresh interpreter and prints, after the import
+# and after each command, its exit code and the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+from fracdec.cli import main
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+report = [["import fracdec", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    report.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def test_generator_meshes_load_no_scipy(tmp_path):
+    # scipy is needed for meshes that are not lattice meshes and for the
+    # L2 fallback only; the generator-mesh commands run on numpy alone.
+    commands = [
+        ["gen-mesh", "interval", "--edges", "8", "-o", "m.json"],
+        ["gen-mesh", "square", "--n", "4", "-o", "m.off"],
+        ["frac-deriv", "--interval", "16", "--family", "power", "-o", "a.csv"],
+        ["frac-deriv", "--square", "4", "--family", "saddle_2d", "-o", "b.csv"],
+        ["frac-deriv", "--mesh", "m.off", "--family", "saddle_2d", "-o", "c.csv"],
+        ["frac-deriv", "--mesh", "m.json", "--family", "exp_x", "--sidedness", "left",
+         "-o", "d.csv"],
+        ["oracle-sample", "--family", "exp_x", "--points", "9", "-o", "e.csv"],
+        ["oracle-sample", "--family", "saddle_2d", "--points", "5", "-o", "f.csv"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracdec.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert len(report) == len(commands) + 1
+    for step, code, loaded in report:
+        assert (step, code, loaded) == (step, 0, [])

@@ -7,7 +7,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from fracdec import (
     Cochain,
@@ -25,6 +24,8 @@ from fracdec import (
     save_off,
 )
 from fracdec.mesh import apply_coboundary
+
+from conftest import dense_coboundary, nonuniform_interval_mesh, perturbed_square_mesh
 
 
 class TestGenerators:
@@ -48,6 +49,18 @@ class TestGenerators:
                 vertex_coords=np.array([[0.0, 0.0], [3e200, -4e200], [3e200, -3e200]]))
         np.testing.assert_array_equal(cx.edge_lengths, np.diff(cx.vertex_coords[:, 0]))
         np.testing.assert_allclose(tilted.edge_lengths, [5e200, 1e200], rtol=1e-15)
+
+    def test_short_edges_do_not_underflow(self):
+        # The squared differences of these edges are subnormal or zero.
+        with np.errstate(under="raise"):
+            cx = generate_interval_mesh(1e-300, 2e-300, 5)
+            tilted = SimplicialComplex.from_simplices(
+                1, [(0, 1), (1, 2)],
+                vertex_coords=np.array([[0.0, 0.0], [3e-200, -4e-200], [3e-200, -3e-200]]))
+        np.testing.assert_array_equal(cx.edge_lengths, np.diff(cx.vertex_coords[:, 0]))
+        np.testing.assert_allclose(cx.edge_lengths, 2e-301, rtol=1e-15)
+        np.testing.assert_allclose(tilted.edge_lengths, [5e-200, 1e-200], rtol=1e-15)
+        assert cx.lattice == (6,)
 
     def test_edge_lengths_are_the_plain_norm(self, oracle_mesh):
         # Where the plain norm is finite, the lengths are it, bit for bit.
@@ -391,20 +404,6 @@ class TestValidation:
                                              vertex_coords=[[0, 0], [1, 0]])
 
 
-def oracle_coboundary(complex_, p):
-    """The original dict-lookup loop, as the coboundary oracle."""
-    face_index = {tuple(row): i for i, row in enumerate(complex_.simplices[p])}
-    rows, cols, vals = [], [], []
-    for r, simplex in enumerate(complex_.simplices[p + 1]):
-        s = tuple(simplex)
-        for k in range(p + 2):
-            rows.append(r)
-            cols.append(face_index[s[:k] + s[k + 1:]])
-            vals.append((-1) ** k)
-    shape = (complex_.n_simplices(p + 1), complex_.n_simplices(p))
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64)
-
-
 class TestLocate:
     def test_every_simplex_finds_its_row(self, oracle_mesh):
         for p in range(oracle_mesh.dimension + 1):
@@ -443,36 +442,62 @@ class TestLocate:
             cx.locate(1, [[0, 1], row])
 
 
+def _as_array(d):
+    """Every entry of a Coboundary, as d @ the identity."""
+    return d @ np.eye(d.shape[1], dtype=np.int64)
+
+
 class TestCoboundary:
     def test_matches_dict_loop(self, oracle_mesh):
         for p in range(oracle_mesh.dimension):
             got = build_coboundary(oracle_mesh, p)
-            want = oracle_coboundary(oracle_mesh, p)
+            want = dense_coboundary(oracle_mesh, p)
+            assert got.shape == want.shape and got.nnz == want.nnz
+            got = _as_array(got)
             assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got.indptr, want.indptr)
-            np.testing.assert_array_equal(got.indices, want.indices)
-            np.testing.assert_array_equal(got.data, want.data)
+            np.testing.assert_array_equal(got, want.toarray())
 
     def test_d0_path_graph(self):
         cx = generate_interval_mesh(0.0, 1.0, 3)
-        d0 = build_coboundary(cx, 0).toarray()
         expected = np.array([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]])
         # Edge (i, i+1): +1 on the face omitting the smaller vertex (k=0).
-        np.testing.assert_array_equal(d0, expected)
+        np.testing.assert_array_equal(dense_coboundary(cx, 0).toarray(), expected)
+        np.testing.assert_array_equal(_as_array(build_coboundary(cx, 0)), expected)
 
     def test_row_structure(self):
         cx = generate_unit_square_mesh(3)
         for p in (0, 1):
-            d = build_coboundary(cx, p)
-            arr = d.toarray()
+            arr = dense_coboundary(cx, p).toarray()
+            np.testing.assert_array_equal(_as_array(build_coboundary(cx, p)), arr)
             assert set(np.unique(arr)) <= {-1, 0, 1}
             assert np.all((arr != 0).sum(axis=1) == p + 2)
 
     def test_dd_zero(self):
         cx = generate_unit_square_mesh(4)
-        d0 = build_coboundary(cx, 0)
-        d1 = build_coboundary(cx, 1)
-        assert (d1 @ d0).nnz == 0 or not np.any((d1 @ d0).toarray())
+        d0, d1 = (dense_coboundary(cx, p) for p in (0, 1))
+        assert (d1 @ d0).count_nonzero() == 0
+        d0, d1 = (build_coboundary(cx, p) for p in (0, 1))
+        assert not np.any(d1 @ _as_array(d0))
+
+    def test_product_matches_csr_bitwise(self):
+        # Sums run from 0.0 in the CSR's column order: signed zeros,
+        # 1e+-300 and subnormals come out bit for bit, on the conftest
+        # meshes and on generator meshes.
+        rng = np.random.default_rng(8)
+        special = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+                            5e-324, -5e-324, 1.0, -3.5])
+        meshes = [perturbed_square_mesh(3, seed=3), perturbed_square_mesh(8, seed=8),
+                  nonuniform_interval_mesh(40, seed=2),
+                  generate_interval_mesh(-2.0, 7.0, 9), generate_unit_square_mesh(5)]
+        for cx in meshes:
+            for p in range(cx.dimension):
+                d, want = build_coboundary(cx, p), dense_coboundary(cx, p)
+                n = cx.n_simplices(p)
+                for v in (rng.choice(special, n), np.full(n, -0.0),
+                          rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)):
+                    got, want_v = d @ v, want @ v
+                    assert got.dtype == want_v.dtype == np.float64
+                    assert hashlib.sha256(got).digest() == hashlib.sha256(want_v).digest()
 
     def test_degree_out_of_range(self):
         cx = generate_interval_mesh(0.0, 1.0, 4)

@@ -1,5 +1,6 @@
 """Distance tables: shortest paths, boundary offsets, simplex distances."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -205,7 +206,62 @@ class TestSimplexDistances:
             simplex_distance(cx, 1, "euclidean")
 
 
+_LATTICE_MESHES = [
+    *(generate_unit_square_mesh(n) for n in (1, 2, 7, 64)),
+    *(generate_interval_mesh(a, b, n) for a, b, n in (
+        (1e-300, 2e-300, 5), (-1e300, 1e300, 7), (1e-300, 1e300, 64),
+        (-3.0, 1e-300, 9), (0.0, 1.0, 64)))]
+
+
+class TestLatticeDistances:
+    """Closed-form vertex distances of generator meshes, against Dijkstra."""
+
+    @pytest.mark.parametrize("cx", _LATTICE_MESHES, ids=lambda cx: str(cx.lattice))
+    def test_closed_form_matches_dijkstra(self, cx):
+        n = cx.n_simplices(0)
+        sources = np.unique(np.r_[np.arange(0, n, 1 + n // 100), n - 1])
+        want = metric._vertex_distance(cx, sources)
+        got = metric._lattice_vertex_distance(cx, sources)
+        np.testing.assert_array_equal(got == 0, want == 0)
+        np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
+
+    def test_slabs_need_no_dijkstra(self, monkeypatch):
+        meshes = (generate_unit_square_mesh(5), generate_interval_mesh(-1.0, 2.0, 12))
+        cases = [(cx, p, simplex_distance(cx, p).entries)
+                 for cx in meshes for p in range(cx.dimension + 1)]
+        monkeypatch.setattr(metric, "_vertex_distance", None)
+        for cx, p, whole in cases:
+            rows = np.array([len(whole) - 1, 0, len(whole) // 2])
+            slab = simplex_distance(cx, p, rows=rows).entries
+            np.testing.assert_array_equal(slab[np.arange(3), rows], 0.0)
+            np.testing.assert_allclose(slab, whole[rows], rtol=4e-15)
+
+
 class TestSimplexDistanceOracles:
+    @pytest.mark.parametrize("blocks", [100, metric._BLOCK_ENTRIES])
+    def test_euclidean_is_cdist(self, oracle_mesh, monkeypatch, blocks):
+        # The per-axis sum in row blocks is cdist's table, sha256 for sha256.
+        from scipy.spatial.distance import cdist
+        monkeypatch.setattr(metric, "_BLOCK_ENTRIES", blocks)
+        for cx in (oracle_mesh, generate_unit_square_mesh(9),
+                   generate_interval_mesh(-2.0, 5.0, 33)):
+            for p in range(cx.dimension + 1):
+                b = barycenters(cx, p)
+                rows = np.arange(len(b))[::-3]
+                for picked, d in ((slice(None), simplex_distance(cx, p, "euclidean")),
+                                  (rows, simplex_distance(cx, p, "euclidean", rows=rows))):
+                    want = cdist(b[picked], b)
+                    assert hashlib.sha256(d.entries).digest() == \
+                        hashlib.sha256(want).digest()
+
+    def test_euclidean_1d_keeps_tiny_and_huge_gaps(self):
+        # |d| in 1D, where the square of d would underflow or overflow.
+        for a, b in ((1e-300, 2e-300), (-1e300, 1e300)):
+            cx = generate_interval_mesh(a, b, 4)
+            x = barycenters(cx, 1)[:, 0]
+            np.testing.assert_array_equal(simplex_distance(cx, 1, "euclidean").entries,
+                                          np.abs(x[:, None] - x[None, :]))
+
     def test_euclidean_bit_identical(self, oracle_mesh):
         for p in range(oracle_mesh.dimension + 1):
             d = simplex_distance(oracle_mesh, p, "euclidean").entries

@@ -12,15 +12,16 @@ from fracdec import (
     GeometryError,
     MeshError,
     SimplicialComplex,
-    build_coboundary,
     build_frac_derivative,
     generate_interval_mesh,
     generate_unit_square_mesh,
 )
 from fracdec import metric
 from fracdec.metric import DistanceTable, simplex_distance
-from fracdec.operator import _weight_rows
+from fracdec.operator import _fast_len, _weight_rows
 from fracdec.special import gamma
+
+from conftest import dense_coboundary
 
 
 def oracle_weights(d, config):
@@ -175,7 +176,7 @@ class TestFracDerivative:
             op = build_frac_derivative(cx, p, FracConfig(s=1.0))
             v = rng.normal(size=cx.n_simplices(p))
             got = op.apply(Cochain(p, v)).values
-            want = build_coboundary(cx, p) @ v
+            want = dense_coboundary(cx, p) @ v
             assert np.array_equal(got, want)
 
     def test_linearity(self):
@@ -235,7 +236,7 @@ class TestOracleAssembly:
                                  right_sign):
         cx = oracle_interval_mesh
         x = metric.barycenters(cx, 1)[:, 0]
-        d0 = build_coboundary(cx, 0)
+        d0 = dense_coboundary(cx, 0)
         rng = np.random.default_rng(5)
         v = rng.normal(size=cx.n_simplices(0))
         for s in (0.3, 0.5, 0.7):
@@ -401,7 +402,7 @@ class TestLatticeBackend:
             assert op.weights is None
             v = np.random.default_rng(1).normal(size=cx.n_simplices(p))
             assert np.array_equal(op.apply(Cochain(p, v)).values,
-                                  build_coboundary(cx, p) @ v)
+                                  dense_coboundary(cx, p) @ v)
 
     def test_constants_annihilate_exactly(self):
         for cx, cfg in ((generate_interval_mesh(0, 1, 37),
@@ -432,6 +433,12 @@ class TestLatticeBackend:
         assert np.all(np.isfinite(fast))
         np.testing.assert_allclose(fast, dense, rtol=0,
                                    atol=1e-13 * np.abs(dense).max())
+
+
+def test_fast_len_is_scipys():
+    from scipy.fft import next_fast_len
+    assert [_fast_len(n) for n in range(1, 5001)] == \
+        [next_fast_len(n, real=True) for n in range(1, 5001)]
 
 
 class TestDenseMemoryGuard:

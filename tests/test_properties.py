@@ -14,7 +14,6 @@ from fracdec import (
     FracConfig,
     MeshError,
     SimplicialComplex,
-    build_coboundary,
     build_frac_derivative,
     generate_interval_mesh,
     generate_unit_square_mesh,
@@ -23,6 +22,9 @@ from fracdec import (
     save_json,
     save_off,
 )
+from fracdec.operator import _LatticeWeights, _weight_rows
+
+from conftest import dense_coboundary
 from test_mesh import assert_oracle_tables
 
 PROPERTY = settings(max_examples=12, derandomize=True, deadline=None)
@@ -56,19 +58,32 @@ def square_meshes(draw):
 
 
 @st.composite
-def operator_cases(draw):
-    """(complex, p, config) over both dimensions and every allowed pair."""
+def generator_meshes(draw, max_edges=24, max_cells=4):
+    """A mesh from one of the two generators, so a lattice mesh: an
+    interval whose ends and length run from 1e-300 to 1e300 in
+    magnitude, or the unit square."""
     if draw(st.booleans()):
-        cx, p = draw(interval_meshes()), 0
-        sidedness, right_sign = draw(st.sampled_from(PAIRS_1D))
-    else:
-        cx, p = draw(square_meshes()), draw(st.integers(0, 1))
-        sidedness, right_sign = "two_sided", "plus"
-    config = FracConfig(s=draw(ORDERS), sidedness=sidedness,
-                        right_sign=right_sign,
-                        distance_mode=draw(st.sampled_from(["geodesic",
-                                                            "euclidean"])))
-    return cx, p, config
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        a = draw(st.floats(-2.0, 2.0)) * scale
+        width = draw(st.floats(0.01, 2.0)) * scale
+        return generate_interval_mesh(a, a + width, draw(st.integers(2, max_edges)))
+    return generate_unit_square_mesh(draw(st.integers(1, max_cells)))
+
+
+def _config(draw, cx, s, c_s=None):
+    """A FracConfig for cx: any allowed side pair in 1D, either mode."""
+    pair = draw(st.sampled_from(PAIRS_1D)) if cx.dimension == 1 else PAIRS_1D[0]
+    return FracConfig(s=s, c_s=c_s, sidedness=pair[0], right_sign=pair[1],
+                      distance_mode=draw(st.sampled_from(["geodesic", "euclidean"])))
+
+
+@st.composite
+def operator_cases(draw):
+    """(complex, p, config) over both dimensions, every allowed pair,
+    and both backends: random meshes are dense, generator meshes FFT."""
+    cx = draw(st.one_of(interval_meshes(), square_meshes(), generator_meshes()))
+    p = draw(st.integers(0, cx.dimension - 1))
+    return cx, p, _config(draw, cx, draw(ORDERS))
 
 
 def _values(draw, n):
@@ -109,14 +124,29 @@ def test_integer_order_is_plain_coboundary(data):
     assert op.weights is None
     v = _values(data.draw, cx.n_simplices(p))
     assert np.array_equal(op.apply(Cochain(p, v)).values,
-                          build_coboundary(cx, p) @ v)
+                          dense_coboundary(cx, p) @ v)
+
+
+@PROPERTY
+@given(st.data())
+def test_fft_path_matches_dense(data):
+    cx = data.draw(generator_meshes(max_edges=300, max_cells=16))
+    p = data.draw(st.integers(0, cx.dimension - 1))
+    config = _config(data.draw, cx, data.draw(st.floats(0.05, 0.95)),
+                     data.draw(st.one_of(st.none(), st.floats(0.01, 100.0))))
+    op = build_frac_derivative(cx, p, config)
+    assert isinstance(op.weights, _LatticeWeights)
+    v = _values(data.draw, cx.n_simplices(p))
+    want = op.scale * (_weight_rows(cx, p, config) @ (dense_coboundary(cx, p) @ v))
+    np.testing.assert_allclose(op.apply(Cochain(p, v)).values, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 @PROPERTY
 @given(square_meshes(), st.data())
 def test_d1_d0_is_zero(cx, data):
     d0, d1 = (build_frac_derivative(cx, p, FracConfig(s=1.0)) for p in (0, 1))
-    assert (d1.coboundary @ d0.coboundary).count_nonzero() == 0
+    assert (dense_coboundary(cx, 1) @ dense_coboundary(cx, 0)).count_nonzero() == 0
     # Integer values keep every difference exact.
     v = data.draw(arrays(np.int64, cx.n_simplices(0),
                          elements=st.integers(-1000, 1000)))

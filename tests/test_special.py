@@ -1,5 +1,6 @@
 """Gamma and Mittag-Leffler function tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -108,6 +109,20 @@ class TestMittagLeffler:
         # The series once returned -1.08e-7 for e^-20 and 44.7 for e^-40.
         with pytest.raises(SeriesConvergenceError, match="at z = -[124]0"):
             mittag_leffler(1.0, 1.0, z)
+
+    def test_coefficients_match_scipy_rgamma(self):
+        # 1 / math.gamma(a k + b), 0 once Gamma overflows, is rgamma to
+        # 4e-15 relative; below 1e-290, where the reciprocal is subnormal,
+        # to 1e-300 absolute.
+        from scipy.special import rgamma
+        grid = np.linspace(0.05, 2.0, 25)
+        for a, b in itertools.product(grid, grid):
+            x = a * np.arange(special.MAX_TERMS) + b
+            got = np.array([special._rgamma(v) for v in x])
+            want = rgamma(x)
+            big = want > 1e-290
+            np.testing.assert_allclose(got[big], want[big], rtol=4e-15, atol=0)
+            np.testing.assert_allclose(got[~big], want[~big], rtol=0, atol=1e-300)
 
     def test_negative_z_guard_costs_nothing_at_nonnegative_z(self, monkeypatch):
         passes = []
