@@ -24,6 +24,8 @@ _L2_QUAD_TOL = 1e-10
 _L2_QUAD_RTOL = 1e-10
 # Local vertex pairs of a triangle's edges, in edge_values column order.
 _TRIANGLE_EDGES = np.array([(0, 1), (0, 2), (1, 2)])
+# A triangle whose corner sine is below this is degenerate.
+_DEGENERATE_SINE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,7 @@ class WhitneyField:
     corners: np.ndarray        # (T, 3, 2) vertex coordinates
     gradients: np.ndarray      # (T, 3, 2) barycentric gradients
     edge_values: np.ndarray    # (T, 3) cochain values on edges (01, 02, 12)
+    edges: np.ndarray          # (T, 3) rows of those edges in the edge table
 
     def evaluate(self, tri_index, point):
         """Field value at points inside the given triangles.
@@ -172,23 +175,34 @@ class WhitneyField:
         matching (2,) point or (..., 2) array; one vector per point.
         """
         tri = np.asarray(tri_index)
-        corners = self.corners[tri]
-        grads = self.gradients[tri]
-        # Barycentric coordinates of the points.
-        mat = np.stack([corners[..., 1, :] - corners[..., 0, :],
-                        corners[..., 2, :] - corners[..., 0, :]], axis=-1)
-        rhs = np.asarray(point, dtype=float) - corners[..., 0, :]
-        ab = np.linalg.solve(mat, rhs[..., None])[..., 0]
-        lam = np.stack([1.0 - ab.sum(axis=-1), ab[..., 0], ab[..., 1]], axis=-1)
-        vec = np.zeros(rhs.shape)
-        for k, (i, j) in enumerate(_TRIANGLE_EDGES):
-            vec += self.edge_values[tri, k, None] * (
-                lam[..., i, None] * grads[..., j, :] - lam[..., j, None] * grads[..., i, :])
-        return vec
+        # np.take gathers whole rows, much faster than fancy indexing.
+        grads = np.take(self.gradients, tri, axis=0)
+        c01, c02, c12 = np.moveaxis(np.take(self.edge_values, tri, axis=0), -1, 0)
+        # Barycentric coordinates: lambda_k = grad lambda_k . (x - c_0)
+        # for k = 1, 2, and lambda_0 = 1 - lambda_1 - lambda_2.
+        origin = np.take(self.corners[:, 0], tri, axis=0)
+        x, y = np.moveaxis(np.asarray(point, dtype=float) - origin, -1, 0)
+        lam1 = grads[..., 1, 0] * x + grads[..., 1, 1] * y
+        lam2 = grads[..., 2, 0] * x + grads[..., 2, 1] * y
+        lam0 = 1.0 - (lam1 + lam2)
+        # sum_e c_e (lambda_i grad lambda_j - lambda_j grad lambda_i),
+        # gathered by vertex: the coefficient of grad lambda_v.
+        coef = (-c01 * lam1 - c02 * lam2,
+                c01 * lam0 - c12 * lam2,
+                c02 * lam0 + c12 * lam1)
+        return (coef[0][..., None] * grads[..., 0, :]
+                + coef[1][..., None] * grads[..., 1, :]
+                + coef[2][..., None] * grads[..., 2, :])
 
 
 def whitney_reconstruct(complex_, cochain):
-    """Build the Whitney interpolant of a 1-cochain on a triangle mesh."""
+    """Build the Whitney interpolant of a 1-cochain on a triangle mesh.
+
+    A triangle is degenerate, and raises GeometryError, when the sine
+    of its angle at its first vertex is below 1e-14: |det| of its two
+    edge vectors from that vertex against the product of their lengths,
+    which holds at any scale.
+    """
     if complex_.dimension != 2 or complex_.vertex_coords is None:
         raise MeshError("Whitney reconstruction needs an embedded triangle mesh")
     if cochain.degree != 1:
@@ -198,17 +212,18 @@ def whitney_reconstruct(complex_, cochain):
                           f"{complex_.n_simplices(1)} edges")
     coords = complex_.vertex_coords
     tris = complex_.simplices[2]
-    corners = coords[tris]
+    corners = np.take(coords, tris, axis=0)
     t_mat = np.stack([corners[:, 1] - corners[:, 0],
                       corners[:, 2] - corners[:, 0]], axis=2)
     det = t_mat[:, 0, 0] * t_mat[:, 1, 1] - t_mat[:, 0, 1] * t_mat[:, 1, 0]
-    if np.any(np.abs(det) < 1e-14):
+    spans = np.hypot(t_mat[:, 0], t_mat[:, 1])
+    if np.any(np.abs(det) < _DEGENERATE_SINE * spans[:, 0] * spans[:, 1]):
         raise GeometryError("degenerate (zero-area) triangle")
     inv = np.linalg.inv(t_mat)
     g1, g2 = inv[:, 0], inv[:, 1]        # rows of T^{-1} are grad lambda_1,2
     grads = np.stack([-g1 - g2, g1, g2], axis=1)
     edges = complex_.locate(1, tris[:, _TRIANGLE_EDGES])
-    return WhitneyField(tris.copy(), corners, grads, cochain.values[edges])
+    return WhitneyField(tris.copy(), corners, grads, cochain.values[edges], edges)
 
 
 def eval_at_barycenters(field, complex_):
@@ -229,16 +244,27 @@ def edge_integrals(field, complex_):
 
     The field is affine on each edge, so the midpoint value times the
     edge vector is exact.  Each edge is integrated in the first triangle
-    (in table order) that contains it.  Used to verify the Whitney
+    (in table order) that contains it, found through the edge rows the
+    field stored when it was lifted; MeshError if those are not the
+    rows of the same edges in this complex.  Used to verify the Whitney
     duality property.
     """
-    # Row 3t + k holds the ends of edge k of triangle t.
+    # Row 3t + k holds the ends of edge k of triangle t, which the
+    # field keeps as row edges[t, k] of its complex's edge table.
     ends = field.triangles[:, _TRIANGLE_EDGES].reshape(-1, 2)
-    edges, first = np.unique(complex_.locate(1, ends), return_index=True)
-    a = complex_.vertex_coords[ends[first, 0]]
-    b = complex_.vertex_coords[ends[first, 1]]
+    rows = field.edges.reshape(-1)
+    table = complex_.simplices[1]
+    if len(rows) and not (0 <= rows.min() and rows.max() < len(table) and
+                          np.array_equal(np.take(table, rows, axis=0), ends)):
+        raise MeshError("the field was not lifted on this complex")
+    # first[e] is the first row holding edge e, len(rows) if none does.
+    first = np.full(len(table), len(rows))
+    np.minimum.at(first, rows, np.arange(len(rows)))
+    edges = np.flatnonzero(first < len(rows))
+    first = first[edges]
+    a, b = np.moveaxis(np.take(complex_.vertex_coords, ends[first], axis=0), 1, 0)
     vec = field.evaluate(first // 3, (a + b) / 2.0)
-    out = np.zeros(complex_.n_simplices(1))
+    out = np.zeros(len(table))
     out[edges] = (vec * (b - a)).sum(axis=1)
     return out
 

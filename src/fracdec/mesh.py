@@ -28,8 +28,10 @@ _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 def _facets(table):
     """The (n, q+1, q) facets of an (n, q+1) simplex table: row r, slot k
     is simplex r without its vertex k (still increasing)."""
-    return np.stack([np.delete(table, k, axis=1) for k in range(table.shape[1])],
-                    axis=1)
+    width = table.shape[1]
+    # Row k of the column table is 0, 1, ..., width - 1 without k.
+    cols = np.arange(width - 1)
+    return table[:, cols + (cols >= np.arange(width)[:, None])]
 
 
 def _keys(rows, base):
@@ -40,9 +42,16 @@ def _keys(rows, base):
     q = rows.shape[-1]
     if int(base) ** q >= 2 ** 63:
         raise MeshError(f"too many vertices to index degree-{q - 1} simplices")
-    place = base ** np.arange(q - 1, -1, -1, dtype=np.int64)
-    in_range = np.all((rows >= 0) & (rows < base), axis=-1)
-    return np.where(in_range, rows @ place, -1)
+    # Horner over the columns; as unsigned, a negative entry is >= base.
+    unsigned = rows.view(np.uint64)
+    keys = rows[..., 0].copy()
+    out_of_range = unsigned[..., 0] >= base
+    for k in range(1, q):
+        keys *= base
+        keys += rows[..., k]
+        out_of_range |= unsigned[..., k] >= base
+    keys[out_of_range] = -1
+    return keys
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,8 @@ class SimplicialComplex:
         return lattice
 
     def _euclidean_edge_lengths(self):
-        edges = self.simplices[1]
-        diff = self.vertex_coords[edges[:, 1]] - self.vertex_coords[edges[:, 0]]
+        ends = np.take(self.vertex_coords, self.simplices[1], axis=0)
+        diff = ends[:, 1] - ends[:, 0]
         # Only edges whose squared length overflows (above ~1e154) or is
         # subnormal (below ~1e-154) are rescaled by their largest component.
         with np.errstate(over="ignore", under="ignore"):

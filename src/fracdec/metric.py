@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConnectivityError, GeometryError, MeshError
+from .mesh import _SQRT_TINY
 
 DISTANCE_MODES = ("geodesic", "euclidean")
 # Distance tables are built in row blocks of about this many entries,
@@ -138,6 +139,18 @@ def boundary_offsets(complex_, p):
     raise ConfigError(f"boundary offsets not defined for degree {p}")
 
 
+def _rescale_euclidean(block, here, b):
+    """Redo, in place, the entries of a block of Euclidean distances
+    (rows from the points here to the points b) whose sum of squares
+    overflowed or underflowed, scaling each by its largest gap."""
+    i, j = np.nonzero(~((block >= _SQRT_TINY) & (block < np.inf)))
+    gaps = here[i] - b[j]
+    scale = np.abs(gaps).max(axis=1)
+    redo = (scale > 0) & (scale < np.inf)
+    i, j, gaps, scale = i[redo], j[redo], gaps[redo], scale[redo]
+    block[i, j] = scale * np.linalg.norm(gaps / scale[:, None], axis=1)
+
+
 def simplex_distance(complex_, p, mode="geodesic", rows=None):
     """Distance table between the p-simplices, or rows of it.
 
@@ -158,9 +171,10 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
         b = barycenters(complex_, p)
         entries = np.empty((len(picked), len(simp)))
         # Squares summed axis by axis in row blocks, as cdist sums them,
-        # so the table is cdist's bit for bit, with its silent over- and
-        # underflow of the squares in 2D.  In 1D it is |d|, which is
-        # sqrt(d * d) wherever d * d neither overflows nor underflows.
+        # so the table is cdist's bit for bit unless a sum over- or
+        # underflows.  A block holding an inf, or besides each row's own
+        # 0 a distance below sqrt(tiny), has those entries redone, each
+        # scaled by its largest gap.  In 1D the table is |d|.
         with np.errstate(over="ignore", under="ignore"):
             for start in range(0, len(picked), step):
                 block = entries[start:start + step]
@@ -174,6 +188,9 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
                     d = here[:, axis, None] - b[None, :, axis]
                     block += d * d
                 np.sqrt(block, out=block)
+                if np.count_nonzero(block < _SQRT_TINY) > len(block) \
+                        or block.max(initial=0.0) == np.inf:
+                    _rescale_euclidean(block, here, b)
         return DistanceTable(p=p, mode=mode, entries=entries)
 
     if rows is None:

@@ -167,29 +167,45 @@ class _LatticeWeights:
         negated upper part.
         """
         simp = complex_.simplices[p + 1]
-        coords = np.stack(np.unravel_index(simp, complex_.lattice), axis=-1)
-        cells = coords[:, 0]
+        lattice = complex_.lattice
+        # Per-axis lattice coordinates of every vertex, from a flat index
+        # array (numpy 2.4's unravel_index mis-reads long (n, 1) arrays).
+        coords = [c.reshape(simp.shape)
+                  for c in np.unravel_index(simp.reshape(-1), lattice)]
+        cells = [np.ascontiguousarray(c[:, 0]) for c in coords]
         # Offsets lie in (-m, m) on an axis of m points; shifted by m - 1
         # they are the digits of the class key.
-        reach = max(complex_.lattice) - 1
-        offsets = (coords[:, 1:] - cells[:, None] + reach).reshape(len(simp), -1)
+        reach = max(lattice) - 1
+        offsets = np.stack([c[:, 1:] - c[:, :1] for c in coords], axis=-1)
+        offsets = offsets.reshape(len(simp), -1) + reach
         _, kind = np.unique(mesh._keys(offsets, 2 * reach + 1), return_inverse=True)
         kinds = kind.max() + 1
-        grid = tuple(_fast_len(2 * m - 1) for m in complex_.lattice)
+        grid = tuple(_fast_len(2 * m - 1) for m in lattice)
         size = math.prod(grid)
-        slots = kind * size + np.ravel_multi_index(cells.T, grid)
+        flat = np.ravel_multi_index(cells, grid)
+        slots = kind * size + flat
         index = np.empty(kinds * size, dtype=np.int64)
         index[slots] = np.arange(len(simp))
-        corners = []
-        for k in range(kinds):
-            box = cells[kind == k]
-            for corner in itertools.product(*zip(box.min(axis=0), box.max(axis=0))):
-                corners.append(k * size + np.ravel_multi_index(corner, grid))
-        rows = np.unique(index[corners])
+        # box[0] and box[1] hold each class's lowest and highest cell
+        # coordinate per axis; its corners pick one of them on each axis.
+        dims = len(grid)
+        box = np.stack([np.full((dims, kinds), size),
+                        np.zeros((dims, kinds), dtype=np.int64)])
+        for axis, c in enumerate(cells):
+            np.minimum.at(box[0, axis], kind, c)
+            np.maximum.at(box[1, axis], kind, c)
+        corners = [np.ravel_multi_index(box[list(pick), range(dims)], grid)
+                   for pick in itertools.product((0, 1), repeat=dims)]
+        rows = np.unique(index[np.arange(kinds) * size + np.array(corners)])
         w = _weight_rows(complex_, p, config, rows)
-        lag = np.zeros(w.shape, dtype=np.int64)
+        # The lag on each axis is the cell difference modulo its grid
+        # length, so a negative difference gains one length; in flat
+        # positions that is one axis stride times the length.
+        lag = flat[rows, None] - flat[None, :]
+        stride = size
         for axis, n in enumerate(grid):
-            lag = lag * n + (cells[rows, None, axis] - cells[None, :, axis]) % n
+            stride //= n
+            np.add(lag, n * stride, out=lag, where=cells[axis] > cells[axis][rows, None])
         pair = kind[rows, None] * kinds + kind[None, :]
         # The symbols are kept over 2^exponent, which brings the largest
         # weight into [0.5, 1) exactly, so the transform cannot overflow

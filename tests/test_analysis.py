@@ -10,7 +10,9 @@ from fracdec import (
     Cochain,
     ConfigError,
     FracConfig,
+    GeometryError,
     MeshError,
+    SimplicialComplex,
     build_coboundary,
     convergence_study,
     field_experiment_2d,
@@ -291,6 +293,43 @@ class TestWhitney:
         cx = generate_unit_square_mesh(2)
         with pytest.raises(ConfigError):
             whitney_reconstruct(cx, Cochain(1, np.zeros(cx.n_simplices(1) - 1)))
+
+    def test_degenerate_check_is_scale_free(self):
+        # A small square is a good mesh; its gradients scale as 1 / h.
+        base = generate_unit_square_mesh(4)
+        rng = np.random.default_rng(3)
+        c = Cochain(1, rng.normal(size=base.n_simplices(1)))
+        for scale in (1e-7, 1e7):
+            cx = SimplicialComplex.from_simplices(
+                2, base.simplices[2], vertex_coords=base.vertex_coords * scale)
+            field = whitney_reconstruct(cx, c)
+            np.testing.assert_allclose(
+                field.gradients * scale, whitney_reconstruct(base, c).gradients,
+                rtol=1e-12)
+            np.testing.assert_allclose(edge_integrals(field, cx), c.values,
+                                       atol=1e-12)
+        # A sliver whose corner sine is 2e-17 is degenerate at any size,
+        # although its area, 0.05, is large.
+        sliver = SimplicialComplex.from_simplices(
+            2, [(0, 1, 2)], vertex_coords=[[0.0, 0.0], [1e8, 0.0], [5e7, 1e-9]])
+        with pytest.raises(GeometryError, match="degenerate"):
+            whitney_reconstruct(sliver, Cochain(1, np.zeros(3)))
+
+    def test_edge_integrals_need_the_lifting_complex(self):
+        # Each edge is found through the rows stored at lift time, which
+        # must be those of the complex given.  The same mesh with the
+        # other diagonal has as many edges, yet other ones.
+        cx = generate_unit_square_mesh(3)
+        field = whitney_reconstruct(cx, Cochain(1, np.ones(cx.n_simplices(1))))
+        cells = [j * 4 + i for j in range(3) for i in range(3)]
+        flipped = SimplicialComplex.from_simplices(
+            2, [t for v in cells for t in ((v, v + 1, v + 4), (v + 1, v + 4, v + 5))],
+            vertex_coords=cx.vertex_coords)
+        assert flipped.n_simplices(1) == cx.n_simplices(1)
+        for other in (generate_unit_square_mesh(2), generate_unit_square_mesh(4),
+                      flipped):
+            with pytest.raises(MeshError):
+                edge_integrals(field, other)
 
 
 class TestWhitneyOracles:

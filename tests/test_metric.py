@@ -9,10 +9,12 @@ import pytest
 from fracdec import (
     ConfigError,
     ConnectivityError,
+    FracConfig,
     GeometryError,
     MeshError,
     SimplicialComplex,
     barycenters,
+    build_frac_derivative,
     generate_interval_mesh,
     generate_unit_square_mesh,
 )
@@ -23,6 +25,8 @@ from fracdec.metric import (
     boundary_offsets,
     simplex_distance,
 )
+
+from conftest import perturbed_square_mesh
 
 
 def _fake_vertex_distances(monkeypatch, entries):
@@ -261,6 +265,27 @@ class TestSimplexDistanceOracles:
             x = barycenters(cx, 1)[:, 0]
             np.testing.assert_array_equal(simplex_distance(cx, 1, "euclidean").entries,
                                           np.abs(x[:, None] - x[None, :]))
+
+    @pytest.mark.parametrize("blocks", [100, metric._BLOCK_ENTRIES])
+    def test_euclidean_2d_keeps_tiny_and_huge_gaps(self, monkeypatch, blocks):
+        # Far from unit scale the squared gaps under- or overflow; those
+        # entries are rescaled, so every table is the scaled unit table.
+        monkeypatch.setattr(metric, "_BLOCK_ENTRIES", blocks)
+        unit = perturbed_square_mesh(3, seed=3)
+        rows = np.array([5, 0, 15])
+        for scale in (1e-160, 1e-170, 1e160):
+            cx = SimplicialComplex.from_simplices(
+                2, unit.simplices[2], vertex_coords=unit.vertex_coords * scale)
+            for p in range(3):
+                want = scale * simplex_distance(unit, p, "euclidean").entries
+                got = simplex_distance(cx, p, "euclidean").entries
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(
+                    simplex_distance(cx, p, "euclidean", rows=rows).entries,
+                    want[rows], rtol=1e-14, atol=0)
+            op = build_frac_derivative(cx, 0, FracConfig(distance_mode="euclidean"))
+            off = ~np.eye(cx.n_simplices(1), dtype=bool)
+            assert np.all(np.isfinite(op.weights)) and np.all(op.weights[off] > 0)
 
     def test_euclidean_bit_identical(self, oracle_mesh):
         for p in range(oracle_mesh.dimension + 1):

@@ -1,6 +1,8 @@
 """Weight matrices and the fractional derivative operator."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from fracdec import (
 )
 from fracdec import metric
 from fracdec.metric import DistanceTable, simplex_distance
-from fracdec.operator import _fast_len, _weight_rows
+from fracdec.operator import _LatticeWeights, _fast_len, _weight_rows
 from fracdec.special import gamma
 
 from conftest import dense_coboundary
@@ -44,6 +46,42 @@ def oracle_left_mask(w, x):
 def oracle_signed(w, x):
     """The original right-sign product: a +-1 matrix times W."""
     return w * np.where(x[None, :] > x[:, None], -1.0, 1.0)
+
+
+def oracle_lattice_symbols(complex_, p, config):
+    """The original lattice build, as the (slots, symbols, exponent)
+    oracle: class keys by matmul, a box per class by boolean masks, and
+    lags by % on each axis of the (E, q, dims) vertex coordinates."""
+    simp = complex_.simplices[p + 1]
+    coords = np.stack(np.unravel_index(simp, complex_.lattice), axis=-1)
+    cells = coords[:, 0]
+    reach = max(complex_.lattice) - 1
+    offsets = (coords[:, 1:] - cells[:, None] + reach).reshape(len(simp), -1)
+    place = (2 * reach + 1) ** np.arange(offsets.shape[1] - 1, -1, -1)
+    _, kind = np.unique(offsets @ place, return_inverse=True)
+    kinds = kind.max() + 1
+    grid = tuple(_fast_len(2 * m - 1) for m in complex_.lattice)
+    size = math.prod(grid)
+    slots = kind * size + np.ravel_multi_index(cells.T, grid)
+    index = np.empty(kinds * size, dtype=np.int64)
+    index[slots] = np.arange(len(simp))
+    corners = []
+    for k in range(kinds):
+        box = cells[kind == k]
+        for corner in itertools.product(*zip(box.min(axis=0), box.max(axis=0))):
+            corners.append(k * size + np.ravel_multi_index(corner, grid))
+    rows = np.unique(index[corners])
+    w = _weight_rows(complex_, p, config, rows)
+    lag = np.zeros(w.shape, dtype=np.int64)
+    for axis, n in enumerate(grid):
+        lag = lag * n + (cells[rows, None, axis] - cells[None, :, axis]) % n
+    pair = kind[rows, None] * kinds + kind[None, :]
+    exponent = int(np.frexp(np.abs(w).max())[1])
+    table = np.zeros(kinds * kinds * size)
+    table[pair * size + lag] = np.ldexp(w, -exponent)
+    symbols = np.fft.rfftn(table.reshape(kinds, kinds, *grid),
+                           axes=tuple(range(2, 2 + len(grid))))
+    return slots, symbols, exponent
 
 
 def _fake_distances(monkeypatch, entries):
@@ -357,6 +395,25 @@ class TestLatticeBackend:
             cfg = FracConfig(s=s, c_s=None if s != 0.5 else 1.25,
                              distance_mode=mode)
             assert _relative_gap(cx, p, cfg) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    def test_build_is_the_modulo_lag_build(self, mode):
+        # Bit for bit: the same rows, lags, classes and so symbols.
+        cases = [(generate_interval_mesh(a, b, n), 0, FracConfig(
+                     s=s, sidedness=side, right_sign=sign, distance_mode=mode))
+                 for a, b, n in ((0.0, 1.0, 2), (-3.0, 5.0, 37), (0.0, 1.0, 300),
+                                 (0.0, 1.0, 10000))
+                 for s, (side, sign) in zip((0.2, 0.5, 0.8), _SIDES)]
+        cases += [(generate_unit_square_mesh(n), p, FracConfig(
+                      s=0.4, c_s=2.0 if p else None, distance_mode=mode))
+                  for n in (1, 2, 5, 16, 32, 70) for p in (0, 1)]
+        for cx, p, cfg in cases:
+            got = _LatticeWeights.build(cx, p, cfg)
+            slots, symbols, exponent = oracle_lattice_symbols(cx, p, cfg)
+            np.testing.assert_array_equal(got.slots, slots)
+            assert got.symbols.shape == symbols.shape
+            assert got.symbols.tobytes() == symbols.tobytes()
+            assert got.exponent == exponent
 
     def test_small_matrix_entrywise(self):
         # Every column of the FFT operator, against the dense matrix.

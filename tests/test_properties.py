@@ -22,6 +22,7 @@ from fracdec import (
     save_json,
     save_off,
 )
+from fracdec.mesh import _facets, _keys
 from fracdec.operator import _LatticeWeights, _weight_rows
 
 from conftest import dense_coboundary
@@ -216,3 +217,48 @@ def test_tables_kept_in_key_order(cx, data):
     shuffled = {**built.simplices, p: table[order]}
     with pytest.raises(MeshError, match=f"degree-{p} table must be sorted"):
         SimplicialComplex(cx.dimension, shuffled, vertex_coords=coords)
+
+
+def oracle_keys(rows, base):
+    """Row keys by the original matmul with the place values."""
+    rows = np.asarray(rows, dtype=np.int64)
+    place = base ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+    in_range = np.all((rows >= 0) & (rows < base), axis=-1)
+    return np.where(in_range, rows @ place, -1)
+
+
+def oracle_facets(table):
+    """Facet stack by the original np.delete of each column."""
+    return np.stack([np.delete(table, k, axis=1) for k in range(table.shape[1])],
+                    axis=1)
+
+
+@PROPERTY
+@given(st.data())
+def test_keys_and_facets_match_oracles(data):
+    # Rows of 1..4 vertices in base 1..2^15, a few entries off either
+    # end of [0, base), in one or two leading dimensions.
+    base = data.draw(st.integers(1, 2 ** 15))
+    q = data.draw(st.integers(1, 4))
+    shape = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=2))
+    entries = st.one_of(st.integers(0, base - 1), st.integers(-3, -1),
+                        st.integers(base, base + 3), st.sampled_from([-2 ** 62, 2 ** 62]))
+    rows = data.draw(arrays(np.int64, (*shape, q), elements=entries))
+    got = _keys(rows, base)
+    assert got.shape == rows.shape[:-1]
+    np.testing.assert_array_equal(got, oracle_keys(rows, base))
+    # Strided and single-row inputs key the same.
+    np.testing.assert_array_equal(_keys(rows[..., ::-1], base),
+                                  oracle_keys(rows[..., ::-1], base))
+    table = rows.reshape(-1, q)
+    if len(table):
+        assert _keys(table[0], base) == oracle_keys(table[0], base)
+    np.testing.assert_array_equal(_facets(table), oracle_facets(table))
+
+
+def test_keys_refuse_keys_past_int64():
+    # base^q must stay below 2^63, so every key fits in an int64.
+    with pytest.raises(MeshError, match="too many vertices"):
+        _keys(np.zeros((2, 3), dtype=np.int64), 2 ** 21)
+    base = 2 ** 21 - 1
+    assert _keys(np.array([[base - 1] * 3]), base).tolist() == [base ** 3 - 1]
