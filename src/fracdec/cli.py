@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, mesh, operator, oracles
+from . import _text, analysis, mesh, operator, oracles
 from .errors import AccuracyError, ConfigError, MeshError
 
 USAGE_ERROR, DATA_ERROR, ACCURACY_ERROR = 2, 3, 4
@@ -37,17 +37,20 @@ def _header(command, args, skip=("output", "func")):
     return "# config: " + json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _write_rows(path, header, columns, rows, fmt):
+def _write_rows(path, header, table, fmt):
+    """Write the header line and a table, given as a dict of named
+    columns (lists or arrays of equal length), as CSV or as a JSON list
+    of row objects; cells are str of the Python value, so a float is
+    its repr."""
+    names, columns = list(table), list(table.values())
     with open(path, "w") as fh:
         fh.write(header)
         if fmt == "json":
-            json.dump([dict(zip(columns, r)) for r in rows], fh, indent=1)
+            _text.write_json(fh, _text.json_item(0, len(names), names), columns, 0)
             fh.write("\n")
         else:
-            fh.write(",".join(columns) + "\n")
-            for r in rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in r) + "\n")
+            fh.write(",".join(names) + "\n")
+            fh.writelines(_text.blocks(",".join(["%s"] * len(names)) + "\n", columns))
 
 
 def _add_operator(parser):
@@ -123,10 +126,10 @@ def cmd_frac_deriv(args):
     alpha = mesh.Cochain(0, family.sample(*coords.T[:family.dim]))
     op = operator.build_frac_derivative(cx, 0, config)
     deriv = op.apply(alpha)
-    rows = [(i, float(v)) for i, v in enumerate(deriv.values)]
+    n = len(deriv.values)
     _write_rows(args.output, _header("frac-deriv", args),
-                ["simplex_index", "value"], rows, args.format)
-    print(f"wrote {args.output}: {len(rows)} degree-1 values")
+                {"simplex_index": np.arange(n), "value": deriv.values}, args.format)
+    print(f"wrote {args.output}: {n} degree-1 values")
     return 0
 
 
@@ -139,16 +142,14 @@ def cmd_convergence(args):
     if args.s_values:
         s_values = [float(t) for t in args.s_values.split(",") if t]
         rows = analysis.s_sweep(family, s_values, edge_counts, config=config)
-        out = [(r["n"], r["s"], r["linf_error"]) for r in rows]
-        _write_rows(args.output, _header("convergence", args),
-                    ["n", "s", "linf_error"], out, args.format)
+        names = ["n", "s", "linf_error"]
     else:
         rows = analysis.convergence_study(family, args.s, edge_counts,
                                           config=config)
-        out = [(r["n"], r["error"], r["ratio"]) for r in rows]
-        _write_rows(args.output, _header("convergence", args),
-                    ["n", "error", "ratio"], out, args.format)
-    print(f"wrote {args.output}: {len(out)} rows")
+        names = ["n", "error", "ratio"]
+    _write_rows(args.output, _header("convergence", args),
+                {name: [r[name] for r in rows] for name in names}, args.format)
+    print(f"wrote {args.output}: {len(rows)} rows")
     return 0
 
 
@@ -158,18 +159,14 @@ def cmd_field2d(args):
     result = analysis.field_experiment_2d(args.n, family, config,
                                           normalize=args.normalize)
     header = _header("field2d", args)
-    field_rows = [
-        (i, c[0], c[1], p[0], p[1], r[0], r[1])
-        for i, (c, p, r) in enumerate(zip(result["centers"],
-                                          result["predicted"],
-                                          result["reference"]))
-    ]
+    centers, pred, ref = result["centers"], result["predicted"], result["reference"]
+    index = np.arange(len(centers))
     _write_rows(args.output + "_field.csv", header,
-                ["tri_index", "cx", "cy", "vx_pred", "vy_pred", "vx_ref", "vy_ref"],
-                field_rows, "csv")
-    err_rows = [(i, float(e)) for i, e in enumerate(result["relative_errors"])]
+                {"tri_index": index, "cx": centers[:, 0], "cy": centers[:, 1],
+                 "vx_pred": pred[:, 0], "vy_pred": pred[:, 1],
+                 "vx_ref": ref[:, 0], "vy_ref": ref[:, 1]}, "csv")
     _write_rows(args.output + "_errors.csv", header,
-                ["triangle_index", "rel_error"], err_rows, "csv")
+                {"triangle_index": index, "rel_error": result["relative_errors"]}, "csv")
     s = result["summary"]
     print(f"relative error: min {s['min']:.4f} max {s['max']:.4f} "
           f"mean {s['mean']:.4f} ({s['flagged']} zero-reference triangles flagged)")
@@ -185,19 +182,17 @@ def cmd_oracle_sample(args):
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     pts = np.round(np.arange(1, args.points + 1) / (args.points + 1), 12)
     if family.dim == 1:
-        vals = family.reference(pts, args.s, args.right_sign).tolist()
-        rows = [(x, family.name, args.s, v) for x, v in zip(pts.tolist(), vals)]
-        cols = ["x", "family", "s", "value"]
+        values = family.reference(pts, args.s, args.right_sign)
+        table = {"x": pts, "family": [family.name] * len(pts)}
     else:
         x, y = (a.ravel() for a in np.meshgrid(pts, pts, indexing="ij"))
-        vecs = family.reference(x, y, args.s, args.right_sign).tolist()
-        rows = [(xi, yi, f"{family.name}:{axis}", args.s, v)
-                for xi, yi, vec in zip(x.tolist(), y.tolist(), vecs)
-                for axis, v in zip(("dx", "dy"), vec)]
-        cols = ["x", "y", "family", "s", "value"]
-    _write_rows(args.output, _header("oracle-sample", args), cols, rows,
-                args.format)
-    print(f"wrote {args.output}: {len(rows)} samples")
+        # Two rows per grid point, dx then dy.
+        values = np.ravel(family.reference(x, y, args.s, args.right_sign))
+        table = {"x": np.repeat(x, 2), "y": np.repeat(y, 2),
+                 "family": [f"{family.name}:dx", f"{family.name}:dy"] * len(x)}
+    table.update(s=[args.s] * len(values), value=values)
+    _write_rows(args.output, _header("oracle-sample", args), table, args.format)
+    print(f"wrote {args.output}: {len(values)} samples")
     return 0
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _text
 from .errors import ConfigError, FormatError, GeometryError, MeshError
 
 _EDGE_LENGTH_RTOL = 1e-12
@@ -142,17 +143,7 @@ class SimplicialComplex:
 
     def _euclidean_edge_lengths(self):
         ends = np.take(self.vertex_coords, self.simplices[1], axis=0)
-        diff = ends[:, 1] - ends[:, 0]
-        # Only edges whose squared length overflows (above ~1e154) or is
-        # subnormal (below ~1e-154) are rescaled by their largest component.
-        with np.errstate(over="ignore", under="ignore"):
-            lengths = np.linalg.norm(diff, axis=1)
-        odd = np.isinf(lengths) | (lengths < _SQRT_TINY)
-        if odd.any():
-            odd &= np.isfinite(diff).all(axis=1) & diff.any(axis=1)
-            scale = np.abs(diff[odd]).max(axis=1)
-            lengths[odd] = scale * np.linalg.norm(diff[odd] / scale[:, None], axis=1)
-        return lengths
+        return _row_norms(ends[:, 1] - ends[:, 0])
 
     def _validate(self):
         if self.dimension < 1:
@@ -364,6 +355,21 @@ def apply_coboundary(matrix, cochain):
     return Cochain(cochain.degree + 1, matrix @ cochain.values)
 
 
+def _row_norms(diff):
+    """Euclidean norm of each row of an (n, d) array.  Only rows whose
+    sum of squares overflows (norm above ~1e154) or is subnormal (below
+    ~1e-154) are rescaled by their largest component, so every other
+    norm is np.linalg.norm's bit for bit."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(diff, axis=1)
+    odd = np.isinf(norms) | (norms < _SQRT_TINY)
+    if odd.any():
+        odd &= np.isfinite(diff).all(axis=1) & diff.any(axis=1)
+        scale = np.abs(diff[odd]).max(axis=1)
+        norms[odd] = scale * np.linalg.norm(diff[odd] / scale[:, None], axis=1)
+    return norms
+
+
 def _same_bits(x, y):
     """Whether two float64 arrays have the same shape and bits."""
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
@@ -412,79 +418,119 @@ def generate_unit_square_mesh(n):
 def load_off(path):
     """Read an ASCII OFF triangle mesh into a complex.
 
-    Faces must be triangles; lower-degree simplices are induced.
+    Faces must be triangles; lower-degree simplices are induced.  Each
+    table is parsed by one numpy call; only a table that call rejects is
+    read again line by line, to name the line of the bad entry.
     """
     with open(path) as fh:
-        lines = [(i + 1, ln.strip()) for i, ln in enumerate(fh)]
-    content = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
-    if not content or content[0][1] != "OFF":
-        raise FormatError("expected 'OFF' header", line=content[0][0] if content else 1)
+        lines = list(map(str.strip, fh.read().split("\n")))
+    # Line numbers of the lines that are neither blank nor comments.
+    numbers = [no for no, ln in enumerate(lines, 1) if ln and ln[0] != "#"]
+    content = [lines[no - 1] for no in numbers]
+    if not content or content[0] != "OFF":
+        raise FormatError("expected 'OFF' header", line=numbers[0] if content else 1)
+    counts_line = numbers[1] if len(numbers) > 1 else len(lines)
     try:
-        nv, _, nf = (int(tok) for tok in content[1][1].split()[:3])
+        nv, _, nf = (int(tok) for tok in content[1].split()[:3])
     except (ValueError, IndexError):
-        raise FormatError("expected 'V E F' counts", line=content[1][0]) from None
-    body = content[2:]
-    if len(body) < nv + nf:
-        raise FormatError(f"expected {nv} vertex and {nf} face lines", line=content[1][0])
-    coords = []
-    for no, ln in body[:nv]:
-        try:
-            coords.append([float(tok) for tok in ln.split()[:3]])
-        except ValueError:
-            raise FormatError("bad vertex coordinates", line=no) from None
-    faces = []
-    for no, ln in body[nv:nv + nf]:
-        toks = ln.split()
-        try:
-            cnt = int(toks[0])
-            idx = [int(t) for t in toks[1:1 + cnt]]
-        except (ValueError, IndexError):
-            raise FormatError("bad face line", line=no) from None
-        if cnt != 3:
-            raise MeshError(f"unsupported {cnt}-gon face at line {no}: only triangles")
-        faces.append(idx)
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape[1] == 3 and np.all(coords[:, 2] == 0.0):
+        raise FormatError("expected 'V E F' counts", line=counts_line) from None
+    if len(content) - 2 < nv + nf:
+        raise FormatError(f"expected {nv} vertex and {nf} face lines", line=counts_line)
+    body, body_numbers = content[2:], numbers[2:]
+    # Tokens past the third coordinate, or past a face's indices, are ignored.
+    rows = list(map(str.split, body[:nv]))
+    coords = _numeric_table(rows, float)
+    if coords is None or coords.shape[1] < 3:
+        coords = np.array([_off_vertex(no, toks) for no, toks
+                           in zip(body_numbers[:nv], rows)], dtype=float).reshape(-1, 3)
+    coords = coords[:, :3]
+    rows = list(map(str.split, body[nv:nv + nf]))
+    faces = _numeric_table(rows, np.int64)
+    if faces is None or faces.shape[1] < 4 or np.any(faces[:, 0] != 3):
+        faces = [_off_face(no, toks) for no, toks in zip(body_numbers[nv:nv + nf], rows)]
+    else:
+        faces = faces[:, 1:4]
+    if np.all(coords[:, 2] == 0.0):
         coords = coords[:, :2]
     return SimplicialComplex.from_simplices(2, faces, vertex_coords=coords)
+
+
+def _numeric_table(rows, dtype):
+    """The token rows as one 2D array of dtype, or None where they are
+    ragged or hold a token that is not a number of that type."""
+    try:
+        table = np.array(rows, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+    return table if table.ndim == 2 else None
+
+
+def _off_vertex(no, toks):
+    """The three coordinates that start OFF line `no`."""
+    try:
+        xyz = [float(tok) for tok in toks[:3]]
+    except ValueError:
+        xyz = []
+    if len(xyz) < 3:
+        raise FormatError("bad vertex coordinates", line=no)
+    return xyz
+
+
+def _off_face(no, toks):
+    """The vertex indices of the triangle on OFF line `no`."""
+    try:
+        cnt = int(toks[0])
+        idx = [int(t) for t in toks[1:1 + cnt]]
+    except (ValueError, IndexError):
+        raise FormatError("bad face line", line=no) from None
+    if cnt != 3:
+        raise MeshError(f"unsupported {cnt}-gon face at line {no}: only triangles")
+    return idx
 
 
 def save_off(complex_, path):
     """Write a 2D embedded complex as ASCII OFF (z padded with 0)."""
     if complex_.dimension != 2 or complex_.vertex_coords is None:
         raise MeshError("OFF output requires an embedded triangle mesh")
-    coords = complex_.vertex_coords
-    if coords.shape[1] == 2:
-        coords = np.hstack([coords, np.zeros((len(coords), 1))])
+    coords = np.asarray(complex_.vertex_coords, dtype=float)
+    columns = list(coords.T)
+    if len(columns) == 2:
+        columns.append(np.zeros(len(coords)))
     tris = complex_.simplices[2]
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{len(coords)} {complex_.n_simplices(1)} {len(tris)}\n")
-        for xyz in coords:
-            fh.write(" ".join(repr(float(c)) for c in xyz) + "\n")
-        for t in tris:
-            fh.write("3 " + " ".join(str(int(v)) for v in t) + "\n")
+        fh.writelines(_text.blocks(" ".join(["%s"] * len(columns)) + "\n", columns))
+        fh.writelines(_text.blocks("3 %s %s %s\n", list(tris.T)))
 
 
 def save_json(complex_, path):
-    """Write a complex in the JSON mesh format."""
-    doc = {
-        "dimension": complex_.dimension,
-        "vertices": None if complex_.vertex_coords is None
-        else complex_.vertex_coords.tolist(),
-        "simplices": {
-            str(p): complex_.simplices[p].tolist()
-            for p in range(1, complex_.dimension + 1)
-        },
-    }
-    if complex_.lengths_overridden or complex_.vertex_coords is None:
-        doc["edge_lengths"] = {
-            ",".join(map(str, e)): float(l)
-            for e, l in zip(complex_.simplices[1].tolist(), complex_.edge_lengths)
-        }
+    """Write a complex in the JSON mesh format: the text of
+    json.dump(doc, indent=1, sort_keys=True), written a block of rows at
+    a time."""
+    coords = complex_.vertex_coords
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{{\n "dimension": {complex_.dimension},')
+        if complex_.lengths_overridden or coords is None:
+            # Keyed "i,j" and, like every JSON object here, in key order.
+            keys = np.array(list(map("%d,%d".__mod__,
+                                     map(tuple, complex_.simplices[1].tolist()))))
+            order = np.argsort(keys)
+            fh.write('\n "edge_lengths": ')
+            _text.write_json(fh, "%s: %s", [keys[order], complex_.edge_lengths[order]],
+                             1, "{}")
+            fh.write(",")
+        fh.write('\n "simplices": {')
+        for i, p in enumerate(sorted(map(str, range(1, complex_.dimension + 1)))):
+            table = complex_.simplices[int(p)]
+            fh.write(f'{"," if i else ""}\n  "{p}": ')
+            _text.write_json(fh, _text.json_item(2, table.shape[1]), list(table.T), 2)
+        fh.write('\n },\n "vertices": ')
+        if coords is None:
+            fh.write("null")
+        else:
+            _text.write_json(fh, _text.json_item(1, coords.shape[1]), list(coords.T), 1)
+        fh.write("\n}\n")
 
 
 def load_json(path):

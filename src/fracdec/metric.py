@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConnectivityError, GeometryError, MeshError
-from .mesh import _SQRT_TINY
+from .mesh import _SQRT_TINY, _row_norms
 
 DISTANCE_MODES = ("geodesic", "euclidean")
 # Distance tables are built in row blocks of about this many entries,
@@ -135,7 +135,8 @@ def boundary_offsets(complex_, p):
             (tris[:, 0] + tris[:, 2]) / 2,
             (tris[:, 1] + tris[:, 2]) / 2,
         ], axis=1)
-        return np.linalg.norm(mids - bary[:, None, :], axis=2).mean(axis=1)
+        gaps = (mids - bary[:, None, :]).reshape(-1, tris.shape[2])
+        return _row_norms(gaps).reshape(-1, 3).mean(axis=1)
     raise ConfigError(f"boundary offsets not defined for degree {p}")
 
 

@@ -13,6 +13,7 @@ from caputo_oracle import caputo_quadrature, derivative
 import numpy as np
 
 import fracdec
+from fracdec import analysis
 from fracdec import (
     AccuracyError,
     Cochain,
@@ -200,6 +201,8 @@ class TestFracDeriv:
          "vertex index 7 is not an integer in"),
         ("dup.off", "OFF\n3 3 2\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n",
          "duplicate top simplex"),
+        ("short.off", "OFF\n3 3 1\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n",
+         "line 4: bad vertex coordinates"),
         ("bad.json", '{"dimension": 1, "simplices": {"1": [[0, 1], [1, -2]]}}',
          "vertex index -2 is not an integer in"),
         ("dup.json", '{"dimension": 1, "simplices": {"1": [[0, 1], [0, 1]]}}',
@@ -422,6 +425,24 @@ class TestField2d:
         assert field_lines[1].startswith("tri_index,")
         assert err_lines[1] == "triangle_index,rel_error"
         assert len(field_lines) == 2 + 8 and len(err_lines) == 2 + 8
+
+    def test_cells_are_plain_floats(self, tmp_path):
+        # Every data cell is the float's repr, not a numpy scalar's.
+        base = tmp_path / "e"
+        assert run("field2d", "--family", "saddle_2d", "--n", "2",
+                   "--normalize", "predicted", "-o", str(base)) == 0
+        result = analysis.field_experiment_2d(2, get_family("saddle_2d"), FracConfig(),
+                                              normalize="predicted")
+        field, errors = ([line.split(",") for line in
+                          (tmp_path / name).read_text().splitlines()[2:]]
+                         for name in ("e_field.csv", "e_errors.csv"))
+        want = np.hstack([result["centers"], result["predicted"], result["reference"]])
+        assert [int(row[0]) for row in field] == list(range(len(want)))
+        got = np.array([[float(cell) for cell in row[1:]] for row in field])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        got = np.array([float(row[1]) for row in errors])
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      result["relative_errors"].view(np.int64))
 
     def test_right_sign_minus_exit_2(self, tmp_path, capsys):
         base = tmp_path / "exp"

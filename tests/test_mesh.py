@@ -586,6 +586,52 @@ class TestOffFormat:
         with pytest.raises(MeshError, match="duplicate top simplex"):
             load_off(path)
 
+    @pytest.mark.parametrize("body, line", [
+        ("0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 4),
+        ("0 0\n1 0\n0 1\n3 0 1 2\n", 3),
+        ("0 0 0\n1 0 0\n0 1 0 0\n0 x 0\n3 0 1 2\n", 6),
+    ])
+    def test_bad_vertex_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.off"
+        path.write_text(f"OFF\n{body.count(chr(10)) - 1} 3 1\n{body}")
+        with pytest.raises(FormatError, match="bad vertex coordinates") as exc:
+            load_off(path)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("faces, error, match, line", [
+        ("3 0 1 2\n3 0 x 2\n", FormatError, "bad face line", 8),
+        ("3 0 1 2\n4 0 1 2 3\n3 0 x 2\n", MeshError, "4-gon face at line 8", None),
+        ("3 0 1 2\n3 x 1 2\n4 0 1 2 3\n", FormatError, "bad face line", 8),
+        ("3 0 1 2\n3 0 1\n", MeshError, "every top simplex needs 3", None),
+        ("3 0 1 2\n3 0 1 99999999999999999999\n", MeshError,
+         "index 99999999999999999999 is not an integer", None),
+    ])
+    def test_bad_face_line_named(self, tmp_path, faces, error, match, line):
+        # The first bad line is the one reported, as in a line-by-line read.
+        path = tmp_path / "bad.off"
+        nf = faces.count("\n")
+        path.write_text(f"OFF\n4 5 {nf}\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n{faces}")
+        with pytest.raises(error, match=match) as exc:
+            load_off(path)
+        if line is not None:
+            assert exc.value.line == line
+
+    def test_extra_tokens_ignored(self, tmp_path):
+        plain, extra = tmp_path / "plain.off", tmp_path / "extra.off"
+        plain.write_text("OFF\n4 5 2\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 1 2 3\n")
+        extra.write_text("OFF\n4 5 2\n0 0 0 1 1\n1 0 0 red\n0 1 0\n1 1 0 0.5\n"
+                         "3 0 1 2 255 0 0\n3 1 2 3 0.5\n")
+        a, b = load_off(plain), load_off(extra)
+        np.testing.assert_array_equal(a.vertex_coords, b.vertex_coords)
+        np.testing.assert_array_equal(a.simplices[2], b.simplices[2])
+        assert a.vertex_coords.shape == (4, 2)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "bad.off"
+        path.write_text("OFF\n")
+        with pytest.raises(FormatError, match="'V E F' counts"):
+            load_off(path)
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.off"
         path.write_text("# a comment\nOFF\n\n3 3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")

@@ -162,6 +162,29 @@ class TestBoundaryOffsets:
         expected = np.mean([np.linalg.norm(m - bary) for m in mids])
         assert boundary_offsets(cx, 2)[0] == pytest.approx(expected, rel=1e-14)
 
+    def test_triangle_offsets_are_the_plain_norm(self, oracle_triangle_mesh):
+        # At unit scale the offsets are np.linalg.norm's, bit for bit.
+        for cx in (oracle_triangle_mesh, generate_unit_square_mesh(5)):
+            tris = cx.vertex_coords[cx.simplices[2]]
+            bary = tris.mean(axis=1)
+            mids = np.stack([(tris[:, 0] + tris[:, 1]) / 2, (tris[:, 0] + tris[:, 2]) / 2,
+                             (tris[:, 1] + tris[:, 2]) / 2], axis=1)
+            np.testing.assert_array_equal(
+                boundary_offsets(cx, 2),
+                np.linalg.norm(mids - bary[:, None, :], axis=2).mean(axis=1))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_triangle_offsets_far_from_unit_scale(self, scale):
+        # The squared gaps under- or overflow here; those are rescaled.
+        unit = generate_unit_square_mesh(3)
+        cx = SimplicialComplex.from_simplices(
+            2, unit.simplices[2], vertex_coords=unit.vertex_coords * scale)
+        np.testing.assert_allclose(boundary_offsets(cx, 2),
+                                   scale * boundary_offsets(unit, 2), rtol=1e-14, atol=0)
+        op = build_frac_derivative(cx, 1, FracConfig())
+        off = ~np.eye(cx.n_simplices(2), dtype=bool)
+        assert np.all(np.isfinite(op.weights)) and np.all(op.weights[off] > 0)
+
     def test_unknown_degree(self):
         cx = generate_unit_square_mesh(2)
         with pytest.raises(ConfigError):
