@@ -22,8 +22,6 @@ from .errors import AccuracyError, ConfigError, GeometryError, MeshError
 
 _L2_QUAD_TOL = 1e-10
 _L2_QUAD_RTOL = 1e-10
-# Local vertex pairs of a triangle's edges, in edge_values column order.
-_TRIANGLE_EDGES = np.array([(0, 1), (0, 2), (1, 2)])
 # A triangle whose corner sine is below this is degenerate.
 _DEGENERATE_SINE = 1e-14
 
@@ -56,9 +54,9 @@ def _sorted_edge_geometry(complex_):
     edges = complex_.simplices[1]
     bary = x[edges].mean(axis=1)
     order = np.argsort(bary)
-    lo = np.minimum(x[edges[:, 0]], x[edges[:, 1]])[order]
-    hi = np.maximum(x[edges[:, 0]], x[edges[:, 1]])[order]
-    if np.any(lo[1:] < hi[:-1] - 1e-12):
+    lo, hi = np.sort(x[edges[order]], axis=1).T
+    # Edges that meet share a vertex coordinate, so any overlap is real.
+    if np.any(lo[1:] < hi[:-1]):
         raise MeshError("edges overlap; cannot form a stairs function")
     return order, bary[order], lo, hi
 
@@ -166,7 +164,6 @@ class WhitneyField:
     corners: np.ndarray        # (T, 3, 2) vertex coordinates
     gradients: np.ndarray      # (T, 3, 2) barycentric gradients
     edge_values: np.ndarray    # (T, 3) cochain values on edges (01, 02, 12)
-    edges: np.ndarray          # (T, 3) rows of those edges in the edge table
 
     def evaluate(self, tri_index, point):
         """Field value at points inside the given triangles.
@@ -222,8 +219,8 @@ def whitney_reconstruct(complex_, cochain):
     inv = np.linalg.inv(t_mat)
     g1, g2 = inv[:, 0], inv[:, 1]        # rows of T^{-1} are grad lambda_1,2
     grads = np.stack([-g1 - g2, g1, g2], axis=1)
-    edges = complex_.locate(1, tris[:, _TRIANGLE_EDGES])
-    return WhitneyField(tris.copy(), corners, grads, cochain.values[edges], edges)
+    # Edges (01, 02, 12) leave out vertex 2, 1, 0: facet slots reversed.
+    return WhitneyField(tris.copy(), corners, grads, cochain.values[complex_.facets[2][:, ::-1]])
 
 
 def eval_at_barycenters(field, complex_):
@@ -244,25 +241,21 @@ def edge_integrals(field, complex_):
 
     The field is affine on each edge, so the midpoint value times the
     edge vector is exact.  Each edge is integrated in the first triangle
-    (in table order) that contains it, found through the edge rows the
-    field stored when it was lifted; MeshError if those are not the
-    rows of the same edges in this complex.  Used to verify the Whitney
-    duality property.
+    (in table order) that contains it, found through the complex's
+    facet rows; MeshError if the field's triangles are not the
+    complex's.  Used to verify the Whitney duality property.
     """
-    # Row 3t + k holds the ends of edge k of triangle t, which the
-    # field keeps as row edges[t, k] of its complex's edge table.
-    ends = field.triangles[:, _TRIANGLE_EDGES].reshape(-1, 2)
-    rows = field.edges.reshape(-1)
-    table = complex_.simplices[1]
-    if len(rows) and not (0 <= rows.min() and rows.max() < len(table) and
-                          np.array_equal(np.take(table, rows, axis=0), ends)):
+    if not np.array_equal(field.triangles, complex_.simplices.get(2)):
         raise MeshError("the field was not lifted on this complex")
+    # Row 3t + k is edge k (01, 02, 12) of triangle t.
+    rows = complex_.facets[2][:, ::-1].reshape(-1)
+    table = complex_.simplices[1]
     # first[e] is the first row holding edge e, len(rows) if none does.
     first = np.full(len(table), len(rows))
     np.minimum.at(first, rows, np.arange(len(rows)))
     edges = np.flatnonzero(first < len(rows))
     first = first[edges]
-    a, b = np.moveaxis(np.take(complex_.vertex_coords, ends[first], axis=0), 1, 0)
+    a, b = np.moveaxis(np.take(complex_.vertex_coords, table[edges], axis=0), 1, 0)
     vec = field.evaluate(first // 3, (a + b) / 2.0)
     out = np.zeros(len(table))
     out[edges] = (vec * (b - a)).sum(axis=1)

@@ -75,6 +75,14 @@ def _reject_unread(args, names, use):
         raise ConfigError(f"{', '.join(given)} cannot be used with {use}")
 
 
+def _list_option(name, text, kind):
+    """The values of comma-separated option --name, empty tokens skipped."""
+    try:
+        return [kind(token) for token in text.split(",") if token]
+    except ValueError as exc:  # its message quotes the token
+        raise ConfigError(f"--{name}: {exc}") from None
+
+
 def _interval_mesh(args, n_edges):
     """Interval mesh on [--a, --b], by default [0, 1]; the ends are
     stored back on args so that the header records them."""
@@ -136,11 +144,11 @@ def cmd_frac_deriv(args):
 def cmd_convergence(args):
     family = oracles.get_family(args.family, q=args.q)
     config = _config_from_args(args)
-    edge_counts = [int(t) for t in args.edge_counts.split(",") if t]
+    edge_counts = _list_option("edge-counts", args.edge_counts, int)
     if not edge_counts:
         raise ConfigError("--edge-counts must list at least one mesh size")
     if args.s_values:
-        s_values = [float(t) for t in args.s_values.split(",") if t]
+        s_values = _list_option("s-values", args.s_values, float)
         rows = analysis.s_sweep(family, s_values, edge_counts, config=config)
         names = ["n", "s", "linf_error"]
     else:

@@ -55,6 +55,19 @@ def _keys(rows, base):
     return keys
 
 
+def _search(table_keys, rows, base):
+    """Indices of the (..., q) rows among increasing table_keys; MeshError on a miss."""
+    rows = np.asarray(rows, dtype=np.int64)
+    # Misses land on a wrong key or on the sentinel, which no key reaches.
+    keys = np.append(table_keys, np.iinfo(np.int64).max)
+    query = _keys(rows, base)
+    found = np.searchsorted(keys, query)
+    miss = keys[found] != query
+    if np.any(miss):
+        raise MeshError(f"simplex {tuple(rows[miss][0].tolist())} is not in the complex")
+    return found
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """An oriented simplicial complex with a local metric on its edges.
@@ -86,6 +99,9 @@ class SimplicialComplex:
             passed in, so a mesh file written from a generator mesh, a
             from_simplices rebuild and a dataclasses.replace copy get
             it too, and a moved copy does not.
+        facets: map p -> (n_p, p+1) read-only array, p = 1..N: row r,
+            slot k is the row, in the degree-(p-1) table, of simplex r
+            without its vertex k.  Kept from validation.
     """
 
     dimension: int
@@ -94,10 +110,7 @@ class SimplicialComplex:
     edge_lengths: np.ndarray = field(default=None)  # type: ignore[assignment]
     lengths_overridden: bool = False
     lattice: tuple[int, ...] | None = field(default=None, init=False, compare=False)
-    # Degree p -> the keys of the degree-p table, then a sentinel above
-    # every key: computed once, for validation and every later locate.
-    _table_keys: dict[int, np.ndarray] = field(default_factory=dict, init=False,
-                                               repr=False, compare=False)
+    facets: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate()
@@ -159,10 +172,12 @@ class SimplicialComplex:
         # Degree by degree: facets present at every degree means, by
         # induction, every face is, and then every key is in range.
         base = int(self.simplices[0].max(initial=-1)) + 1
+        facets = {}
         for p in range(self.dimension + 1):
             if p:
-                self.locate(p - 1, _facets(self.simplices[p]))
-            keys = self._sorted_keys(p, base)[:-1]
+                facets[p] = _search(keys, _facets(self.simplices[p]), base)
+                facets[p].flags.writeable = False
+            keys = _keys(self.simplices[p], base)
             if np.any(keys[1:] <= keys[:-1]):
                 raise MeshError(f"degree-{p} table must be sorted, without duplicates")
         n = self.n_simplices(0)
@@ -170,6 +185,7 @@ class SimplicialComplex:
             raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
         if self.vertex_coords is not None and len(self.vertex_coords) != n:
             raise MeshError(f"{len(self.vertex_coords)} vertex coordinates for {n} vertices")
+        object.__setattr__(self, "facets", facets)
 
     def _validate_lengths(self, lengths_supplied):
         """Check the edge lengths; return the lengths derived from the
@@ -190,14 +206,6 @@ class SimplicialComplex:
     def n_simplices(self, p):
         return len(self.simplices[p])
 
-    def _sorted_keys(self, p, base):
-        """The degree-p table's keys in base `base` and the sentinel."""
-        keys = self._table_keys.get(p)
-        if keys is None:
-            keys = np.append(_keys(self.simplices[p], base), np.iinfo(np.int64).max)
-            self._table_keys[p] = keys
-        return keys
-
     def locate(self, p, rows):
         """Row indices in the degree-p table of the given p-simplices.
 
@@ -205,18 +213,8 @@ class SimplicialComplex:
         the result has shape rows.shape[:-1].  Raises MeshError if any
         of them is not in the table.
         """
-        rows = np.asarray(rows, dtype=np.int64)
         base = int(self.simplices[0].max(initial=-1)) + 1
-        # The table's keys increase; misses land on a wrong key or on
-        # the end sentinel, which no key reaches.
-        keys = self._sorted_keys(p, base)
-        query = _keys(rows, base)
-        found = np.searchsorted(keys, query)
-        miss = keys[found] != query
-        if np.any(miss):
-            bad = tuple(int(v) for v in rows[miss][0])
-            raise MeshError(f"simplex {bad} is not in the complex")
-        return found
+        return _search(_keys(self.simplices[p], base), rows, base)
 
     @classmethod
     def from_simplices(cls, dimension, top_simplices, vertex_coords=None,
@@ -228,8 +226,8 @@ class SimplicialComplex:
         map from increasing vertex pairs to lengths (overriding any
         embedding).  A ragged or wrong-width list, a vertex index that is
         not an integer in [0, n_vertices), repeated vertices, a duplicate
-        top simplex or an edge without a length raises MeshError before
-        any geometry is computed.
+        top simplex, an edge without a length or a length for a key that
+        is not an edge raises MeshError before any geometry is computed.
         """
         try:
             tops = np.reshape(top_simplices, (len(top_simplices), dimension + 1))
@@ -269,9 +267,12 @@ class SimplicialComplex:
         simplices[0] = np.arange(n_vertices, dtype=np.int64).reshape(-1, 1)
         lengths = None
         if edge_lengths is not None:
+            edges = dict.fromkeys(map(tuple, simplices[1].tolist()))
+            for key in edge_lengths:
+                if key not in edges:
+                    raise MeshError(f"length given for {key}, which is not an edge")
             try:
-                lengths = np.array([edge_lengths[tuple(e)]
-                                    for e in simplices[1].tolist()], dtype=float)
+                lengths = np.array([edge_lengths[e] for e in edges], dtype=float)
             except KeyError as exc:
                 raise MeshError(f"no length given for edge {exc.args[0]}") from None
         return cls(dimension, simplices, vertex_coords, lengths,
@@ -342,8 +343,7 @@ def build_coboundary(complex_, p):
     """
     if not 0 <= p < complex_.dimension:
         raise ConfigError(f"degree {p} out of range for dimension {complex_.dimension}")
-    facets = complex_.locate(p, _facets(complex_.simplices[p + 1]))
-    return Coboundary(facets, complex_.n_simplices(p))
+    return Coboundary(complex_.facets[p + 1], complex_.n_simplices(p))
 
 
 def apply_coboundary(matrix, cochain):
@@ -557,7 +557,5 @@ def load_json(path):
                        for k, v in doc["edge_lengths"].items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"bad 'vertices' or 'edge_lengths': {exc}") from None
-    n_vertices = len(coords) if coords is not None else None
-    return SimplicialComplex.from_simplices(
-        dim, tops, vertex_coords=coords, edge_lengths=lengths, n_vertices=n_vertices
-    )
+    return SimplicialComplex.from_simplices(dim, tops, vertex_coords=coords,
+                                            edge_lengths=lengths)

@@ -101,6 +101,24 @@ def oracle_edge_integrals(field, complex_):
     return out
 
 
+def oracle_rows_edge_integrals(field, complex_):
+    """edge_integrals as it was when the field kept the edge rows that
+    locate found at lift time: each edge integrated in its first
+    triangle."""
+    ends = field.triangles[:, _EDGE_PAIRS].reshape(-1, 2)
+    rows = complex_.locate(1, ends)
+    table = complex_.simplices[1]
+    first = np.full(len(table), len(rows))
+    np.minimum.at(first, rows, np.arange(len(rows)))
+    edges = np.flatnonzero(first < len(rows))
+    first = first[edges]
+    a, b = np.moveaxis(np.take(complex_.vertex_coords, ends[first], axis=0), 1, 0)
+    vec = field.evaluate(first // 3, (a + b) / 2.0)
+    out = np.zeros(len(table))
+    out[edges] = (vec * (b - a)).sum(axis=1)
+    return out
+
+
 @pytest.fixture
 def quad_calls(monkeypatch):
     """Records the [lo, hi] of every fallback quad call in analysis."""
@@ -169,6 +187,20 @@ class TestToStairs:
         cx = generate_unit_square_mesh(2)
         with pytest.raises(MeshError):
             to_stairs(cx, Cochain(1, np.zeros(cx.n_simplices(1))))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_overlap_check_is_scale_free(self, scale):
+        # Edge (0, 1) covers [0, 2], edge (1, 2) covers [1, 2]: an
+        # overlap at every scale.  Edges that only meet are fine.
+        c = Cochain(1, [1.0, 2.0])
+        overlapping = SimplicialComplex.from_simplices(
+            1, [(0, 1), (1, 2)], vertex_coords=np.array([[0.0], [2.0], [1.0]]) * scale)
+        with pytest.raises(MeshError, match="edges overlap"):
+            to_stairs(overlapping, c, support="edge")
+        meeting = SimplicialComplex.from_simplices(
+            1, [(0, 1), (1, 2)], vertex_coords=np.array([[0.0], [1.0], [3.0]]) * scale)
+        f = to_stairs(meeting, c, support="edge")
+        np.testing.assert_array_equal(f.breakpoints, np.array([0.0, 1.0, 3.0]) * scale)
 
 
 class TestErrorNorms:
@@ -315,9 +347,19 @@ class TestWhitney:
         with pytest.raises(GeometryError, match="degenerate"):
             whitney_reconstruct(sliver, Cochain(1, np.zeros(3)))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_edge_integrals_match_rows_oracle_bitwise(self, n):
+        cx = generate_unit_square_mesh(n)
+        rng = np.random.default_rng(n)
+        for values in (rng.normal(size=cx.n_simplices(1)),
+                       np.zeros(cx.n_simplices(1)), -np.zeros(cx.n_simplices(1))):
+            field = whitney_reconstruct(cx, Cochain(1, values))
+            assert (edge_integrals(field, cx).tobytes()
+                    == oracle_rows_edge_integrals(field, cx).tobytes())
+
     def test_edge_integrals_need_the_lifting_complex(self):
-        # Each edge is found through the rows stored at lift time, which
-        # must be those of the complex given.  The same mesh with the
+        # Each edge is found through the facet rows of the complex given,
+        # whose triangles must be the field's.  The same mesh with the
         # other diagonal has as many edges, yet other ones.
         cx = generate_unit_square_mesh(3)
         field = whitney_reconstruct(cx, Cochain(1, np.ones(cx.n_simplices(1))))
@@ -352,6 +394,11 @@ class TestWhitneyOracles:
         np.testing.assert_allclose(got, oracle_edge_integrals(field, cx),
                                    rtol=0, atol=1e-14)
         np.testing.assert_allclose(got, c.values, rtol=0, atol=1e-12)
+
+    def test_edge_integrals_match_rows_oracle_bitwise(self, lifted):
+        cx, _, field = lifted
+        assert (edge_integrals(field, cx).tobytes()
+                == oracle_rows_edge_integrals(field, cx).tobytes())
 
     def test_batched_evaluate_matches_single_point(self, lifted):
         cx, _, field = lifted

@@ -221,6 +221,21 @@ class TestFracDeriv:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", ["5,6", "1,2,3", "2,1"])
+    def test_length_for_a_non_edge_exit_3(self, tmp_path, capsys, extra):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({"dimension": 1, "vertices": [[0], [1], [3]],
+                                    "simplices": {"1": [[0, 1], [1, 2]]},
+                                    "edge_lengths": {"0,1": 1.0, "1,2": 2.0,
+                                                     extra: 1.0}}))
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--mesh", str(path), "--family", "exp_x",
+                   "-o", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("mesh error: length given for (")
+        assert "which is not an edge" in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, doc", [
         ("ragged.json", {"dimension": 2, "vertices": [[0, 0], [1, 0], [0]],
                          "simplices": {"2": [[0, 1, 2]]}}),
@@ -386,6 +401,18 @@ class TestConvergence:
         out = tmp_path / "c.csv"
         assert run("convergence", "--family", "power", "--edge-counts", ",",
                    "-o", str(out)) == 2
+
+    @pytest.mark.parametrize("args, option, token", [
+        (("--edge-counts", "4,x"), "--edge-counts", "'x'"),
+        (("--edge-counts", "2.5"), "--edge-counts", "'2.5'"),
+        (("--edge-counts", "4", "--s-values", "0.5,y"), "--s-values", "'y'")])
+    def test_bad_list_token_exit_2(self, tmp_path, capsys, args, option, token):
+        out = tmp_path / "c.csv"
+        assert run("convergence", "--family", "power", *args, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: ") and err.rstrip().endswith(token)
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("sweep", [(), ("--s-values", "0.5")])
     def test_two_sided_family_left_sided_exit_2(self, tmp_path, capsys, sweep):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fracdec import (
     save_json,
     save_off,
 )
-from fracdec.mesh import apply_coboundary
+from fracdec.mesh import _facets, apply_coboundary
 
 from conftest import dense_coboundary, nonuniform_interval_mesh, perturbed_square_mesh
 
@@ -388,6 +389,14 @@ class TestValidation:
             SimplicialComplex.from_simplices(
                 1, [(0, 1), (1, 2)], edge_lengths={(0, 1): 1.0}, n_vertices=3)
 
+    @pytest.mark.parametrize("extra", [(5, 6), (1, 2, 3), (2, 1), (0, 2)])
+    def test_length_for_a_non_edge(self, extra):
+        lengths = {(0, 1): 1.0, extra: 2.0, (1, 2): 1.0}
+        with pytest.raises(MeshError, match=rf"length given for {re.escape(str(extra))}, "
+                                            "which is not an edge"):
+            SimplicialComplex.from_simplices(1, [(0, 1), (1, 2)],
+                                             edge_lengths=lengths, n_vertices=3)
+
     def test_no_simplices_without_vertex_count(self):
         with pytest.raises(MeshError):
             SimplicialComplex.from_simplices(1, [], edge_lengths={})
@@ -440,6 +449,40 @@ class TestLocate:
         cx = generate_interval_mesh(0.0, 1.0, 8)
         with pytest.raises(MeshError, match="not in the complex"):
             cx.locate(1, [[0, 1], row])
+
+
+class TestFacets:
+    """The facet rows kept from validation are locate's rows, and every
+    coboundary is a view of them."""
+
+    @staticmethod
+    def check(cx):
+        assert sorted(cx.facets) == list(range(1, cx.dimension + 1))
+        for p, rows in cx.facets.items():
+            np.testing.assert_array_equal(
+                rows, cx.locate(p - 1, _facets(cx.simplices[p])))
+            assert rows.dtype == np.int64 and not rows.flags.writeable
+        for p in range(cx.dimension):
+            d = build_coboundary(cx, p)
+            assert d.facets is cx.facets[p + 1]
+            with pytest.raises(ValueError):
+                d.facets[0, 0] = 0
+
+    def test_oracle_meshes(self, oracle_mesh):
+        self.check(oracle_mesh)
+
+    @pytest.mark.parametrize("cx", [generate_interval_mesh(0.0, 1.0, 1),
+                                    generate_interval_mesh(-3.0, 2.0, 64),
+                                    generate_unit_square_mesh(1),
+                                    generate_unit_square_mesh(9)],
+                             ids=["interval1", "interval64", "square1", "square9"])
+    def test_generator_meshes(self, cx):
+        self.check(cx)
+
+    def test_empty_tables(self):
+        cx = SimplicialComplex.from_simplices(1, [], edge_lengths={}, n_vertices=3)
+        assert cx.facets[1].shape == (0, 2)
+        assert build_coboundary(cx, 0).shape == (0, 3)
 
 
 def _as_array(d):
@@ -677,6 +720,17 @@ class TestJsonFormat:
                                     "vertices": [[0, 0], [1, 0], [0, 1]],
                                     "simplices": {"2": [[0, 1, 3]]}}))
         with pytest.raises(MeshError, match="index 3 is not an integer"):
+            load_json(path)
+
+    @pytest.mark.parametrize("extra", ["5,6", "1,2,3", "2,1"])
+    def test_length_for_a_non_edge(self, tmp_path, extra):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({"dimension": 1, "vertices": None,
+                                    "simplices": {"1": [[0, 1], [1, 2]]},
+                                    "edge_lengths": {"0,1": 1.0, extra: 2.0,
+                                                     "1,2": 1.5}}))
+        with pytest.raises(MeshError, match=rf"\({extra.replace(',', ', ')}\)"
+                                            ", which is not an edge"):
             load_json(path)
 
     def test_duplicate_simplex(self, tmp_path):
