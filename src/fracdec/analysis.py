@@ -341,6 +341,8 @@ def convergence_study(family, s, edge_counts, config=None, support="edge"):
 
 def s_sweep(family, s_values, edge_counts, config=None):
     """Linf error against the fractional order, at fixed mesh sizes."""
+    if not s_values or not edge_counts:
+        raise ConfigError("s_values and edge_counts must be nonempty")
     if family.dim != 1:
         raise ConfigError("s sweeps are 1D only")
     config = operator.FracConfig() if config is None else config

@@ -147,8 +147,10 @@ def cmd_convergence(args):
     edge_counts = _list_option("edge-counts", args.edge_counts, int)
     if not edge_counts:
         raise ConfigError("--edge-counts must list at least one mesh size")
-    if args.s_values:
+    if args.s_values is not None:
         s_values = _list_option("s-values", args.s_values, float)
+        if not s_values:
+            raise ConfigError("--s-values must list at least one order")
         rows = analysis.s_sweep(family, s_values, edge_counts, config=config)
         names = ["n", "s", "linf_error"]
     else:

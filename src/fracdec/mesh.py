@@ -55,19 +55,6 @@ def _keys(rows, base):
     return keys
 
 
-def _search(table_keys, rows, base):
-    """Indices of the (..., q) rows among increasing table_keys; MeshError on a miss."""
-    rows = np.asarray(rows, dtype=np.int64)
-    # Misses land on a wrong key or on the sentinel, which no key reaches.
-    keys = np.append(table_keys, np.iinfo(np.int64).max)
-    query = _keys(rows, base)
-    found = np.searchsorted(keys, query)
-    miss = keys[found] != query
-    if np.any(miss):
-        raise MeshError(f"simplex {tuple(rows[miss][0].tolist())} is not in the complex")
-    return found
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """An oriented simplicial complex with a local metric on its edges.
@@ -175,8 +162,17 @@ class SimplicialComplex:
         facets = {}
         for p in range(self.dimension + 1):
             if p:
-                facets[p] = _search(keys, _facets(self.simplices[p]), base)
-                facets[p].flags.writeable = False
+                rows = _facets(self.simplices[p])
+                query = _keys(rows, base)
+                # Misses land on a wrong key or on the sentinel, which no key reaches.
+                keys = np.append(keys, np.iinfo(np.int64).max)
+                found = np.searchsorted(keys, query)
+                miss = keys[found] != query
+                if np.any(miss):
+                    raise MeshError(f"simplex {tuple(rows[miss][0].tolist())} "
+                                    f"is not in the complex")
+                found.flags.writeable = False
+                facets[p] = found
             keys = _keys(self.simplices[p], base)
             if np.any(keys[1:] <= keys[:-1]):
                 raise MeshError(f"degree-{p} table must be sorted, without duplicates")
@@ -198,7 +194,7 @@ class SimplicialComplex:
         if lengths_supplied and self.vertex_coords is not None \
                 and not self.lengths_overridden:
             euclid = self._euclidean_edge_lengths()
-            if np.any(np.abs(self.edge_lengths - euclid) > _EDGE_LENGTH_RTOL * np.maximum(euclid, 1.0)):
+            if np.any(np.abs(self.edge_lengths - euclid) > _EDGE_LENGTH_RTOL * euclid):
                 raise MeshError("edge lengths disagree with the embedding")
             return euclid
         return None
@@ -206,38 +202,31 @@ class SimplicialComplex:
     def n_simplices(self, p):
         return len(self.simplices[p])
 
-    def locate(self, p, rows):
-        """Row indices in the degree-p table of the given p-simplices.
-
-        rows is an (..., p+1) integer array of increasing vertex tuples;
-        the result has shape rows.shape[:-1].  Raises MeshError if any
-        of them is not in the table.
-        """
-        base = int(self.simplices[0].max(initial=-1)) + 1
-        return _search(_keys(self.simplices[p], base), rows, base)
-
     @classmethod
     def from_simplices(cls, dimension, top_simplices, vertex_coords=None,
-                       edge_lengths=None, n_vertices=None):
+                       edge_lengths=None):
         """Build a complex from its top-dimensional simplices.
 
         Lower-degree faces are induced automatically so the closure
         property holds by construction.  ``edge_lengths``, if given, is a
         map from increasing vertex pairs to lengths (overriding any
-        embedding).  A ragged or wrong-width list, a vertex index that is
-        not an integer in [0, n_vertices), repeated vertices, a duplicate
-        top simplex, an edge without a length or a length for a key that
-        is not an edge raises MeshError before any geometry is computed.
+        embedding).  There are len(vertex_coords) vertices, or without
+        coordinates the largest index + 1.  A ragged or wrong-width list,
+        a vertex index that is not an integer in [0, n_vertices), repeated
+        vertices, a duplicate top simplex, an edge without a length or a
+        length for a key that is not an edge raises MeshError before any
+        geometry is computed, as do no top simplices and no coordinates.
         """
         try:
             tops = np.reshape(top_simplices, (len(top_simplices), dimension + 1))
         except (TypeError, ValueError):  # ragged, or rows of another width
             raise MeshError(f"every top simplex needs {dimension + 1} vertices") from None
+        n_vertices = None
         if vertex_coords is not None:
             vertex_coords = np.asarray(vertex_coords, dtype=float)
             n_vertices = len(vertex_coords)
-        if n_vertices is None and not len(tops):
-            raise MeshError("no top simplices and no vertex count")
+        elif not len(tops):
+            raise MeshError("no top simplices and no vertex coordinates")
 
         def bad_index(v):
             span = "n_vertices" if n_vertices is None else n_vertices
@@ -323,6 +312,9 @@ class Coboundary:
         signed zeros included.
         """
         values = np.asarray(values)
+        if len(values) != self.n_columns:
+            raise ConfigError(f"cochain length {len(values)} does not match "
+                              f"{self.n_columns} columns")
         out = np.zeros((len(self.facets),) + values.shape[1:],
                        dtype=np.result_type(values, np.int64))
         for k in range(self.facets.shape[1] - 1, -1, -1):
@@ -344,15 +336,6 @@ def build_coboundary(complex_, p):
     if not 0 <= p < complex_.dimension:
         raise ConfigError(f"degree {p} out of range for dimension {complex_.dimension}")
     return Coboundary(complex_.facets[p + 1], complex_.n_simplices(p))
-
-
-def apply_coboundary(matrix, cochain):
-    """Matrix-vector product lifting a cochain one degree."""
-    if matrix.shape[1] != len(cochain.values):
-        raise ConfigError(
-            f"cochain length {len(cochain.values)} does not match {matrix.shape[1]} columns"
-        )
-    return Cochain(cochain.degree + 1, matrix @ cochain.values)
 
 
 def _row_norms(diff):

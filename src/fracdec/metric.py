@@ -4,10 +4,11 @@ Vertex-to-vertex distances are shortest edge paths.  Simplex-to-simplex
 distances extend the vertex distances by the barycenter-to-boundary
 offsets l(sigma), or use Euclidean barycenter distances, accumulated
 axis by axis, when an embedding is available.  A table can be asked for
-a few rows only; then nothing of size E^2 or V^2 is allocated.  On a
-generator mesh (its lattice is set) those rows' vertex distances are
-closed-form lattice path lengths; on any other complex, and for the
-whole table, they come from Dijkstra (scipy, imported at first use).
+a few rows only.  On a generator mesh (its lattice is set) those rows'
+vertex distances are closed-form lattice path lengths, and nothing of
+size E^2 or V^2 is allocated; on any other complex, and for the whole
+table, they are rows of the all-pairs table from Dijkstra (scipy,
+imported at first use).
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ def _memory_budget():
     return budget if budget > 0 else None
 
 
-def _check_dense_memory(complex_, p):
-    """Refuse a dense table whose E^2 + V^2 floats exceed physical memory."""
-    need = 8 * (complex_.n_simplices(p) ** 2 + complex_.n_simplices(0) ** 2)
+def _check_dense_memory(complex_, p, n_rows):
+    """Refuse n_rows rows of a table over E p-simplices, with the V x V
+    vertex table, when their n_rows E + V^2 floats exceed physical memory."""
+    need = 8 * (n_rows * complex_.n_simplices(p) + complex_.n_simplices(0) ** 2)
     budget = _memory_budget()
     if budget is not None and need > budget:
         raise ConfigError(
@@ -57,24 +59,6 @@ def _check_dense_memory(complex_, p):
             f"of memory; meshes from generate_interval_mesh or "
             f"generate_unit_square_mesh (--interval or --square, or a mesh file "
             f"written by gen-mesh) need no dense table")
-
-
-def _vertex_distance(complex_, sources=None):
-    """Shortest-path distances from the source vertices (all when None)
-    to every vertex, one row per source, by Dijkstra."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    edges = complex_.simplices[1]
-    n = complex_.n_simplices(0)
-    w = complex_.edge_lengths
-    graph = csr_matrix((w, (edges[:, 0], edges[:, 1])), shape=(n, n))
-    dist = dijkstra(graph, directed=False, indices=sources)
-    if np.any(np.isinf(dist)):
-        i, j = np.argwhere(np.isinf(dist))[0]
-        i = i if sources is None else sources[i]
-        raise ConnectivityError(f"vertex {j} is unreachable from vertex {i}")
-    return dist
 
 
 def _lattice_vertex_distance(complex_, sources):
@@ -100,8 +84,18 @@ def _lattice_vertex_distance(complex_, sources):
 
 
 def all_pairs_vertex_distance(complex_):
-    """Shortest-path distance d_m between every pair of vertices."""
-    dist = _vertex_distance(complex_)
+    """Shortest-path distance d_m between every pair of vertices, by Dijkstra."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    edges = complex_.simplices[1]
+    n = complex_.n_simplices(0)
+    w = complex_.edge_lengths
+    graph = csr_matrix((w, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    dist = dijkstra(graph, directed=False)
+    if np.any(np.isinf(dist)):
+        i, j = np.argwhere(np.isinf(dist))[0]
+        raise ConnectivityError(f"vertex {j} is unreachable from vertex {i}")
     # Dijkstra per source is symmetric up to roundoff; assemble exactly.
     dist = np.minimum(dist, dist.T)
     return DistanceTable(p=0, mode="geodesic", entries=dist)
@@ -145,11 +139,7 @@ def _rescale_euclidean(block, here, b):
     (rows from the points here to the points b) whose sum of squares
     overflowed or underflowed, scaling each by its largest gap."""
     i, j = np.nonzero(~((block >= _SQRT_TINY) & (block < np.inf)))
-    gaps = here[i] - b[j]
-    scale = np.abs(gaps).max(axis=1)
-    redo = (scale > 0) & (scale < np.inf)
-    i, j, gaps, scale = i[redo], j[redo], gaps[redo], scale[redo]
-    block[i, j] = scale * np.linalg.norm(gaps / scale[:, None], axis=1)
+    block[i, j] = _row_norms(here[i] - b[j])
 
 
 def simplex_distance(complex_, p, mode="geodesic", rows=None):
@@ -158,15 +148,17 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
     geodesic: min over vertex pairs of d_m(u, v) + l(sigma) + l(eta),
     zero on the diagonal.  euclidean: distance between barycenters.
     rows=None gives the dense symmetric table, after a check that it
-    fits in memory; an index array gives just those rows, in that order,
-    from closed-form vertex distances on a lattice mesh.
+    fits in memory; an index array gives just those rows, in that order.
+    Geodesic rows are closed-form on a lattice mesh and otherwise rows of
+    the table built from all-pairs vertex distances, after the same check.
     """
     if mode not in DISTANCE_MODES:
         raise ConfigError(f"unknown distance mode {mode!r}")
-    if rows is None:
-        _check_dense_memory(complex_, p)
     simp = complex_.simplices[p]
     picked = np.arange(len(simp)) if rows is None else np.asarray(rows)
+    closed_form = rows is not None and complex_.lattice is not None
+    if rows is None or (mode == "geodesic" and not closed_form):
+        _check_dense_memory(complex_, p, len(picked))
     step = max(1, _BLOCK_ENTRIES // max(len(simp), complex_.n_simplices(0), 1))
     if mode == "euclidean":
         b = barycenters(complex_, p)
@@ -194,14 +186,12 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
                     _rescale_euclidean(block, here, b)
         return DistanceTable(p=p, mode=mode, entries=entries)
 
-    if rows is None:
-        dm, src = all_pairs_vertex_distance(complex_).entries, simp
-    else:
+    if closed_form:
         # Distances from the rows' vertices only; src indexes dm's rows.
         sources, src = np.unique(simp[picked], return_inverse=True)
-        vertex_distance = (_vertex_distance if complex_.lattice is None
-                           else _lattice_vertex_distance)
-        dm, src = vertex_distance(complex_, sources), src.reshape(-1, p + 1)
+        dm, src = _lattice_vertex_distance(complex_, sources), src.reshape(-1, p + 1)
+    else:
+        dm, src = all_pairs_vertex_distance(complex_).entries, simp[picked]
     offs = boundary_offsets(complex_, p)
     entries = np.empty((len(picked), len(simp)))
     for start in range(0, len(picked), step):

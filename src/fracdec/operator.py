@@ -32,7 +32,8 @@ RIGHT_SIGNS = ("plus", "minus")
 class FracConfig:
     """Parameters of the fractional derivative.
 
-    c_s defaults to 2s / (1 - s).  right_sign chooses the sign applied
+    c_s defaults to 2s / (1 - s); at s = 1 there is no diagonal, so an
+    explicit c_s is refused.  right_sign chooses the sign applied
     to contributions from sources to the right of the target in 1D
     two-sided mode: "plus" sums both sides, "minus" subtracts the right
     side.  "plus" is the convention under which the 1D convergence
@@ -51,6 +52,9 @@ class FracConfig:
             raise ConfigError(f"fractional order s must be in (0, 1], got {self.s}")
         if self.c_s is not None and not (math.isfinite(self.c_s) and self.c_s > 0):
             raise ConfigError(f"c_s must be finite and positive, got {self.c_s}")
+        if self.c_s is not None and self.s >= 1.0:
+            raise ConfigError("c_s has no effect at s = 1, where the operator "
+                              "is the plain coboundary")
         if self.sidedness not in SIDEDNESS:
             raise ConfigError(f"unknown sidedness {self.sidedness!r}")
         if self.right_sign not in RIGHT_SIGNS:
@@ -255,10 +259,10 @@ class FracOperator:
         """Map a degree-p cochain to a degree-(p+1) cochain."""
         if cochain.degree != self.p:
             raise ConfigError(f"expected a degree-{self.p} cochain")
-        out = mesh.apply_coboundary(self.coboundary, cochain)
-        if self.weights is None:
-            return out
-        return mesh.Cochain(self.p + 1, self.scale * (self.weights @ out.values))
+        out = self.coboundary @ cochain.values
+        if self.weights is not None:
+            out = self.scale * (self.weights @ out)
+        return mesh.Cochain(self.p + 1, out)
 
 
 def build_frac_derivative(complex_, p, config):

@@ -26,7 +26,6 @@ from fracdec import (
     get_family,
 )
 from fracdec.analysis import edge_integrals, eval_at_barycenters, whitney_reconstruct
-from fracdec.mesh import apply_coboundary
 from fracdec.metric import all_pairs_vertex_distance, simplex_distance
 from fracdec.special import gamma, mittag_leffler
 from fracdec.cli import main as cli_main
@@ -151,7 +150,7 @@ def test_whitney_properties():
                         float(np.max(np.abs(edge_integrals(field, cx) - c.values))))
     verts = cx.vertex_coords
     f = Cochain(0, 1.7 * verts[:, 0] - 0.6 * verts[:, 1] + 0.2)
-    field = whitney_reconstruct(cx, apply_coboundary(build_coboundary(cx, 0), f))
+    field = whitney_reconstruct(cx, Cochain(1, build_coboundary(cx, 0) @ f.values))
     vecs = eval_at_barycenters(field, cx)
     worst_lin = float(np.max(np.abs(vecs - np.array([1.7, -0.6]))))
     ok = worst_rec < 1e-12 and worst_lin < 1e-12

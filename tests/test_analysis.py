@@ -32,7 +32,6 @@ from fracdec.analysis import (
     to_stairs,
     whitney_reconstruct,
 )
-from fracdec.mesh import apply_coboundary
 from fracdec import analysis
 
 
@@ -102,11 +101,12 @@ def oracle_edge_integrals(field, complex_):
 
 
 def oracle_rows_edge_integrals(field, complex_):
-    """edge_integrals as it was when the field kept the edge rows that
-    locate found at lift time: each edge integrated in its first
-    triangle."""
+    """edge_integrals as it was when the field kept the edge rows found
+    at lift time: each edge integrated in its first triangle.  The rows
+    come from a dict over the edge table."""
     ends = field.triangles[:, _EDGE_PAIRS].reshape(-1, 2)
-    rows = complex_.locate(1, ends)
+    index = {tuple(row): i for i, row in enumerate(complex_.simplices[1].tolist())}
+    rows = np.array([index[tuple(e)] for e in ends.tolist()], dtype=np.int64)
     table = complex_.simplices[1]
     first = np.full(len(table), len(rows))
     np.minimum.at(first, rows, np.arange(len(rows)))
@@ -294,7 +294,7 @@ class TestWhitney:
         a, b, c0 = 2.0, -1.5, 0.3
         verts = cx.vertex_coords
         f = Cochain(0, a * verts[:, 0] + b * verts[:, 1] + c0)
-        grad_c = apply_coboundary(build_coboundary(cx, 0), f)
+        grad_c = Cochain(1, build_coboundary(cx, 0) @ f.values)
         # Face-sign convention: the edge value f_j - f_i equals the
         # tangential integral of grad f, so the lift is direct.
         field = whitney_reconstruct(cx, grad_c)
@@ -490,6 +490,9 @@ class TestStudies:
             field_experiment_2d(2, get_family("exp_x"), FracConfig())
         with pytest.raises(ConfigError):
             convergence_study(get_family("power"), 0.5, [])
+        for s_values, edge_counts in (([], [4]), ([0.5], [])):
+            with pytest.raises(ConfigError, match="must be nonempty"):
+                s_sweep(get_family("power"), s_values, edge_counts)
 
     def test_s_sweep_shape(self):
         rows = s_sweep(get_family("power"), [0.25, 0.5], [4, 8])

@@ -402,6 +402,16 @@ class TestConvergence:
         assert run("convergence", "--family", "power", "--edge-counts", ",",
                    "-o", str(out)) == 2
 
+    @pytest.mark.parametrize("s_values", [",", ""])
+    def test_empty_s_values_exit_2(self, tmp_path, capsys, s_values):
+        # An empty list is not the L2 table and not an empty sweep.
+        out = tmp_path / "c.csv"
+        assert run("convergence", "--family", "power", "--edge-counts", "4",
+                   "--s-values", s_values, "-o", str(out)) == 2
+        assert capsys.readouterr().err == \
+            "error: --s-values must list at least one order\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, option, token", [
         (("--edge-counts", "4,x"), "--edge-counts", "'x'"),
         (("--edge-counts", "2.5"), "--edge-counts", "'2.5'"),
@@ -581,6 +591,23 @@ class TestOracleSample:
                                          side="two_sided", right_sign="plus")
                 assert float(s_col) == s
                 assert abs(float(value) - want) <= 1e-8
+
+
+class TestIntegerOrder:
+    @pytest.mark.parametrize("command", [
+        ("frac-deriv", "--interval", "4", "--family", "power"),
+        ("convergence", "--family", "power", "--edge-counts", "4"),
+        ("convergence", "--family", "power", "--edge-counts", "4",
+         "--s-values", "0.5,1"),
+        ("field2d", "--family", "saddle_2d", "--n", "2")],
+        ids=["frac-deriv", "convergence", "convergence-sweep", "field2d"])
+    def test_cs_at_s_one_exit_2(self, tmp_path, capsys, command):
+        # At s = 1 the operator is the plain coboundary: --cs is unread.
+        code = run(*command, "--s", "1", "--cs", "5", "-o", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: c_s has no effect at s = 1, where the operator " \
+                      "is the plain coboundary\n"
 
 
 class TestDeterminism:

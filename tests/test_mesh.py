@@ -24,7 +24,6 @@ from fracdec import (
     save_json,
     save_off,
 )
-from fracdec.mesh import _facets, apply_coboundary
 
 from conftest import dense_coboundary, nonuniform_interval_mesh, perturbed_square_mesh
 
@@ -328,6 +327,26 @@ class TestValidation:
         with pytest.raises(MeshError, match="degree-1 table must be integers in 2 columns"):
             SimplicialComplex(1, simplices, edge_lengths=np.ones(len(edges)))
 
+    def test_unsorted_table(self):
+        # Tables are kept in key order, so the facet search never sorts;
+        # a complex built with a table out of order is rejected instead.
+        simplices = {0: np.array([[0], [1], [2]]),
+                     1: np.array([[1, 2], [0, 1], [0, 2]]),
+                     2: np.array([[0, 1, 2]])}
+        with pytest.raises(MeshError, match="degree-1 table must be sorted"):
+            SimplicialComplex(2, simplices,
+                              vertex_coords=np.array([[0.0, 0.0], [1.0, 0.0],
+                                                      [0.0, 1.0]]))
+
+    # An edge with a vertex outside 0..8 of a 9-vertex interval; (0, 11)
+    # has the same base-9 key as the edge (1, 2).
+    @pytest.mark.parametrize("row", [(-1, 0), (2, 9), (0, 11)])
+    def test_edge_beyond_the_vertex_table(self, row):
+        cx = generate_interval_mesh(0.0, 1.0, 8)
+        simplices = {0: cx.simplices[0], 1: np.vstack([cx.simplices[1], row])}
+        with pytest.raises(MeshError, match="is not in the complex"):
+            SimplicialComplex(1, simplices, vertex_coords=cx.vertex_coords)
+
     def test_nonincreasing_simplex_rejected(self):
         simplices = {0: np.array([[0], [1]]), 1: np.array([[1, 0]])}
         with pytest.raises(MeshError):
@@ -346,6 +365,15 @@ class TestValidation:
         matching = SimplicialComplex(1, cx.simplices, vertex_coords=cx.vertex_coords,
                                      edge_lengths=np.array([0.5, 0.5]))
         assert not matching.lengths_overridden
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_length_check_is_scale_free(self, scale):
+        # The tolerance is relative at every scale: a moved copy keeps
+        # stale lengths, which disagree, and an unmoved one stays a lattice.
+        cx = generate_interval_mesh(0.0, 4.0 * scale, 4)
+        assert dataclasses.replace(cx).lattice == (5,)
+        with pytest.raises(MeshError, match="disagree with the embedding"):
+            dataclasses.replace(cx, vertex_coords=2 * cx.vertex_coords)
 
     def test_overridden_lengths_accepted(self):
         edges = [(0, 1), (1, 2)]
@@ -381,13 +409,13 @@ class TestValidation:
     def test_vertex_index_beyond_vertex_count(self):
         with pytest.raises(MeshError, match="is not an integer in"):
             SimplicialComplex.from_simplices(
-                1, [(0, 1), (1, 5)], edge_lengths={(0, 1): 1.0, (1, 5): 1.0},
-                n_vertices=3)
+                1, [(0, 1), (1, 5)], vertex_coords=[[0.0], [1.0], [2.0]],
+                edge_lengths={(0, 1): 1.0, (1, 5): 1.0})
 
     def test_missing_edge_length(self):
         with pytest.raises(MeshError, match="no length"):
             SimplicialComplex.from_simplices(
-                1, [(0, 1), (1, 2)], edge_lengths={(0, 1): 1.0}, n_vertices=3)
+                1, [(0, 1), (1, 2)], edge_lengths={(0, 1): 1.0})
 
     @pytest.mark.parametrize("extra", [(5, 6), (1, 2, 3), (2, 1), (0, 2)])
     def test_length_for_a_non_edge(self, extra):
@@ -395,17 +423,17 @@ class TestValidation:
         with pytest.raises(MeshError, match=rf"length given for {re.escape(str(extra))}, "
                                             "which is not an edge"):
             SimplicialComplex.from_simplices(1, [(0, 1), (1, 2)],
-                                             edge_lengths=lengths, n_vertices=3)
+                                             edge_lengths=lengths)
 
     def test_no_simplices_without_vertex_count(self):
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="no top simplices and no vertex coordinates"):
             SimplicialComplex.from_simplices(1, [], edge_lengths={})
 
     @pytest.mark.parametrize("dimension, tops", [
         (2, [(0, 1, 2), (0, 1)]), (1, [(0, 1, 2)]), (1, [0, 1]), (2, [[(0, 1), 2]])])
     def test_wrong_width_rejected(self, dimension, tops):
         with pytest.raises(MeshError, match=f"needs {dimension + 1} vertices"):
-            SimplicialComplex.from_simplices(dimension, tops, n_vertices=3)
+            SimplicialComplex.from_simplices(dimension, tops)
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(MeshError, match="repeated vertices"):
@@ -413,54 +441,24 @@ class TestValidation:
                                              vertex_coords=[[0, 0], [1, 0]])
 
 
-class TestLocate:
-    def test_every_simplex_finds_its_row(self, oracle_mesh):
-        for p in range(oracle_mesh.dimension + 1):
-            table = oracle_mesh.simplices[p]
-            np.testing.assert_array_equal(oracle_mesh.locate(p, table),
-                                          np.arange(len(table)))
-            rev = table[::-1]
-            np.testing.assert_array_equal(oracle_mesh.locate(p, rev[None]),
-                                          np.arange(len(table))[::-1][None])
-
-    def test_unsorted_table(self):
-        # Tables are kept in key order, so locate never sorts; a complex
-        # built with a table out of order is rejected instead.
-        simplices = {0: np.array([[0], [1], [2]]),
-                     1: np.array([[1, 2], [0, 1], [0, 2]]),
-                     2: np.array([[0, 1, 2]])}
-        with pytest.raises(MeshError, match="degree-1 table must be sorted"):
-            SimplicialComplex(2, simplices,
-                              vertex_coords=np.array([[0.0, 0.0], [1.0, 0.0],
-                                                      [0.0, 1.0]]))
-
-    def test_empty_table(self):
-        cx = SimplicialComplex.from_simplices(1, [], edge_lengths={}, n_vertices=3)
-        assert cx.simplices[1].shape == (0, 2)
-        with pytest.raises(MeshError, match=r"\(0, 1\) is not in the complex"):
-            cx.locate(1, [[0, 1]])
-        assert cx.locate(1, np.empty((0, 2), dtype=np.int64)).shape == (0,)
-        assert cx.locate(0, np.empty((0, 1), dtype=np.int64)).shape == (0,)
-
-    # (0, 11) has the same base-9 digits key as the edge (1, 2).
-    @pytest.mark.parametrize("row", [(0, 4), (1, 3), (-1, 0), (2, 9), (1, 0),
-                                     (0, 11)])
-    def test_miss_raises(self, row):
-        cx = generate_interval_mesh(0.0, 1.0, 8)
-        with pytest.raises(MeshError, match="not in the complex"):
-            cx.locate(1, [[0, 1], row])
+def oracle_facet_rows(cx, p):
+    """Row k of each p-simplex's facets in the degree-(p-1) table, by a
+    dict over that table: slot k is the facet without vertex k."""
+    index = {tuple(row): i for i, row in enumerate(cx.simplices[p - 1].tolist())}
+    return np.array([[index[tuple(row[:k] + row[k + 1:])] for k in range(p + 1)]
+                     for row in cx.simplices[p].tolist()],
+                    dtype=np.int64).reshape(-1, p + 1)
 
 
 class TestFacets:
-    """The facet rows kept from validation are locate's rows, and every
-    coboundary is a view of them."""
+    """The facet rows kept from validation are the dict oracle's rows,
+    and every coboundary is a view of them."""
 
     @staticmethod
     def check(cx):
         assert sorted(cx.facets) == list(range(1, cx.dimension + 1))
         for p, rows in cx.facets.items():
-            np.testing.assert_array_equal(
-                rows, cx.locate(p - 1, _facets(cx.simplices[p])))
+            np.testing.assert_array_equal(rows, oracle_facet_rows(cx, p))
             assert rows.dtype == np.int64 and not rows.flags.writeable
         for p in range(cx.dimension):
             d = build_coboundary(cx, p)
@@ -480,7 +478,9 @@ class TestFacets:
         self.check(cx)
 
     def test_empty_tables(self):
-        cx = SimplicialComplex.from_simplices(1, [], edge_lengths={}, n_vertices=3)
+        cx = SimplicialComplex(1, {0: np.arange(3).reshape(-1, 1),
+                                   1: np.empty((0, 2), dtype=np.int64)},
+                               edge_lengths=np.empty(0))
         assert cx.facets[1].shape == (0, 2)
         assert build_coboundary(cx, 0).shape == (0, 3)
 
@@ -550,17 +550,15 @@ class TestCoboundary:
     def test_apply_checks_length(self):
         cx = generate_interval_mesh(0.0, 1.0, 4)
         d0 = build_coboundary(cx, 0)
-        with pytest.raises(ConfigError):
-            apply_coboundary(d0, Cochain(0, np.zeros(3)))
+        with pytest.raises(ConfigError, match="cochain length 3 does not match 5 columns"):
+            d0 @ np.zeros(3)
 
     def test_gradient_of_linear_function(self):
         cx = generate_interval_mesh(0.0, 1.0, 5)
         d0 = build_coboundary(cx, 0)
         f = Cochain(0, 2.0 * cx.vertex_coords[:, 0] + 1.0)
-        out = apply_coboundary(d0, f)
-        assert out.degree == 1
         # D_0 f on edge (i, i+1) is f_{i+1} - f_i under the face-sign rule.
-        np.testing.assert_allclose(out.values, 2.0 / 5.0)
+        np.testing.assert_allclose(d0 @ f.values, 2.0 / 5.0)
 
 
 class TestCochain:
@@ -694,8 +692,7 @@ class TestJsonFormat:
 
     def test_round_trip_abstract_lengths(self, tmp_path):
         cx = SimplicialComplex.from_simplices(
-            1, [(0, 1), (1, 2)], edge_lengths={(0, 1): 2.0, (1, 2): 5.0},
-            n_vertices=3)
+            1, [(0, 1), (1, 2)], edge_lengths={(0, 1): 2.0, (1, 2): 5.0})
         path = tmp_path / "a.json"
         save_json(cx, path)
         back = load_json(path)

@@ -39,8 +39,7 @@ def _random_length_mesh(rng, n_edges):
     """Interval topology with random (non-Euclidean) edge lengths."""
     edges = [(i, i + 1) for i in range(n_edges)]
     lengths = {e: float(rng.uniform(0.2, 2.0)) for e in edges}
-    return SimplicialComplex.from_simplices(1, edges, edge_lengths=lengths,
-                                            n_vertices=n_edges + 1)
+    return SimplicialComplex.from_simplices(1, edges, edge_lengths=lengths)
 
 
 def _all_simple_path_distances(complex_):
@@ -130,7 +129,7 @@ class TestVertexDistances:
     def test_disconnected_raises(self, vertex_distance_oracle):
         cx = SimplicialComplex.from_simplices(
             1, [(0, 1), (2, 3)],
-            edge_lengths={(0, 1): 1.0, (2, 3): 1.0}, n_vertices=4)
+            edge_lengths={(0, 1): 1.0, (2, 3): 1.0})
         with pytest.raises(ConnectivityError):
             all_pairs_vertex_distance(cx)
         with pytest.raises(ConnectivityError):
@@ -139,7 +138,7 @@ class TestVertexDistances:
     def test_respects_overridden_lengths(self):
         cx = SimplicialComplex.from_simplices(
             1, [(0, 1), (1, 2), (0, 2)],
-            edge_lengths={(0, 1): 1.0, (1, 2): 1.0, (0, 2): 5.0}, n_vertices=3)
+            edge_lengths={(0, 1): 1.0, (1, 2): 1.0, (0, 2): 5.0})
         d = all_pairs_vertex_distance(cx).entries
         assert d[0, 2] == pytest.approx(2.0)  # the detour beats the long edge
 
@@ -227,8 +226,7 @@ class TestSimplexDistances:
 
     def test_euclidean_needs_embedding(self):
         cx = SimplicialComplex.from_simplices(
-            1, [(0, 1), (1, 2)], edge_lengths={(0, 1): 1.0, (1, 2): 1.0},
-            n_vertices=3)
+            1, [(0, 1), (1, 2)], edge_lengths={(0, 1): 1.0, (1, 2): 1.0})
         with pytest.raises(MeshError):
             simplex_distance(cx, 1, "euclidean")
 
@@ -240,6 +238,16 @@ _LATTICE_MESHES = [
         (-3.0, 1e-300, 9), (0.0, 1.0, 64)))]
 
 
+def _dijkstra_rows(complex_, sources):
+    """Shortest-path distances from the sources only, by scipy's Dijkstra,
+    so a large lattice needs no all-pairs table."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    edges, n = complex_.simplices[1], complex_.n_simplices(0)
+    graph = csr_matrix((complex_.edge_lengths, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    return dijkstra(graph, directed=False, indices=sources)
+
+
 class TestLatticeDistances:
     """Closed-form vertex distances of generator meshes, against Dijkstra."""
 
@@ -247,7 +255,7 @@ class TestLatticeDistances:
     def test_closed_form_matches_dijkstra(self, cx):
         n = cx.n_simplices(0)
         sources = np.unique(np.r_[np.arange(0, n, 1 + n // 100), n - 1])
-        want = metric._vertex_distance(cx, sources)
+        want = _dijkstra_rows(cx, sources)
         got = metric._lattice_vertex_distance(cx, sources)
         np.testing.assert_array_equal(got == 0, want == 0)
         np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
@@ -256,7 +264,7 @@ class TestLatticeDistances:
         meshes = (generate_unit_square_mesh(5), generate_interval_mesh(-1.0, 2.0, 12))
         cases = [(cx, p, simplex_distance(cx, p).entries)
                  for cx in meshes for p in range(cx.dimension + 1)]
-        monkeypatch.setattr(metric, "_vertex_distance", None)
+        monkeypatch.setattr(metric, "all_pairs_vertex_distance", None)
         for cx, p, whole in cases:
             rows = np.array([len(whole) - 1, 0, len(whole) // 2])
             slab = simplex_distance(cx, p, rows=rows).entries
@@ -335,11 +343,8 @@ class TestSimplexDistanceOracles:
                 slab = simplex_distance(oracle_mesh, p, mode, rows=rows).entries
                 assert slab.shape == (4, n) and slab.flags.c_contiguous
                 np.testing.assert_array_equal(slab[np.arange(4), rows], 0.0)
-                if mode == "euclidean":
-                    np.testing.assert_array_equal(slab, whole[rows])
-                else:
-                    # Dijkstra from one side only: equal up to roundoff.
-                    np.testing.assert_allclose(slab, whole[rows], rtol=1e-14)
+                # Geodesic rows come from the same all-pairs vertex table.
+                np.testing.assert_array_equal(slab, whole[rows])
 
     def test_slab_of_disconnected_complex_raises(self):
         cx = SimplicialComplex.from_simplices(

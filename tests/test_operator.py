@@ -23,7 +23,7 @@ from fracdec.metric import DistanceTable, simplex_distance
 from fracdec.operator import _LatticeWeights, _fast_len, _weight_rows
 from fracdec.special import gamma
 
-from conftest import dense_coboundary
+from conftest import dense_coboundary, perturbed_square_mesh
 
 
 def oracle_weights(d, config):
@@ -128,6 +128,11 @@ class TestFracConfig:
     def test_s_one_default_cs_undefined(self):
         with pytest.raises(ConfigError):
             FracConfig(s=1.0).diagonal_constant
+
+    def test_s_one_refuses_explicit_cs(self):
+        # s = 1 is the plain coboundary, which has no diagonal for c_s.
+        with pytest.raises(ConfigError, match="c_s has no effect at s = 1"):
+            FracConfig(s=1.0, c_s=5.0)
 
 
 class TestWeightMatrix:
@@ -256,7 +261,7 @@ class TestFracDerivative:
 
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_wrong_length_rejected(self, s):
-        # Both branches check the length in apply_coboundary.
+        # Both branches check the length in the coboundary product.
         cx = generate_interval_mesh(0, 1, 4)
         op = build_frac_derivative(cx, 0, FracConfig(s=s))
         for n in (4, 6):
@@ -315,7 +320,7 @@ class TestSidedness:
     def test_sidedness_requires_embedding(self):
         edges = [(0, 1), (1, 2), (2, 3)]
         cx = SimplicialComplex.from_simplices(
-            1, edges, edge_lengths=dict.fromkeys(edges, 1.0), n_vertices=4)
+            1, edges, edge_lengths=dict.fromkeys(edges, 1.0))
         build_frac_derivative(cx, 0, FracConfig())
         for cfg in (FracConfig(sidedness="left_sided"),
                     FracConfig(right_sign="minus")):
@@ -508,7 +513,7 @@ class TestDenseMemoryGuard:
                 metric.simplex_distance(complex_, 1, "geodesic")
             with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
                 build_frac_derivative(_nudged(cx), 0, FracConfig())
-        # Slabs of rows and the FFT path allocate nothing of size E^2.
+        # Euclidean slabs and the FFT path allocate nothing of size E^2.
         assert metric.simplex_distance(cx, 1, "euclidean",
                                        rows=np.array([0, 5])).entries.shape == (2, 33)
         build_frac_derivative(cx, 0, FracConfig())
@@ -521,6 +526,24 @@ class TestDenseMemoryGuard:
         monkeypatch.setattr(metric, "_memory_budget", lambda: need - 1)
         with pytest.raises(ConfigError):
             metric.simplex_distance(cx, 1, "geodesic")
+
+    def test_guard_counts_the_rows_asked_for(self, monkeypatch):
+        # Geodesic rows of a mesh that is not a lattice are rows of the
+        # table built from all-pairs vertex distances: 3 E + V^2 floats.
+        cx = perturbed_square_mesh(4, seed=4)
+        rows = np.array([7, 0, 3])
+        need = 8 * (3 * cx.n_simplices(1) + cx.n_simplices(0) ** 2)
+        monkeypatch.setattr(metric, "_memory_budget", lambda: need)
+        metric.simplex_distance(cx, 1, "geodesic", rows=rows)
+        monkeypatch.setattr(metric, "_memory_budget", lambda: need - 1)
+        with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
+            metric.simplex_distance(cx, 1, "geodesic", rows=rows)
+        # Euclidean rows, and geodesic rows of a lattice mesh, need neither.
+        monkeypatch.setattr(metric, "_memory_budget", lambda: 1000)
+        metric.simplex_distance(cx, 1, "euclidean", rows=rows)
+        square = generate_unit_square_mesh(4)
+        slab = metric.simplex_distance(square, 1, "geodesic", rows=rows).entries
+        assert slab.shape == (3, square.n_simplices(1))
 
     def test_no_budget_no_check(self, monkeypatch):
         monkeypatch.setattr(metric, "_memory_budget", lambda: None)

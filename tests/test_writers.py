@@ -112,7 +112,7 @@ def _abstract_mesh(n):
     # More than ten vertices, so key order ("0,10" < "0,2") is not edge order.
     edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
     return SimplicialComplex.from_simplices(
-        1, edges, edge_lengths={e: 0.5 + e[0] / 3 + e[1] for e in edges}, n_vertices=n)
+        1, edges, edge_lengths={e: 0.5 + e[0] / 3 + e[1] for e in edges})
 
 
 _MESHES = {
@@ -127,8 +127,9 @@ _MESHES = {
         vertex_coords=np.column_stack([generate_unit_square_mesh(3).vertex_coords,
                                        np.linspace(0.0, 1.0, 16)])),
     "abstract": lambda tmp: _abstract_mesh(13),
-    "abstract_empty": lambda tmp: SimplicialComplex.from_simplices(
-        1, [], edge_lengths={}, n_vertices=3),
+    "abstract_empty": lambda tmp: SimplicialComplex(
+        1, {0: np.arange(3).reshape(-1, 1), 1: np.empty((0, 2), dtype=np.int64)},
+        edge_lengths=np.empty(0)),
     "overridden_lengths": lambda tmp: json_overridden_lengths_mesh(tmp, seed=4),
 }
 
