@@ -1,11 +1,10 @@
 """Reconstruction of 1-cochains and the error/convergence harness.
 
 1D cochains are compared to reference functions as piecewise-constant
-functions.  Two step conventions are supported: "barycenter" steps run
-from one edge barycenter to the next (the plotting convention, the last
-step extended to the right endpoint of the domain), while "edge" steps
-cover each edge exactly.  The edge convention is what reproduces the
-reference L2 error table; see the convergence study.
+functions whose steps cover the edges exactly, the convention that
+reproduces the reference L2 error table; see the convergence study.
+The 1D studies build each interval mesh, and sample the family on it,
+once per size, for every order they are asked for.
 
 2D cochains are lifted to piecewise-affine vector fields through the
 Whitney map and evaluated at triangle barycenters.
@@ -41,44 +40,22 @@ class StairsFunction:
         if not np.all(np.diff(self.breakpoints) > 0):
             raise MeshError("breakpoints must be strictly increasing")
 
-    def __call__(self, x):
-        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                      0, len(self.values) - 1)
-        return self.values[idx]
 
-
-def _sorted_edge_geometry(complex_):
+def to_stairs(complex_, cochain):
+    """1-cochain as a stairs function over a 1D embedded complex: step i
+    covers edge i exactly, the edges taken in barycenter order."""
+    if cochain.degree != 1:
+        raise ConfigError("stairs are defined for 1-cochains")
     if complex_.dimension != 1 or complex_.vertex_coords is None:
         raise MeshError("stairs need an embedded 1D complex")
     x = complex_.vertex_coords[:, 0]
     edges = complex_.simplices[1]
-    bary = x[edges].mean(axis=1)
-    order = np.argsort(bary)
+    order = np.argsort(x[edges].mean(axis=1))
     lo, hi = np.sort(x[edges[order]], axis=1).T
     # Edges that meet share a vertex coordinate, so any overlap is real.
     if np.any(lo[1:] < hi[:-1]):
         raise MeshError("edges overlap; cannot form a stairs function")
-    return order, bary[order], lo, hi
-
-
-def to_stairs(complex_, cochain, support="barycenter"):
-    """1-cochain as a stairs function over a 1D embedded complex.
-
-    support="barycenter": step i runs from barycenter i to barycenter
-    i+1, with the final step extended to the right end of the domain.
-    support="edge": step i covers edge i exactly.
-    """
-    if cochain.degree != 1:
-        raise ConfigError("stairs are defined for 1-cochains")
-    order, bary, lo, hi = _sorted_edge_geometry(complex_)
-    vals = cochain.values[order]
-    if support == "barycenter":
-        bps = np.append(bary, hi[-1])
-    elif support == "edge":
-        bps = np.append(lo, hi[-1])
-    else:
-        raise ConfigError(f"unknown stairs support {support!r}")
-    return StairsFunction(bps, vals)
+    return StairsFunction(np.append(lo, hi[-1]), cochain.values[order])
 
 
 def _graded_gauss_rule(m):
@@ -292,47 +269,63 @@ def relative_l2_per_triangle(predicted, reference, normalize="reference"):
     return rel, summary
 
 
-def frac_derivative_1d(n_edges, family, config):
-    """Fractional 1-cochain of a family's vertex samples on [0, 1]."""
-    complex_ = mesh.generate_interval_mesh(0.0, 1.0, n_edges)
-    alpha = mesh.Cochain(0, family.sample(complex_.vertex_coords[:, 0]))
-    op = operator.build_frac_derivative(complex_, 0, config)
-    return complex_, op.apply(alpha)
-
-
-def _check_sides(family, config):
-    """A two-sided family has no left-sided closed form to compare with."""
+def _study_configs(family, s_values, edge_counts, config):
+    """The checked config of every order of a 1D study, all built before
+    any mesh, so a bad order fails first."""
+    if not s_values or not edge_counts:
+        raise ConfigError("s_values and edge_counts must be nonempty")
+    if family.dim != 1:
+        raise ConfigError("1D studies need a 1D family")
+    config = operator.FracConfig() if config is None else config
     if family.side == "two_sided" and config.sidedness == "left_sided":
         raise ConfigError(f"family {family.name} is two-sided; a left-sided "
                           "operator has no closed form to compare with")
+    return [replace(config, s=s) for s in s_values]
+
+
+def _derivatives_1d(family, configs, edge_counts):
+    """(n, config, complex, derivative) for every size, then every config:
+    one interval mesh on [0, 1] and one vertex sample per size."""
+    for n in edge_counts:
+        complex_ = mesh.generate_interval_mesh(0.0, 1.0, n)
+        alpha = mesh.Cochain(0, family.sample(complex_.vertex_coords[:, 0]))
+        for config in configs:
+            op = operator.build_frac_derivative(complex_, 0, config)
+            yield n, config, complex_, op.apply(alpha)
+
+
+def _linf_at_barycenters(complex_, deriv, family, config):
+    """Linf error of a 1D derivative against the family's closed form at
+    the edge barycenters."""
+    bary = metric.barycenters(complex_, 1)[:, 0]
+    return linf_error(deriv.values, family.reference(bary, config.s, config.right_sign))
+
+
+def frac_derivative_1d(n_edges, family, config):
+    """Fractional 1-cochain of a family's vertex samples on [0, 1]."""
+    _, _, complex_, deriv = next(_derivatives_1d(family, [config], [n_edges]))
+    return complex_, deriv
 
 
 def convergence_study(family, s, edge_counts, config=None, support="edge"):
     """Error table (n, error, ratio) for a 1D family.
 
-    Two-sided families use the L2 norm of the piecewise-constant
-    comparison; left-sided families use the Linf norm at edge
+    Two-sided families use the L2 norm of the stairs comparison (support
+    "edge", the only one); left-sided families use the Linf norm at edge
     barycenters against the left-sided closed form.  A two-sided family
     under a left-sided operator raises ConfigError.
     """
-    if not edge_counts:
-        raise ConfigError("edge_counts must be nonempty")
-    if family.dim != 1:
-        raise ConfigError("convergence studies are 1D only")
-    config = replace(operator.FracConfig() if config is None else config, s=s)
-    _check_sides(family, config)
+    if support != "edge":
+        raise ConfigError(f"unknown stairs support {support!r}")
+    configs = _study_configs(family, [s], edge_counts, config)
     rows = []
     prev = None
-    for n in edge_counts:
-        complex_, deriv = frac_derivative_1d(n, family, config)
+    for n, config, complex_, deriv in _derivatives_1d(family, configs, edge_counts):
         if family.side == "left":
-            bary = metric.barycenters(complex_, 1)[:, 0]
-            err = linf_error(deriv.values,
-                             family.reference(bary, s, config.right_sign))
+            err = _linf_at_barycenters(complex_, deriv, family, config)
         else:
-            stairs = to_stairs(complex_, deriv, support=support)
             ref = lambda t: family.reference(t, s, config.right_sign)
-            err = l2_error_stairs(stairs, ref)
+            err = l2_error_stairs(to_stairs(complex_, deriv), ref)
         rows.append({"n": int(n), "error": err,
                      "ratio": err / prev if prev is not None else float("nan")})
         prev = err
@@ -341,22 +334,10 @@ def convergence_study(family, s, edge_counts, config=None, support="edge"):
 
 def s_sweep(family, s_values, edge_counts, config=None):
     """Linf error against the fractional order, at fixed mesh sizes."""
-    if not s_values or not edge_counts:
-        raise ConfigError("s_values and edge_counts must be nonempty")
-    if family.dim != 1:
-        raise ConfigError("s sweeps are 1D only")
-    config = operator.FracConfig() if config is None else config
-    _check_sides(family, config)
-    rows = []
-    for n in edge_counts:
-        for s in s_values:
-            cfg = replace(config, s=s)
-            complex_, deriv = frac_derivative_1d(n, family, cfg)
-            bary = metric.barycenters(complex_, 1)[:, 0]
-            ref = family.reference(bary, s, cfg.right_sign)
-            rows.append({"n": int(n), "s": float(s),
-                         "linf_error": linf_error(deriv.values, ref)})
-    return rows
+    configs = _study_configs(family, s_values, edge_counts, config)
+    return [{"n": int(n), "s": float(config.s),
+             "linf_error": _linf_at_barycenters(complex_, deriv, family, config)}
+            for n, config, complex_, deriv in _derivatives_1d(family, configs, edge_counts)]
 
 
 def field_experiment_2d(n, family, config, normalize="reference"):

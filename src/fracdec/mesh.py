@@ -414,7 +414,9 @@ def load_off(path):
         raise FormatError("expected 'OFF' header", line=numbers[0] if content else 1)
     counts_line = numbers[1] if len(numbers) > 1 else len(lines)
     try:
-        nv, _, nf = (int(tok) for tok in content[1].split()[:3])
+        nv, ne, nf = (int(tok) for tok in content[1].split()[:3])
+        if min(nv, ne, nf) < 0:
+            raise ValueError("negative count")
     except (ValueError, IndexError):
         raise FormatError("expected 'V E F' counts", line=counts_line) from None
     if len(content) - 2 < nv + nf:
@@ -517,17 +519,27 @@ def save_json(complex_, path):
 
 
 def load_json(path):
-    """Read a complex from the JSON mesh format."""
+    """Read a complex from the JSON mesh format.
+
+    "dimension" must be a JSON integer.  "simplices" holds the top table
+    and may hold any table of degree 1..dimension below it, which must
+    list exactly the faces the top table induces, in any row order.
+    """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(str(exc), line=exc.lineno) from None
     try:
-        dim = int(doc["dimension"])
-        tops = doc["simplices"][str(dim)]
-    except (KeyError, TypeError, ValueError):
-        raise FormatError("missing 'dimension' or top-simplex table") from None
+        dim, tables = doc["dimension"], doc["simplices"]
+    except (KeyError, TypeError):
+        raise FormatError("missing 'dimension' or 'simplices'") from None
+    if type(dim) is not int:
+        raise FormatError(f"'dimension' must be an integer, got {dim!r}")
+    try:
+        tops = tables[str(dim)]
+    except (KeyError, TypeError):
+        raise FormatError(f"'simplices' has no degree-{dim} table") from None
     coords = doc.get("vertices")
     lengths = None
     try:
@@ -540,5 +552,27 @@ def load_json(path):
                        for k, v in doc["edge_lengths"].items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"bad 'vertices' or 'edge_lengths': {exc}") from None
-    return SimplicialComplex.from_simplices(dim, tops, vertex_coords=coords,
-                                            edge_lengths=lengths)
+    complex_ = SimplicialComplex.from_simplices(dim, tops, vertex_coords=coords,
+                                                edge_lengths=lengths)
+    degrees = [str(p) for p in range(1, dim + 1)]
+    for key in tables:
+        if key not in degrees:
+            raise FormatError(f"'simplices' has a table {key!r} outside degrees 1..{dim}")
+        # from_simplices has checked the top table itself.
+        if key != degrees[-1] and not _lists_faces(tables[key], complex_.simplices[int(key)]):
+            raise FormatError(f"'simplices' table {key} is not the degree-{key} faces "
+                              f"of the degree-{dim} table")
+    return complex_
+
+
+def _lists_faces(table, faces):
+    """Whether a JSON table lists exactly these faces (a sorted table of
+    increasing rows), in any row and vertex order."""
+    try:
+        rows = np.reshape(table, (len(table), faces.shape[1]))
+    except (TypeError, ValueError):
+        return False
+    if len(rows) and rows.dtype.kind not in "iu":
+        return False
+    rows = np.sort(rows, axis=1)
+    return np.array_equal(rows[np.lexsort(rows.T[::-1])], faces)

@@ -47,10 +47,12 @@ def _memory_budget():
     return budget if budget > 0 else None
 
 
-def _check_dense_memory(complex_, p, n_rows):
-    """Refuse n_rows rows of a table over E p-simplices, with the V x V
-    vertex table, when their n_rows E + V^2 floats exceed physical memory."""
-    need = 8 * (n_rows * complex_.n_simplices(p) + complex_.n_simplices(0) ** 2)
+def _check_dense_memory(complex_, p, n_rows, vertex_table):
+    """Refuse n_rows rows of a table over E p-simplices when their
+    n_rows E floats, plus V^2 for the vertex table if one is built,
+    exceed physical memory."""
+    need = 8 * (n_rows * complex_.n_simplices(p)
+                + vertex_table * complex_.n_simplices(0) ** 2)
     budget = _memory_budget()
     if budget is not None and need > budget:
         raise ConfigError(
@@ -158,7 +160,8 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
     picked = np.arange(len(simp)) if rows is None else np.asarray(rows)
     closed_form = rows is not None and complex_.lattice is not None
     if rows is None or (mode == "geodesic" and not closed_form):
-        _check_dense_memory(complex_, p, len(picked))
+        # Only the geodesic mode builds the all-pairs vertex table here.
+        _check_dense_memory(complex_, p, len(picked), mode == "geodesic")
     step = max(1, _BLOCK_ENTRIES // max(len(simp), complex_.n_simplices(0), 1))
     if mode == "euclidean":
         b = barycenters(complex_, p)

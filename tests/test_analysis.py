@@ -13,6 +13,7 @@ from fracdec import (
     GeometryError,
     MeshError,
     SimplicialComplex,
+    barycenters,
     build_coboundary,
     convergence_study,
     field_experiment_2d,
@@ -32,7 +33,7 @@ from fracdec.analysis import (
     to_stairs,
     whitney_reconstruct,
 )
-from fracdec import analysis
+from fracdec import analysis, mesh
 
 
 def quad_oracle_l2(stairs, reference):
@@ -132,45 +133,17 @@ def quad_calls(monkeypatch):
 
 
 class TestStairsFunction:
-    def test_step_lookup(self):
-        f = StairsFunction([0.0, 1.0, 2.0], [10.0, 20.0])
-        assert f(0.5) == 10.0
-        assert f(1.5) == 20.0
-        assert f(1.0) == 20.0  # right-continuous at breakpoints
-
-    def test_clamps_outside_support(self):
-        f = StairsFunction([0.0, 1.0, 2.0], [10.0, 20.0])
-        assert f(-5.0) == 10.0 and f(5.0) == 20.0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             StairsFunction([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(MeshError):
             StairsFunction([0.0, 0.0, 1.0], [1.0, 2.0])
 
-    def test_vectorized(self):
-        f = StairsFunction([0.0, 1.0, 2.0], [1.0, 2.0])
-        np.testing.assert_array_equal(f(np.array([0.1, 1.7])), [1.0, 2.0])
-
 
 class TestToStairs:
-    def test_barycenter_support(self):
-        cx = generate_interval_mesh(0.0, 1.0, 4)
-        c = Cochain(1, np.arange(4.0))
-        f = to_stairs(cx, c, support="barycenter")
-        np.testing.assert_allclose(f.breakpoints, [0.125, 0.375, 0.625, 0.875, 1.0])
-        np.testing.assert_array_equal(f.values, np.arange(4.0))
-
-    def test_barycenter_support_large_n(self):
-        n = 1024
-        cx = generate_interval_mesh(0.0, 1.0, n)
-        f = to_stairs(cx, Cochain(1, np.zeros(n)), support="barycenter")
-        assert f.breakpoints[0] == pytest.approx(1.0 / 2048.0)
-        assert f.breakpoints[-1] == pytest.approx(1.0)
-
     def test_edge_support(self):
         cx = generate_interval_mesh(0.0, 1.0, 4)
-        f = to_stairs(cx, Cochain(1, np.arange(4.0)), support="edge")
+        f = to_stairs(cx, Cochain(1, np.arange(4.0)))
         np.testing.assert_allclose(f.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_degree_check(self):
@@ -179,9 +152,11 @@ class TestToStairs:
             to_stairs(cx, Cochain(0, np.zeros(5)))
 
     def test_unknown_support(self):
-        cx = generate_interval_mesh(0.0, 1.0, 4)
-        with pytest.raises(ConfigError):
-            to_stairs(cx, Cochain(1, np.zeros(4)), support="vertex")
+        # "edge" is the only stairs convention, for either kind of family.
+        for name in ("poly_neg10x3_plus_10x2", "exp_x"):
+            for support in ("vertex", "barycenter"):
+                with pytest.raises(ConfigError, match="unknown stairs support"):
+                    convergence_study(get_family(name), 0.5, [4], support=support)
 
     def test_needs_1d(self):
         cx = generate_unit_square_mesh(2)
@@ -196,10 +171,10 @@ class TestToStairs:
         overlapping = SimplicialComplex.from_simplices(
             1, [(0, 1), (1, 2)], vertex_coords=np.array([[0.0], [2.0], [1.0]]) * scale)
         with pytest.raises(MeshError, match="edges overlap"):
-            to_stairs(overlapping, c, support="edge")
+            to_stairs(overlapping, c)
         meeting = SimplicialComplex.from_simplices(
             1, [(0, 1), (1, 2)], vertex_coords=np.array([[0.0], [1.0], [3.0]]) * scale)
-        f = to_stairs(meeting, c, support="edge")
+        f = to_stairs(meeting, c)
         np.testing.assert_array_equal(f.breakpoints, np.array([0.0, 1.0, 3.0]) * scale)
 
 
@@ -221,14 +196,15 @@ class TestErrorNorms:
     @pytest.mark.parametrize("n", [2, 16, 1024])
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("right_sign", ["plus", "minus"])
-    @pytest.mark.parametrize("support", ["edge", "barycenter"])
+    @pytest.mark.parametrize("support", ["edge"])
     def test_l2_matches_quad_oracle(self, n, s, right_sign, support):
+        # support is convergence_study's keyword; "edge" is its one value.
         fam = get_family("poly_neg10x3_plus_10x2")
-        cx, deriv = frac_derivative_1d(n, fam, FracConfig(s=s, right_sign=right_sign))
-        stairs = to_stairs(cx, deriv, support=support)
-        got = l2_error_stairs(stairs, lambda t: fam.reference(t, s, right_sign))
-        want = quad_oracle_l2(stairs, lambda t: fam.reference(t, s, right_sign))
-        assert got == pytest.approx(want, rel=1e-10)
+        cfg = FracConfig(s=s, right_sign=right_sign)
+        (row,) = convergence_study(fam, s, [n], config=cfg, support=support)
+        cx, deriv = frac_derivative_1d(n, fam, cfg)
+        want = quad_oracle_l2(to_stairs(cx, deriv), lambda t: fam.reference(t, s, right_sign))
+        assert row["error"] == pytest.approx(want, rel=1e-10)
 
     def test_l2_fine_mesh_needs_no_fallback(self, quad_calls):
         fam = get_family("poly_neg10x3_plus_10x2")
@@ -245,7 +221,7 @@ class TestErrorNorms:
         (row,) = convergence_study(fam, 0.7, [4], config=cfg, support="edge")
         assert quad_calls == []
         cx, deriv = frac_derivative_1d(4, fam, cfg)
-        stairs = to_stairs(cx, deriv, support="edge")
+        stairs = to_stairs(cx, deriv)
         want = quad_oracle_l2(stairs, lambda t: fam.reference(t, 0.7, "minus"))
         assert row["error"] == pytest.approx(want, rel=1e-10)
 
@@ -499,6 +475,33 @@ class TestStudies:
         assert len(rows) == 4
         assert {r["s"] for r in rows} == {0.25, 0.5}
         assert all(np.isfinite(r["linf_error"]) for r in rows)
+
+    def test_s_sweep_builds_one_mesh_per_size(self, monkeypatch):
+        fam = get_family("power")
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return generate_interval_mesh(*args)
+        monkeypatch.setattr(mesh, "generate_interval_mesh", counting)
+        rows = s_sweep(fam, [0.25, 0.5, 0.75], [32, 64])
+        assert built == [(0.0, 1.0, 32), (0.0, 1.0, 64)]
+        monkeypatch.undo()
+        want = []
+        for n in (32, 64):
+            for s in (0.25, 0.5, 0.75):
+                cx, deriv = frac_derivative_1d(n, fam, FracConfig(s=s))
+                bary = barycenters(cx, 1)[:, 0]
+                want.append({"n": n, "s": s, "linf_error": float(
+                    np.max(np.abs(deriv.values - fam.reference(bary, s))))})
+        assert rows == want
+
+    def test_bad_order_fails_before_any_mesh(self, monkeypatch):
+        def no_mesh(*args):
+            raise AssertionError("a mesh was built")
+        monkeypatch.setattr(mesh, "generate_interval_mesh", no_mesh)
+        with pytest.raises(ConfigError, match="fractional order"):
+            s_sweep(get_family("power"), [0.5, 1.5], [4, 8])
 
     def test_frac_derivative_1d_shapes(self):
         cx, deriv = frac_derivative_1d(10, get_family("power"), FracConfig())

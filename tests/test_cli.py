@@ -221,6 +221,33 @@ class TestFracDeriv:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, body, message", [
+        # A negative count would slice the file from its end.
+        ("nv.off", "OFF\n-1 0 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+         "line 2: expected 'V E F' counts"),
+        ("nf.off", "OFF\n3 0 -1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+         "line 2: expected 'V E F' counts"),
+        ("float.json", '{"dimension": 1.7, "simplices": {"1": [[0, 1]]}}',
+         "'dimension' must be an integer, got 1.7"),
+        ("bool.json", '{"dimension": true, "simplices": {"1": [[0, 1]]}}',
+         "'dimension' must be an integer, got True"),
+        ("faces.json", '{"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], '
+         '"simplices": {"2": [[0, 1, 2]], "1": [[0, 1], [1, 2]]}}',
+         "'simplices' table 1 is not the degree-1 faces of the degree-2 table"),
+        ("degree.json", '{"dimension": 1, "vertices": [[0], [1], [2]], '
+         '"simplices": {"1": [[0, 1], [1, 2]], "2": [[0, 1, 2]]}}',
+         "'simplices' has a table '2' outside degrees 1..1"),
+    ])
+    def test_bad_mesh_file_exit_3(self, tmp_path, capsys, name, body, message):
+        path = tmp_path / name
+        path.write_text(body)
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--mesh", str(path), "--family", "exp_x",
+                   "-o", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == f"mesh error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", ["5,6", "1,2,3", "2,1"])
     def test_length_for_a_non_edge_exit_3(self, tmp_path, capsys, extra):
         path = tmp_path / "extra.json"

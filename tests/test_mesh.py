@@ -603,6 +603,14 @@ class TestOffFormat:
             load_off(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("counts", ["-1 0 1", "3 0 -1", "3 -1 1"])
+    def test_negative_counts(self, tmp_path, counts):
+        path = tmp_path / "bad.off"
+        path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(FormatError, match="expected 'V E F' counts") as exc:
+            load_off(path)
+        assert exc.value.line == 2
+
     def test_non_triangle_face(self, tmp_path):
         path = tmp_path / "quad.off"
         path.write_text("OFF\n4 4 1\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
@@ -728,6 +736,68 @@ class TestJsonFormat:
                                                      "1,2": 1.5}}))
         with pytest.raises(MeshError, match=rf"\({extra.replace(',', ', ')}\)"
                                             ", which is not an edge"):
+            load_json(path)
+
+    def test_round_trip_keeps_every_table(self, tmp_path):
+        # save_json writes every table of degree 1..dimension; load_json
+        # checks the lower ones against the faces of the top one.
+        square = generate_unit_square_mesh(3)
+        lengths = SimplicialComplex.from_simplices(
+            2, [(0, 1, 2), (1, 2, 3)], vertex_coords=[[0, 0], [1, 0], [0, 1], [1, 1]],
+            edge_lengths={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.5, (1, 3): 1.0, (2, 3): 1.0})
+        for cx in (square, lengths):
+            path = tmp_path / "m.json"
+            save_json(cx, path)
+            back = load_json(path)
+            assert back.simplices.keys() == cx.simplices.keys()
+            for p, table in cx.simplices.items():
+                np.testing.assert_array_equal(back.simplices[p], table)
+            np.testing.assert_array_equal(back.vertex_coords, cx.vertex_coords)
+            np.testing.assert_array_equal(back.edge_lengths, cx.edge_lengths)
+            assert back.lengths_overridden == cx.lengths_overridden
+            assert back.lattice == cx.lattice
+
+    def test_lower_table_in_any_order(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+                                    "simplices": {"2": [[0, 1, 2]],
+                                                  "1": [[2, 1], [0, 1], [2, 0]]}}))
+        np.testing.assert_array_equal(load_json(path).simplices[1],
+                                      [[0, 1], [0, 2], [1, 2]])
+
+    @pytest.mark.parametrize("dimension", [1.7, True, "1"])
+    def test_dimension_must_be_an_integer(self, tmp_path, dimension):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": dimension, "vertices": [[0], [1]],
+                                    "simplices": {"1": [[0, 1]]}}))
+        with pytest.raises(FormatError, match="'dimension' must be an integer"):
+            load_json(path)
+
+    @pytest.mark.parametrize("tables, message", [
+        # An edge missing, one too many, a repeated one, a wrong width.
+        ({"2": [[0, 1, 2]], "1": [[0, 1], [1, 2]]}, "table 1 is not"),
+        ({"2": [[0, 1, 2]], "1": [[0, 1], [0, 2], [1, 2], [0, 3]]}, "table 1 is not"),
+        ({"2": [[0, 1, 2]], "1": [[0, 1], [0, 2], [1, 2], [1, 0]]}, "table 1 is not"),
+        ({"2": [[0, 1, 2]], "1": [[0, 1, 2]]}, "table 1 is not"),
+        ({"2": [[0, 1, 2]], "1": [[0, 1], [0, 2], [1, 2.5]]}, "table 1 is not"),
+        ({"2": [[0, 1, 2]], "1": "edges"}, "table 1 is not"),
+        # Degrees outside 1..dimension.
+        ({"2": [[0, 1, 2]], "3": [[0, 1, 2, 3]]}, "table '3' outside"),
+        ({"2": [[0, 1, 2]], "0": [[0], [1], [2]]}, "table '0' outside"),
+    ])
+    def test_lower_tables_must_match_the_top(self, tmp_path, tables, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 2, "simplices": tables,
+                                    "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+        with pytest.raises(FormatError, match=message):
+            load_json(path)
+
+    def test_top_table_of_a_higher_degree(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 1, "vertices": [[0], [1], [2]],
+                                    "simplices": {"1": [[0, 1], [1, 2]],
+                                                  "2": [[0, 1, 2]]}}))
+        with pytest.raises(FormatError, match="table '2' outside degrees 1..1"):
             load_json(path)
 
     def test_duplicate_simplex(self, tmp_path):

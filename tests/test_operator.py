@@ -545,6 +545,17 @@ class TestDenseMemoryGuard:
         slab = metric.simplex_distance(square, 1, "geodesic", rows=rows).entries
         assert slab.shape == (3, square.n_simplices(1))
 
+    def test_euclidean_tables_need_no_vertex_table(self, monkeypatch):
+        # Only geodesic distances off the lattice build the V x V table,
+        # so a whole Euclidean table needs its E^2 floats alone.
+        cx = perturbed_square_mesh(4, seed=4)
+        e = cx.n_simplices(1)
+        assert (e, cx.n_simplices(0)) == (56, 25)
+        monkeypatch.setattr(metric, "_memory_budget", lambda: 8 * e ** 2 + 8)
+        assert metric.simplex_distance(cx, 1, "euclidean").entries.shape == (e, e)
+        with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
+            metric.simplex_distance(cx, 1, "geodesic")
+
     def test_no_budget_no_check(self, monkeypatch):
         monkeypatch.setattr(metric, "_memory_budget", lambda: None)
         cx = _nudged(generate_interval_mesh(0, 1, 10))
