@@ -22,9 +22,9 @@ from .errors import AccuracyError, ConfigError, MeshError
 USAGE_ERROR, DATA_ERROR, ACCURACY_ERROR = 2, 3, 4
 
 
-def _config_from_args(args):
+def _config_from_args(args, s):
     return operator.FracConfig(
-        s=args.s, c_s=args.cs,
+        s=s, c_s=args.cs,
         sidedness={"two": "two_sided", "left": "left_sided"}[args.sidedness],
         right_sign=args.right_sign, distance_mode=args.distance,
     )
@@ -123,7 +123,7 @@ def cmd_gen_mesh(args):
 
 def cmd_frac_deriv(args):
     cx = _load_mesh(args)
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.s)
     family = oracles.get_family(args.family, q=args.q)
     coords = cx.vertex_coords
     if coords is None:
@@ -143,20 +143,23 @@ def cmd_frac_deriv(args):
 
 def cmd_convergence(args):
     family = oracles.get_family(args.family, q=args.q)
-    config = _config_from_args(args)
     edge_counts = _list_option("edge-counts", args.edge_counts, int)
     if not edge_counts:
         raise ConfigError("--edge-counts must list at least one mesh size")
-    if args.s_values is not None:
+    if args.s_values is None:
+        args.s = 0.5 if args.s is None else args.s  # stored back for the header
+        rows = analysis.convergence_study(family, args.s, edge_counts,
+                                          config=_config_from_args(args, args.s))
+        names = ["n", "error", "ratio"]
+    else:
+        # The orders are --s-values alone; s_sweep sets each on the config.
+        _reject_unread(args, ("s",), "--s-values")
         s_values = _list_option("s-values", args.s_values, float)
         if not s_values:
             raise ConfigError("--s-values must list at least one order")
-        rows = analysis.s_sweep(family, s_values, edge_counts, config=config)
+        rows = analysis.s_sweep(family, s_values, edge_counts,
+                                config=_config_from_args(args, s_values[0]))
         names = ["n", "s", "linf_error"]
-    else:
-        rows = analysis.convergence_study(family, args.s, edge_counts,
-                                          config=config)
-        names = ["n", "error", "ratio"]
     _write_rows(args.output, _header("convergence", args),
                 {name: [r[name] for r in rows] for name in names}, args.format)
     print(f"wrote {args.output}: {len(rows)} rows")
@@ -165,7 +168,7 @@ def cmd_convergence(args):
 
 def cmd_field2d(args):
     family = oracles.get_family(args.family)
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.s)
     result = analysis.field_experiment_2d(args.n, family, config,
                                           normalize=args.normalize)
     header = _header("field2d", args)
@@ -243,6 +246,7 @@ def build_parser():
     p.add_argument("--s-values", default=None,
                    help="comma-separated s values (Linf sweep mode)")
     _add_operator(p)
+    p.set_defaults(s=None)  # unset unless given, so that a sweep can refuse it
     _add_table_output(p)
     p.set_defaults(func=cmd_convergence)
 

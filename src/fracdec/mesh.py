@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -518,12 +519,23 @@ def save_json(complex_, path):
         fh.write("\n}\n")
 
 
+def _holds_bool(value):
+    """Whether a JSON value is true or false, or holds one as an item or
+    an item of an item."""
+    items = value if type(value) is list else (value,)
+    return bool in set(map(type, chain.from_iterable(
+        v if type(v) is list else (v,) for v in items)))
+
+
 def load_json(path):
     """Read a complex from the JSON mesh format.
 
     "dimension" must be a JSON integer.  "simplices" holds the top table
     and may hold any table of degree 1..dimension below it, which must
     list exactly the faces the top table induces, in any row order.
+    "vertices" and "edge_lengths" (an object, read as given even when
+    empty) are optional, and no other key is read, so none may appear.
+    A JSON true or false is not a number anywhere.
     """
     with open(path) as fh:
         try:
@@ -534,22 +546,28 @@ def load_json(path):
         dim, tables = doc["dimension"], doc["simplices"]
     except (KeyError, TypeError):
         raise FormatError("missing 'dimension' or 'simplices'") from None
+    unknown = set(doc) - {"dimension", "simplices", "vertices", "edge_lengths"}
+    if unknown:
+        raise FormatError(f"unknown key {min(unknown)!r}")
     if type(dim) is not int:
         raise FormatError(f"'dimension' must be an integer, got {dim!r}")
     try:
         tops = tables[str(dim)]
     except (KeyError, TypeError):
         raise FormatError(f"'simplices' has no degree-{dim} table") from None
-    coords = doc.get("vertices")
-    lengths = None
+    coords, lengths = doc.get("vertices"), doc.get("edge_lengths")
+    if "edge_lengths" in doc and type(lengths) is not dict:
+        raise FormatError(f"'edge_lengths' must be an object, got {lengths!r}")
+    if any(map(_holds_bool, (*tables.values(), coords, list((lengths or {}).values())))):
+        raise FormatError("a JSON true or false stands where a number belongs")
     try:
         if coords is not None:
             coords = np.array(coords, dtype=float)
             if coords.ndim != 2:
                 raise ValueError("expected a list of coordinate rows")
-        if doc.get("edge_lengths"):
+        if lengths is not None:
             lengths = {tuple(int(t) for t in k.split(",")): float(v)
-                       for k, v in doc["edge_lengths"].items()}
+                       for k, v in lengths.items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"bad 'vertices' or 'edge_lengths': {exc}") from None
     complex_ = SimplicialComplex.from_simplices(dim, tops, vertex_coords=coords,

@@ -4,11 +4,12 @@ Vertex-to-vertex distances are shortest edge paths.  Simplex-to-simplex
 distances extend the vertex distances by the barycenter-to-boundary
 offsets l(sigma), or use Euclidean barycenter distances, accumulated
 axis by axis, when an embedding is available.  A table can be asked for
-a few rows only.  On a generator mesh (its lattice is set) those rows'
-vertex distances are closed-form lattice path lengths, and nothing of
-size E^2 or V^2 is allocated; on any other complex, and for the whole
-table, they are rows of the all-pairs table from Dijkstra (scipy,
-imported at first use).
+a few rows only, and the whole table is its rows 0..E-1.  The mesh
+alone picks the vertex distances: on a generator mesh (its lattice is
+set) they are closed-form lattice path lengths from the rows' vertices,
+so a few rows allocate nothing of size E^2 or V^2; on any other complex
+they come from the all-pairs table of Dijkstra (scipy, imported at
+first use).
 """
 
 from __future__ import annotations
@@ -149,19 +150,17 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
 
     geodesic: min over vertex pairs of d_m(u, v) + l(sigma) + l(eta),
     zero on the diagonal.  euclidean: distance between barycenters.
-    rows=None gives the dense symmetric table, after a check that it
-    fits in memory; an index array gives just those rows, in that order.
-    Geodesic rows are closed-form on a lattice mesh and otherwise rows of
-    the table built from all-pairs vertex distances, after the same check.
+    An index array gives just those rows, in that order; rows=None is
+    rows 0..E-1, the dense symmetric table.  Either is refused first if
+    it does not fit in memory, with the all-pairs vertex table that
+    geodesic rows need off a lattice mesh.
     """
     if mode not in DISTANCE_MODES:
         raise ConfigError(f"unknown distance mode {mode!r}")
     simp = complex_.simplices[p]
     picked = np.arange(len(simp)) if rows is None else np.asarray(rows)
-    closed_form = rows is not None and complex_.lattice is not None
-    if rows is None or (mode == "geodesic" and not closed_form):
-        # Only the geodesic mode builds the all-pairs vertex table here.
-        _check_dense_memory(complex_, p, len(picked), mode == "geodesic")
+    closed_form = complex_.lattice is not None
+    _check_dense_memory(complex_, p, len(picked), mode == "geodesic" and not closed_form)
     step = max(1, _BLOCK_ENTRIES // max(len(simp), complex_.n_simplices(0), 1))
     if mode == "euclidean":
         b = barycenters(complex_, p)

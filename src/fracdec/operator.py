@@ -5,16 +5,16 @@ is the signed coboundary and W is the matrix of inverse
 distance-to-the-s weights between (p+1)-simplices.  Rows of W index the
 target simplex, columns the source simplex.  In 1D the sidedness and the
 right-side sign are folded into W when it is built.  W is a dense array,
-except on meshes from the two generators, where it is a multi-level
-Toeplitz operator built from a few rows, whose distances are closed
-form, and applied by numpy.fft; the dense path is its oracle.  At s = 1
-the operator is the plain coboundary, bit-exactly (Kronecker branch).
+the rows 0..E-1, except on meshes from the two generators, where it is
+a multi-level Toeplitz operator: a few rows, whose distances are closed
+form, scattered at their per-axis cell lags into symbols that numpy.fft
+applies; the dense path is its oracle.  At s = 1 the operator is the
+plain coboundary, bit-exactly (Kronecker branch).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +77,7 @@ class FracConfig:
 
 def _weight_rows(complex_, p, config, rows=None):
     """Rows of the weight matrix W over the (p+1)-simplices, in the
-    order given; all of W, in place of its distance table, when rows is
-    None.
+    order given (all of W, rows 0..E-1, when rows is None).
 
     Off-diagonal entry (i, j) is distance(i, j)^(-s); every diagonal
     entry is C_s times the largest off-diagonal weight of the rows, and
@@ -88,12 +87,13 @@ def _weight_rows(complex_, p, config, rows=None):
     """
     if config.s >= 1.0:
         raise ConfigError("s = 1 is integer order: weight matrix is the identity")
+    rows = np.arange(complex_.n_simplices(p + 1)) if rows is None else rows
     # The distance table is ours alone, so the weights overwrite it.
     w = metric.simplex_distance(complex_, p + 1, config.distance_mode,
                                 rows=rows).entries
     if w.shape[1] < 2:
         raise MeshError("weight matrix needs at least two simplices")
-    diagonal = (np.arange(len(w)), np.arange(len(w)) if rows is None else rows)
+    diagonal = (np.arange(len(w)), rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.power(w, -config.s, out=w)
     w[diagonal] = 0.0
@@ -107,8 +107,8 @@ def _weight_rows(complex_, p, config, rows=None):
 
 
 def _fold_sides(w, complex_, q, config, rows):
-    """Fold the 1D sidedness and right-side sign into rows of W over
-    q-simplices (all rows when rows is None).
+    """Fold the 1D sidedness and right-side sign into the given rows
+    of W over q-simplices.
 
     left_sided keeps source j for target t iff barycenter_x(j) <
     barycenter_x(t); the strict comparison zeroes the diagonal as well,
@@ -119,11 +119,10 @@ def _fold_sides(w, complex_, q, config, rows):
     if config.sidedness == "two_sided" and config.right_sign == "plus":
         return
     x = metric.barycenters(complex_, q)[:, 0]
-    target = x if rows is None else x[rows]
     if config.sidedness == "left_sided":
-        np.multiply(w, x[None, :] < target[:, None], out=w)
+        np.multiply(w, x[None, :] < x[rows, None], out=w)
     else:
-        np.negative(w, out=w, where=x[None, :] > target[:, None])
+        np.negative(w, out=w, where=x[None, :] > x[rows, None])
 
 
 @functools.lru_cache(maxsize=256)
@@ -168,57 +167,37 @@ class _LatticeWeights:
         any other box.  The rows share the dense path's weights, so the
         diagonal is C_s times the largest weight they hold, and in 1D
         left_sided leaves a lower-triangular symbol and "minus" a
-        negated upper part.
+        negated upper part.  Where rows see the same lag, their weights
+        agree to rounding and the last in C order is kept.
         """
-        simp = complex_.simplices[p + 1]
-        lattice = complex_.lattice
-        # Per-axis lattice coordinates of every vertex, from a flat index
-        # array (numpy 2.4's unravel_index mis-reads long (n, 1) arrays).
-        coords = [c.reshape(simp.shape)
-                  for c in np.unravel_index(simp.reshape(-1), lattice)]
-        cells = [np.ascontiguousarray(c[:, 0]) for c in coords]
-        # Offsets lie in (-m, m) on an axis of m points; shifted by m - 1
-        # they are the digits of the class key.
-        reach = max(lattice) - 1
-        offsets = np.stack([c[:, 1:] - c[:, :1] for c in coords], axis=-1)
-        offsets = offsets.reshape(len(simp), -1) + reach
-        _, kind = np.unique(mesh._keys(offsets, 2 * reach + 1), return_inverse=True)
+        simp, lattice = complex_.simplices[p + 1], complex_.lattice
+        # A vertex's flat index is its lattice coordinates in C order,
+        # so flat offsets from the lowest vertex key the classes.
+        cells = np.unravel_index(simp[:, 0], lattice)
+        _, kind = np.unique(mesh._keys(simp[:, 1:] - simp[:, :1], complex_.n_simplices(0)),
+                            return_inverse=True)
         kinds = kind.max() + 1
         grid = tuple(_fast_len(2 * m - 1) for m in lattice)
-        size = math.prod(grid)
-        flat = np.ravel_multi_index(cells, grid)
-        slots = kind * size + flat
-        index = np.empty(kinds * size, dtype=np.int64)
-        index[slots] = np.arange(len(simp))
-        # box[0] and box[1] hold each class's lowest and highest cell
-        # coordinate per axis; its corners pick one of them on each axis.
-        dims = len(grid)
-        box = np.stack([np.full((dims, kinds), size),
-                        np.zeros((dims, kinds), dtype=np.int64)])
-        for axis, c in enumerate(cells):
-            np.minimum.at(box[0, axis], kind, c)
-            np.maximum.at(box[1, axis], kind, c)
-        corners = [np.ravel_multi_index(box[list(pick), range(dims)], grid)
-                   for pick in itertools.product((0, 1), repeat=dims)]
-        rows = np.unique(index[np.arange(kinds) * size + np.array(corners)])
+        slots = np.ravel_multi_index((kind, *cells), (kinds, *grid))
+        # Corner rows: cells at their class's lowest or highest on every axis.
+        corner = True
+        for c, m in zip(cells, lattice):
+            lo, hi = np.full(kinds, m), np.zeros(kinds, dtype=np.intp)
+            np.minimum.at(lo, kind, c)
+            np.maximum.at(hi, kind, c)
+            corner = corner & ((c == lo[kind]) | (c == hi[kind]))
+        rows = np.flatnonzero(corner)
         w = _weight_rows(complex_, p, config, rows)
-        # The lag on each axis is the cell difference modulo its grid
-        # length, so a negative difference gains one length; in flat
-        # positions that is one axis stride times the length.
-        lag = flat[rows, None] - flat[None, :]
-        stride = size
-        for axis, n in enumerate(grid):
-            stride //= n
-            np.add(lag, n * stride, out=lag, where=cells[axis] > cells[axis][rows, None])
-        pair = kind[rows, None] * kinds + kind[None, :]
         # The symbols are kept over 2^exponent, which brings the largest
         # weight into [0.5, 1) exactly, so the transform cannot overflow
         # where W @ x would not (say at a huge C_s).
         exponent = int(np.frexp(np.abs(w).max())[1])
-        table = np.zeros(kinds * kinds * size)
-        table[pair * size + lag] = np.ldexp(w, -exponent)
-        axes = tuple(range(2, 2 + len(grid)))
-        symbols = np.fft.rfftn(table.reshape(kinds, kinds, *grid), axes=axes)
+        # Each row's weights go to its class pair and, per axis, the cell
+        # difference, whose negative values index from the end: the lag.
+        table = np.zeros((kinds, kinds, *grid))
+        table[(kind[rows, None], kind, *(c[rows, None] - c for c in cells))] = \
+            np.ldexp(w, -exponent)
+        symbols = np.fft.rfftn(table, axes=tuple(range(2, 2 + len(grid))))
         return cls(grid, slots, symbols, exponent)
 
     @property
@@ -230,11 +209,10 @@ class _LatticeWeights:
         return self.slots.nbytes + self.symbols.nbytes
 
     def __matmul__(self, values):
-        kinds = len(self.symbols)
         axes = tuple(range(1, 1 + len(self.grid)))
-        x = np.zeros(kinds * math.prod(self.grid))
-        x[self.slots] = values
-        spectra = np.fft.rfftn(x.reshape(kinds, *self.grid), axes=axes)
+        x = np.zeros((len(self.symbols), *self.grid))
+        x.reshape(-1)[self.slots] = values
+        spectra = np.fft.rfftn(x, axes=axes)
         mixed = np.einsum("ij...,j...->i...", self.symbols, spectra)
         y = np.fft.irfftn(mixed, s=self.grid, axes=axes)
         return np.ldexp(y.reshape(-1)[self.slots], self.exponent)

@@ -1,5 +1,7 @@
 """Meshes and reference implementations shared by the oracle tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -58,6 +60,16 @@ def perturbed_square_mesh(n, seed):
     coords[interior] += rng.uniform(-0.25, 0.25, (interior.sum(), 2)) / n
     return SimplicialComplex.from_simplices(2, base.simplices[2].tolist(),
                                             vertex_coords=coords)
+
+
+def nudged_mesh(cx):
+    """The same tables with one interior vertex moved off the lattice:
+    a mesh that takes the dense path and the all-pairs vertex table."""
+    coords = cx.vertex_coords.copy()
+    coords[len(coords) // 2] += 1e-3
+    moved = dataclasses.replace(cx, vertex_coords=coords, edge_lengths=None)
+    assert moved.lattice is None
+    return moved
 
 
 def nonuniform_interval_mesh(n_edges, seed):

@@ -424,6 +424,25 @@ class TestConvergence:
         assert lines[1] == "n,s,linf_error"
         assert len(lines) == 2 + 4
 
+    def test_s_with_s_values_exit_2(self, tmp_path, capsys):
+        # A sweep reads its orders from --s-values alone.
+        out = tmp_path / "sweep.csv"
+        assert run("convergence", "--family", "power", "--edge-counts", "8",
+                   "--s", "0.3", "--s-values", "0.5", "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: --s cannot be used with --s-values\n"
+        assert not out.exists()
+
+    def test_sweep_header_records_no_s(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run("convergence", "--family", "power", "--edge-counts", "8",
+                   "--s-values", "0.5", "-o", str(out)) == 0
+        cfg = json.loads(out.read_text().splitlines()[0][len("# config: "):])
+        assert "s" not in cfg and cfg["s_values"] == "0.5"
+        table = tmp_path / "table.csv"
+        assert run("convergence", "--family", "power", "--edge-counts", "8",
+                   "-o", str(table)) == 0
+        assert json.loads(table.read_text().splitlines()[0][len("# config: "):])["s"] == 0.5
+
     def test_empty_counts_exit_2(self, tmp_path):
         out = tmp_path / "c.csv"
         assert run("convergence", "--family", "power", "--edge-counts", ",",
@@ -622,15 +641,15 @@ class TestOracleSample:
 
 class TestIntegerOrder:
     @pytest.mark.parametrize("command", [
-        ("frac-deriv", "--interval", "4", "--family", "power"),
-        ("convergence", "--family", "power", "--edge-counts", "4"),
+        ("frac-deriv", "--interval", "4", "--family", "power", "--s", "1"),
+        ("convergence", "--family", "power", "--edge-counts", "4", "--s", "1"),
         ("convergence", "--family", "power", "--edge-counts", "4",
          "--s-values", "0.5,1"),
-        ("field2d", "--family", "saddle_2d", "--n", "2")],
+        ("field2d", "--family", "saddle_2d", "--n", "2", "--s", "1")],
         ids=["frac-deriv", "convergence", "convergence-sweep", "field2d"])
     def test_cs_at_s_one_exit_2(self, tmp_path, capsys, command):
         # At s = 1 the operator is the plain coboundary: --cs is unread.
-        code = run(*command, "--s", "1", "--cs", "5", "-o", str(tmp_path / "out"))
+        code = run(*command, "--cs", "5", "-o", str(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: c_s has no effect at s = 1, where the operator " \

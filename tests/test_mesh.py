@@ -800,6 +800,32 @@ class TestJsonFormat:
         with pytest.raises(FormatError, match="table '2' outside degrees 1..1"):
             load_json(path)
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"edge_length": {"0,1": 3.0, "1,2": 1.0}}, "unknown key 'edge_length'"),
+        ({"edge_lengths": []}, "'edge_lengths' must be an object, got \\[\\]"),
+        ({"edge_lengths": None}, "'edge_lengths' must be an object, got None"),
+        ({"edge_lengths": {"0,1": True, "1,2": 1.0}}, "JSON true or false"),
+        ({"vertices": [[0], [1], [False]]}, "JSON true or false"),
+        ({"simplices": {"1": [[False, True], [True, 2]]}}, "JSON true or false"),
+        ({"simplices": {"1": [[0, 1], True]}}, "JSON true or false"),
+    ])
+    def test_nothing_is_read_silently(self, tmp_path, extra, message):
+        # Each of these once loaded as the 3-vertex interval, or ignored
+        # the key; the CLI reads them as exit 3.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 1, "vertices": [[0], [1], [5]],
+                                    "simplices": {"1": [[0, 1], [1, 2]]}, **extra}))
+        with pytest.raises(FormatError, match=message):
+            load_json(path)
+
+    def test_empty_lengths_are_read_as_given(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dimension": 1, "vertices": [[0], [1], [5]],
+                                    "simplices": {"1": [[0, 1], [1, 2]]},
+                                    "edge_lengths": {}}))
+        with pytest.raises(MeshError, match="no length given for edge"):
+            load_json(path)
+
     def test_duplicate_simplex(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text(json.dumps({"dimension": 1, "vertices": [[0], [1]],

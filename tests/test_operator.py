@@ -23,7 +23,7 @@ from fracdec.metric import DistanceTable, simplex_distance
 from fracdec.operator import _LatticeWeights, _fast_len, _weight_rows
 from fracdec.special import gamma
 
-from conftest import dense_coboundary, perturbed_square_mesh
+from conftest import dense_coboundary, nudged_mesh, perturbed_square_mesh
 
 
 def oracle_weights(d, config):
@@ -352,16 +352,6 @@ def _fast_and_dense(cx, p, cfg):
     return fast, _weight_rows(cx, p, cfg)
 
 
-def _nudged(cx):
-    """The same tables with one interior vertex moved off the lattice:
-    a mesh that takes the dense path."""
-    coords = cx.vertex_coords.copy()
-    coords[len(coords) // 2] += 1e-3
-    moved = dataclasses.replace(cx, vertex_coords=coords, edge_lengths=None)
-    assert moved.lattice is None
-    return moved
-
-
 def _relative_gap(cx, p, cfg, trials=2):
     """Largest |lattice W x - dense W x| over max |dense W x|, on random x."""
     fast, dense = _fast_and_dense(cx, p, cfg)
@@ -496,6 +486,27 @@ class TestLatticeBackend:
         np.testing.assert_allclose(fast, dense, rtol=0,
                                    atol=1e-13 * np.abs(dense).max())
 
+    @pytest.mark.parametrize("dim, n, p, cfg", [
+        (2, 256, 0, FracConfig(s=0.4)),
+        (2, 256, 0, FracConfig(s=0.4, distance_mode="euclidean")),
+        (2, 96, 1, FracConfig(s=0.7, distance_mode="euclidean")),
+        (1, 1 << 16, 0, FracConfig(s=0.3, sidedness="left_sided")),
+        (1, 1 << 16, 0, FracConfig(s=0.6, right_sign="minus")),
+    ], ids=["square256-geodesic", "square256-euclidean", "square96-p1-euclidean",
+            "interval65536-left", "interval65536-minus"])
+    def test_matches_exact_rows_at_scale(self, dim, n, p, cfg):
+        # Beyond the sizes the dense oracle reaches: 16 random rows of W,
+        # exact from the distance rows, against the FFT product, within
+        # 1e-12 of sum_j |w_ij| |x_j| on each row.
+        cx = generate_interval_mesh(0.0, 1.0, n) if dim == 1 else generate_unit_square_mesh(n)
+        fast = build_frac_derivative(cx, p, cfg).weights
+        rng = np.random.default_rng(fast.shape[0])
+        rows = rng.choice(fast.shape[0], 16, replace=False)
+        x = rng.standard_normal(fast.shape[1])
+        w = _weight_rows(cx, p, cfg, rows)
+        np.testing.assert_array_less(np.abs((fast @ x)[rows] - w @ x),
+                                     1e-12 * (np.abs(w) @ np.abs(x)))
+
 
 def test_fast_len_is_scipys():
     from scipy.fft import next_fast_len
@@ -505,21 +516,23 @@ def test_fast_len_is_scipys():
 
 class TestDenseMemoryGuard:
     def test_guard_names_the_generators(self, monkeypatch):
+        # One float short of a whole table: the FFT path's few rows fit.
         cx = generate_unit_square_mesh(3)
-        monkeypatch.setattr(metric, "_memory_budget", lambda: 1000)
-        for complex_ in (_nudged(cx), cx):
+        e = cx.n_simplices(1)
+        monkeypatch.setattr(metric, "_memory_budget", lambda: 8 * e * e - 8)
+        for complex_ in (nudged_mesh(cx), cx):
             with pytest.raises(ConfigError, match="--interval or --square, or a "
                                                   "mesh file written by gen-mesh"):
                 metric.simplex_distance(complex_, 1, "geodesic")
             with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
-                build_frac_derivative(_nudged(cx), 0, FracConfig())
+                build_frac_derivative(nudged_mesh(cx), 0, FracConfig())
         # Euclidean slabs and the FFT path allocate nothing of size E^2.
         assert metric.simplex_distance(cx, 1, "euclidean",
-                                       rows=np.array([0, 5])).entries.shape == (2, 33)
+                                       rows=np.array([0, 5])).entries.shape == (2, e)
         build_frac_derivative(cx, 0, FracConfig())
 
     def test_guard_needs_e_squared_plus_v_squared(self, monkeypatch):
-        cx = _nudged(generate_interval_mesh(0, 1, 10))
+        cx = nudged_mesh(generate_interval_mesh(0, 1, 10))
         need = 8 * (10 ** 2 + 11 ** 2)
         monkeypatch.setattr(metric, "_memory_budget", lambda: need)
         metric.simplex_distance(cx, 1, "geodesic")
@@ -538,12 +551,31 @@ class TestDenseMemoryGuard:
         monkeypatch.setattr(metric, "_memory_budget", lambda: need - 1)
         with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
             metric.simplex_distance(cx, 1, "geodesic", rows=rows)
-        # Euclidean rows, and geodesic rows of a lattice mesh, need neither.
-        monkeypatch.setattr(metric, "_memory_budget", lambda: 1000)
-        metric.simplex_distance(cx, 1, "euclidean", rows=rows)
+        # Euclidean rows, and geodesic rows of a lattice mesh, need their
+        # 3 E floats alone.
         square = generate_unit_square_mesh(4)
+        assert square.n_simplices(1) == cx.n_simplices(1)
+        need = 8 * 3 * cx.n_simplices(1)
+        monkeypatch.setattr(metric, "_memory_budget", lambda: need)
+        metric.simplex_distance(cx, 1, "euclidean", rows=rows)
         slab = metric.simplex_distance(square, 1, "geodesic", rows=rows).entries
         assert slab.shape == (3, square.n_simplices(1))
+        monkeypatch.setattr(metric, "_memory_budget", lambda: need - 1)
+        for complex_, mode in ((cx, "euclidean"), (square, "geodesic")):
+            with pytest.raises(ConfigError):
+                metric.simplex_distance(complex_, 1, mode, rows=rows)
+
+    def test_dense_euclidean_operator_is_guarded(self, monkeypatch):
+        # A moved square takes the dense path in both modes; its E x E
+        # Euclidean weights are refused under a budget below E^2 floats.
+        cx = nudged_mesh(generate_unit_square_mesh(4))
+        e = cx.n_simplices(1)
+        monkeypatch.setattr(metric, "_memory_budget", lambda: 8 * e * e - 8)
+        with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
+            build_frac_derivative(cx, 0, FracConfig(distance_mode="euclidean"))
+        monkeypatch.setattr(metric, "_memory_budget", lambda: 8 * e * e)
+        op = build_frac_derivative(cx, 0, FracConfig(distance_mode="euclidean"))
+        assert op.weights.shape == (e, e)
 
     def test_euclidean_tables_need_no_vertex_table(self, monkeypatch):
         # Only geodesic distances off the lattice build the V x V table,
@@ -558,7 +590,7 @@ class TestDenseMemoryGuard:
 
     def test_no_budget_no_check(self, monkeypatch):
         monkeypatch.setattr(metric, "_memory_budget", lambda: None)
-        cx = _nudged(generate_interval_mesh(0, 1, 10))
+        cx = nudged_mesh(generate_interval_mesh(0, 1, 10))
         assert metric.simplex_distance(cx, 1, "euclidean").entries.shape == (10, 10)
 
     def test_budget_is_physical_memory(self):
