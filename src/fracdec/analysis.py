@@ -312,11 +312,13 @@ def convergence_study(family, s, edge_counts, config=None, support="edge"):
 
     Two-sided families use the L2 norm of the stairs comparison (support
     "edge", the only one); left-sided families use the Linf norm at edge
-    barycenters against the left-sided closed form.  A two-sided family
-    under a left-sided operator raises ConfigError.
+    barycenters against the left-sided closed form.  ConfigError: a
+    two-sided family under a left-sided operator, or config.s != s.
     """
     if support != "edge":
         raise ConfigError(f"unknown stairs support {support!r}")
+    if config is not None and config.s != s:
+        raise ConfigError(f"order s = {s} differs from the config's s = {config.s}")
     configs = _study_configs(family, [s], edge_counts, config)
     rows = []
     prev = None

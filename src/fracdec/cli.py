@@ -11,6 +11,7 @@ operation anywhere in a command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -209,6 +210,7 @@ def cmd_oracle_sample(args):
     return 0
 
 
+@functools.cache  # built once per process; each parse_args makes a new namespace
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fracdec",
@@ -272,8 +274,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)

@@ -2,18 +2,20 @@
 
 Simplices are stored with strictly increasing vertex indices; the
 orientation of every simplex is the one implied by the global vertex
-ordering.  Every simplex table is kept in strictly increasing key
-order (sorted, no duplicate rows), where a row's key is its digits in
-base n_vertices; the complex checks this on construction, so row and
-column indices of the operators are reproducible across runs and file
-round-trips, and lookups are binary searches.  The coboundary is kept
-as each coface's table of facet rows and applied as a signed gather, so
-the module needs numpy alone.
+ordering.  Every simplex table is kept in strictly increasing key order
+(sorted, no duplicate rows), where a row's key is its digits in base
+n_vertices; the complex checks this on construction, so row and column
+indices of the operators are reproducible across runs and file
+round-trips, and lookups are binary searches.  The coboundary is kept as
+each coface's table of facet rows and applied as a signed gather.  Every
+Euclidean length (edges here, offsets and tables in metric) comes from
+one kernel, _norms.  The module needs numpy alone.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -23,8 +25,7 @@ from . import _text
 from .errors import ConfigError, FormatError, GeometryError, MeshError
 
 _EDGE_LENGTH_RTOL = 1e-12
-# Below this length an edge's squared length is subnormal.
-_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # a shorter length's square is subnormal
 
 
 def _facets(table):
@@ -144,7 +145,8 @@ class SimplicialComplex:
 
     def _euclidean_edge_lengths(self):
         ends = np.take(self.vertex_coords, self.simplices[1], axis=0)
-        return _row_norms(ends[:, 1] - ends[:, 0])
+        with np.errstate(over="ignore", under="ignore"):
+            return _norms(ends[:, 1], ends[:, 0])
 
     def _validate(self):
         if self.dimension < 1:
@@ -232,11 +234,13 @@ class SimplicialComplex:
         def bad_index(v):
             span = "n_vertices" if n_vertices is None else n_vertices
             return MeshError(f"vertex index {v!r} is not an integer in [0, {span})")
-        # Integer-typed indices only (1.0 fails too).  When numpy could not
-        # make an integer array, name the entry that stopped it.
-        if tops.dtype.kind not in "iu":
+        # Integer-typed indices only (1.0 and True fail too): name the entry
+        # numpy made no integer array of, or a bool a list hid in one.
+        if tops.dtype.kind not in "iu" or not isinstance(top_simplices, np.ndarray) and not \
+                {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(top_simplices))):
             for v in np.array(top_simplices, dtype=object).ravel():
-                if not isinstance(v, (int, np.integer)) or not 0 <= v < 2 ** 63:
+                if type(v) is bool or not isinstance(v, (int, np.integer)) \
+                        or not 0 <= v < 2 ** 63:
                     raise bad_index(v)
         if n_vertices is None:
             n_vertices = int(tops.max()) + 1
@@ -339,19 +343,34 @@ def build_coboundary(complex_, p):
     return Coboundary(complex_.facets[p + 1], complex_.n_simplices(p))
 
 
-def _row_norms(diff):
-    """Euclidean norm of each row of an (n, d) array.  Only rows whose
-    sum of squares overflows (norm above ~1e154) or is subnormal (below
-    ~1e-154) are rescaled by their largest component, so every other
-    norm is np.linalg.norm's bit for bit."""
-    with np.errstate(over="ignore", under="ignore"):
-        norms = np.linalg.norm(diff, axis=1)
-    odd = np.isinf(norms) | (norms < _SQRT_TINY)
-    if odd.any():
-        odd &= np.isfinite(diff).all(axis=1) & diff.any(axis=1)
-        scale = np.abs(diff[odd]).max(axis=1)
-        norms[odd] = scale * np.linalg.norm(diff[odd] / scale[:, None], axis=1)
-    return norms
+def _norms(a, b, out=None):
+    """|a - b| over the last axis of two point arrays of as many axes,
+    broadcast against each other, into out if given: |d| in 1D, else the
+    squares summed axis by axis, as in numpy's norm and in cdist, so with
+    their bits.  Entries whose sum over- or underflowed (norm above
+    ~1e154 or below ~1e-154) are redone scaled by their largest gap,
+    unless it is 0 or not finite.  Callers ignore over- and underflow."""
+    out = np.subtract(a[..., 0], b[..., 0], out=out, dtype=float)
+    if a.shape[-1] == 1:
+        return np.abs(out, out=out)
+    out *= out
+    for k in range(1, a.shape[-1]):
+        d = np.subtract(a[..., k], b[..., k], dtype=float)
+        d *= d
+        out += d
+    np.sqrt(out, out=out)
+    odd = out < _SQRT_TINY
+    if out.max(initial=0.0) == np.inf:
+        odd |= out == np.inf
+    at = np.unravel_index(np.flatnonzero(odd), out.shape)
+    # Those entries' own points: index 0 on an axis a or b is broadcast on.
+    gap = np.subtract(*(x[tuple(i if n > 1 else 0 for i, n in zip(at, x.shape))]
+                        for x in (a, b)))
+    scale = np.abs(gap).max(axis=1)
+    ok = (scale > 0) & (scale < np.inf)
+    gap = gap[ok] / scale[ok, None]
+    out[tuple(i[ok] for i in at)] = scale[ok] * np.sqrt(np.sum(gap * gap, axis=1))
+    return out
 
 
 def _same_bits(x, y):
@@ -519,12 +538,10 @@ def save_json(complex_, path):
         fh.write("\n}\n")
 
 
-def _holds_bool(value):
-    """Whether a JSON value is true or false, or holds one as an item or
-    an item of an item."""
+def _item_types(value):
+    """The types of a JSON value, or of its items and their items."""
     items = value if type(value) is list else (value,)
-    return bool in set(map(type, chain.from_iterable(
-        v if type(v) is list else (v,) for v in items)))
+    return set(map(type, chain.from_iterable(v if type(v) is list else (v,) for v in items)))
 
 
 def load_json(path):
@@ -535,7 +552,8 @@ def load_json(path):
     list exactly the faces the top table induces, in any row order.
     "vertices" and "edge_lengths" (an object, read as given even when
     empty) are optional, and no other key is read, so none may appear.
-    A JSON true or false is not a number anywhere.
+    A JSON true or false is not a number anywhere, nor is a string in
+    "vertices" or as a length.
     """
     with open(path) as fh:
         try:
@@ -558,8 +576,14 @@ def load_json(path):
     coords, lengths = doc.get("vertices"), doc.get("edge_lengths")
     if "edge_lengths" in doc and type(lengths) is not dict:
         raise FormatError(f"'edge_lengths' must be an object, got {lengths!r}")
-    if any(map(_holds_bool, (*tables.values(), coords, list((lengths or {}).values())))):
+    types = {key: _item_types(table) for key, table in tables.items()}
+    numbers = _item_types(coords) | _item_types(list((lengths or {}).values()))
+    if bool in numbers.union(*types.values()):
         raise FormatError("a JSON true or false stands where a number belongs")
+    if str in numbers:
+        raise FormatError("bad 'vertices' or 'edge_lengths': a JSON string is not a number")
+    with suppress(ValueError):  # scanned, so passed as an array; a ragged list stays
+        tops = np.array(tops) if types[str(dim)] == {int} else tops
     try:
         if coords is not None:
             coords = np.array(coords, dtype=float)

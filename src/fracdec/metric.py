@@ -1,15 +1,14 @@
 """Distances between simplices under the local metric.
 
 Vertex-to-vertex distances are shortest edge paths.  Simplex-to-simplex
-distances extend the vertex distances by the barycenter-to-boundary
-offsets l(sigma), or use Euclidean barycenter distances, accumulated
-axis by axis, when an embedding is available.  A table can be asked for
-a few rows only, and the whole table is its rows 0..E-1.  The mesh
-alone picks the vertex distances: on a generator mesh (its lattice is
-set) they are closed-form lattice path lengths from the rows' vertices,
-so a few rows allocate nothing of size E^2 or V^2; on any other complex
-they come from the all-pairs table of Dijkstra (scipy, imported at
-first use).
+distances extend them by the barycenter-to-boundary offsets l(sigma), or
+are Euclidean barycenter distances when an embedding is available; every
+Euclidean length (offsets included) is mesh._norms's.  A table can be
+asked for a few rows only; the whole table is its rows 0..E-1.  The mesh
+alone picks the vertex distances: closed-form lattice path lengths from
+the rows' vertices on a generator mesh (its lattice is set), so a few
+rows allocate nothing of size E^2 or V^2; else the all-pairs table of
+Dijkstra (scipy, imported at first use).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConnectivityError, GeometryError, MeshError
-from .mesh import _SQRT_TINY, _row_norms
+from .mesh import _norms
 
 DISTANCE_MODES = ("geodesic", "euclidean")
 # Distance tables are built in row blocks of about this many entries,
@@ -132,17 +131,9 @@ def boundary_offsets(complex_, p):
             (tris[:, 0] + tris[:, 2]) / 2,
             (tris[:, 1] + tris[:, 2]) / 2,
         ], axis=1)
-        gaps = (mids - bary[:, None, :]).reshape(-1, tris.shape[2])
-        return _row_norms(gaps).reshape(-1, 3).mean(axis=1)
+        with np.errstate(over="ignore", under="ignore"):
+            return _norms(mids, bary[:, None, :]).mean(axis=1)
     raise ConfigError(f"boundary offsets not defined for degree {p}")
-
-
-def _rescale_euclidean(block, here, b):
-    """Redo, in place, the entries of a block of Euclidean distances
-    (rows from the points here to the points b) whose sum of squares
-    overflowed or underflowed, scaling each by its largest gap."""
-    i, j = np.nonzero(~((block >= _SQRT_TINY) & (block < np.inf)))
-    block[i, j] = _row_norms(here[i] - b[j])
 
 
 def simplex_distance(complex_, p, mode="geodesic", rows=None):
@@ -165,27 +156,9 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
     if mode == "euclidean":
         b = barycenters(complex_, p)
         entries = np.empty((len(picked), len(simp)))
-        # Squares summed axis by axis in row blocks, as cdist sums them,
-        # so the table is cdist's bit for bit unless a sum over- or
-        # underflows.  A block holding an inf, or besides each row's own
-        # 0 a distance below sqrt(tiny), has those entries redone, each
-        # scaled by its largest gap.  In 1D the table is |d|.
         with np.errstate(over="ignore", under="ignore"):
-            for start in range(0, len(picked), step):
-                block = entries[start:start + step]
-                here = b[picked[start:start + step]]
-                d = here[:, 0, None] - b[None, :, 0]
-                if b.shape[1] == 1:
-                    np.abs(d, out=block)
-                    continue
-                np.multiply(d, d, out=block)
-                for axis in range(1, b.shape[1]):
-                    d = here[:, axis, None] - b[None, :, axis]
-                    block += d * d
-                np.sqrt(block, out=block)
-                if np.count_nonzero(block < _SQRT_TINY) > len(block) \
-                        or block.max(initial=0.0) == np.inf:
-                    _rescale_euclidean(block, here, b)
+            for i in range(0, len(picked), step):
+                _norms(b[picked[i:i + step], None], b[None], out=entries[i:i + step])
         return DistanceTable(p=p, mode=mode, entries=entries)
 
     if closed_form:

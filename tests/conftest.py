@@ -11,7 +11,9 @@ from fracdec import (
     SimplicialComplex,
     generate_unit_square_mesh,
     load_json,
+    load_off,
     save_json,
+    save_off,
 )
 from fracdec.metric import DistanceTable
 
@@ -60,6 +62,19 @@ def perturbed_square_mesh(n, seed):
     coords[interior] += rng.uniform(-0.25, 0.25, (interior.sum(), 2)) / n
     return SimplicialComplex.from_simplices(2, base.simplices[2].tolist(),
                                             vertex_coords=coords)
+
+
+def surface_mesh(tmp_path, scale=1.0):
+    """A jittered square lifted onto a saddle and scaled, read back from
+    an OFF file: a triangle mesh embedded in 3D (every z nonzero)."""
+    base = perturbed_square_mesh(5, seed=5)
+    x, y = base.vertex_coords.T
+    coords = np.column_stack([x, y, 0.3 * (x * x - y * y) + 0.1]) * scale
+    path = tmp_path / f"surface{scale:g}.off"
+    save_off(SimplicialComplex.from_simplices(2, base.simplices[2], vertex_coords=coords), path)
+    loaded = load_off(path)
+    assert loaded.vertex_coords.shape == (36, 3) and np.all(loaded.vertex_coords[:, 2] != 0)
+    return loaded
 
 
 def nudged_mesh(cx):

@@ -430,6 +430,14 @@ class TestStudies:
         assert rows[1]["error"] == pytest.approx(0.9933, abs=5e-4)
         assert rows[1]["ratio"] == pytest.approx(0.9933 / 1.5619, abs=1e-3)
 
+    def test_config_of_another_order_is_refused(self):
+        # s and config.s both name the order; the config's was ignored.
+        fam = get_family("poly_neg10x3_plus_10x2")
+        with pytest.raises(ConfigError, match="s = 0.3 differs from the config's s = 0.7"):
+            convergence_study(fam, 0.3, [4], config=FracConfig(s=0.7))
+        (row,) = convergence_study(fam, 0.7, [4], config=FracConfig(s=0.7))
+        assert row["error"] > 0
+
     def test_left_sided_uses_linf(self):
         fam = get_family("exp_x")
         cfg = FracConfig(sidedness="left_sided")

@@ -657,6 +657,31 @@ class TestIntegerOrder:
 
 
 class TestDeterminism:
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        # Later commands in a process reuse the parser: no add_argument
+        # call, and the same file, output, messages and exit codes.
+        import argparse
+
+        def commands(name):
+            with pytest.raises(SystemExit) as usage:
+                run("gen-mesh")
+            codes = (run("oracle-sample", "--family", "exp_x", "--points", "3",
+                         "-o", str(tmp_path / name)), usage.value.code,
+                     run("frac-deriv", "--interval", "2", "--family", "exp_x", "--s", "2",
+                         "-o", str(tmp_path / "x.csv")))
+            return codes, capsys.readouterr()
+        first = commands("a.csv")
+        calls = []
+        real = argparse._ActionsContainer.add_argument
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                            lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+        again = commands("b.csv")
+        assert calls == []
+        assert first[0] == again[0] == (0, 2, 2)
+        assert first[1].err == again[1].err and "usage: fracdec gen-mesh" in again[1].err
+        assert first[1].out.replace("a.csv", "b.csv") == again[1].out
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cases = [
             ("convergence", "--family", "poly_neg10x3_plus_10x2",

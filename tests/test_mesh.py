@@ -25,7 +25,12 @@ from fracdec import (
     save_off,
 )
 
-from conftest import dense_coboundary, nonuniform_interval_mesh, perturbed_square_mesh
+from conftest import (
+    dense_coboundary,
+    nonuniform_interval_mesh,
+    perturbed_square_mesh,
+    surface_mesh,
+)
 
 
 class TestGenerators:
@@ -62,10 +67,20 @@ class TestGenerators:
         np.testing.assert_allclose(tilted.edge_lengths, [5e-200, 1e-200], rtol=1e-15)
         assert cx.lattice == (6,)
 
-    def test_edge_lengths_are_the_plain_norm(self, oracle_mesh):
-        # Where the plain norm is finite, the lengths are it, bit for bit.
+    def test_integer_coordinates_are_read_as_floats(self):
+        # A complex built directly from integer coordinates has the edge
+        # lengths of their float copy.
+        g = generate_unit_square_mesh(2)
+        coords = (3 * g.vertex_coords).astype(np.int64)
+        got = SimplicialComplex(2, g.simplices, vertex_coords=coords).edge_lengths
+        np.testing.assert_array_equal(
+            got, SimplicialComplex(2, g.simplices, vertex_coords=coords * 1.0).edge_lengths)
+
+    def test_edge_lengths_are_the_plain_norm(self, oracle_mesh, tmp_path):
+        # Where the plain norm is finite, the lengths are it, bit for bit,
+        # in 1D, 2D and 3D.
         for cx in (oracle_mesh, generate_interval_mesh(-2.0, 3.0, 7),
-                   generate_unit_square_mesh(5)):
+                   generate_unit_square_mesh(5), surface_mesh(tmp_path)):
             edges = cx.simplices[1]
             diff = cx.vertex_coords[edges[:, 1]] - cx.vertex_coords[edges[:, 0]]
             np.testing.assert_array_equal(cx._euclidean_edge_lengths(),
@@ -400,7 +415,10 @@ class TestValidation:
     @pytest.mark.parametrize("tops, index", [
         ([(0, 1.0, 2)], "1.0"), ([("0", "1", "2")], "'0'"),
         ([(0, 1, 2), (1, 2, 2 ** 70)], str(2 ** 70)), ([(0, 1, 2 ** 70)], str(2 ** 70)),
-        ([(0, None, 2)], "None"), ([(0, 1, 2), (0, "x", 3)], "'x'")])
+        ([(0, None, 2)], "None"), ([(0, 1, 2), (0, "x", 3)], "'x'"),
+        # Bools too, alone or in a list numpy makes an integer array of.
+        ([[False, True, 2]], "False"), ([[0, True, 2]], "True"),
+        ([[False, True, True]], "False"), ([(0, 1, 2), (0, np.True_, 2)], "np.True_")])
     def test_non_integer_vertex_index(self, tops, index):
         with pytest.raises(MeshError, match=f"index {index} is not an integer in"):
             SimplicialComplex.from_simplices(
@@ -808,6 +826,9 @@ class TestJsonFormat:
         ({"vertices": [[0], [1], [False]]}, "JSON true or false"),
         ({"simplices": {"1": [[False, True], [True, 2]]}}, "JSON true or false"),
         ({"simplices": {"1": [[0, 1], True]}}, "JSON true or false"),
+        ({"vertices": [["0"], ["0.5"], ["1"]]}, "a JSON string is not a number"),
+        ({"vertices": [[0], "1", [5]]}, "a JSON string is not a number"),
+        ({"edge_lengths": {"0,1": "2.5", "1,2": "1"}}, "a JSON string is not a number"),
     ])
     def test_nothing_is_read_silently(self, tmp_path, extra, message):
         # Each of these once loaded as the 3-vertex interval, or ignored

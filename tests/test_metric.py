@@ -26,7 +26,7 @@ from fracdec.metric import (
     simplex_distance,
 )
 
-from conftest import nudged_mesh, perturbed_square_mesh
+from conftest import nudged_mesh, perturbed_square_mesh, surface_mesh
 
 
 def _fake_vertex_distances(monkeypatch, entries):
@@ -275,12 +275,13 @@ class TestLatticeDistances:
 
 class TestSimplexDistanceOracles:
     @pytest.mark.parametrize("blocks", [100, metric._BLOCK_ENTRIES])
-    def test_euclidean_is_cdist(self, oracle_mesh, monkeypatch, blocks):
-        # The per-axis sum in row blocks is cdist's table, sha256 for sha256.
+    def test_euclidean_is_cdist(self, oracle_mesh, monkeypatch, tmp_path, blocks):
+        # The per-axis sum in row blocks is cdist's table, sha256 for sha256,
+        # in 1D, 2D and 3D.
         from scipy.spatial.distance import cdist
         monkeypatch.setattr(metric, "_BLOCK_ENTRIES", blocks)
         for cx in (oracle_mesh, generate_unit_square_mesh(9),
-                   generate_interval_mesh(-2.0, 5.0, 33)):
+                   generate_interval_mesh(-2.0, 5.0, 33), surface_mesh(tmp_path)):
             for p in range(cx.dimension + 1):
                 b = barycenters(cx, p)
                 rows = np.arange(len(b))[::-3]
@@ -318,6 +319,28 @@ class TestSimplexDistanceOracles:
             op = build_frac_derivative(cx, 0, FracConfig(distance_mode="euclidean"))
             off = ~np.eye(cx.n_simplices(1), dtype=bool)
             assert np.all(np.isfinite(op.weights)) and np.all(op.weights[off] > 0)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_3d_lengths_far_from_unit_scale(self, tmp_path, scale):
+        # The 3D surface scaled by 1e-160 or 1e160: its squared gaps under-
+        # or overflow, so edge lengths, triangle offsets and Euclidean
+        # tables are the unit ones, scaled, only through the rescale.
+        unit, cx = surface_mesh(tmp_path), surface_mesh(tmp_path, scale)
+        with np.errstate(over="ignore", under="ignore"):
+            edges = cx.vertex_coords[cx.simplices[1]]
+            assert not np.allclose(np.linalg.norm(edges[:, 1] - edges[:, 0], axis=1),
+                                   scale * unit.edge_lengths, rtol=1e-3, atol=0)
+        np.testing.assert_allclose(cx.edge_lengths, scale * unit.edge_lengths,
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(boundary_offsets(cx, 2), scale * boundary_offsets(unit, 2),
+                                   rtol=1e-14, atol=0)
+        for p in range(3):
+            np.testing.assert_allclose(simplex_distance(cx, p, "euclidean").entries,
+                                       scale * simplex_distance(unit, p, "euclidean").entries,
+                                       rtol=1e-14, atol=0)
+        op = build_frac_derivative(cx, 0, FracConfig(distance_mode="euclidean"))
+        off = ~np.eye(cx.n_simplices(1), dtype=bool)
+        assert np.all(np.isfinite(op.weights)) and np.all(op.weights[off] > 0)
 
     def test_euclidean_bit_identical(self, oracle_mesh):
         for p in range(oracle_mesh.dimension + 1):
