@@ -1,25 +1,26 @@
 """Ground-truth fractional derivatives.
 
 Closed forms for the test families: the power rule, x^(1-s) E_{1,2-s}(x)
-for e^x, and one two-sided form for polynomials, so that each
-polynomial family is just its coefficient tuple.  Every family holds
-at every order s in (0, 1), and every reference takes right_sign
-with the default "plus" of FracConfig: "plus" adds the right-hand
-integral, "minus" subtracts it, and a left-sided form ignores it.  The
-test suite checks every form against a quadrature of the defining
-Caputo integrals.
+for e^x, and one two-sided form for polynomials, x^(1-s) P(x) +-
+(1-x)^(1-s) Q(x) with P and Q cached per (coeffs, s), so that each
+polynomial family is just its coefficient tuple.  Every family holds at
+every order s in (0, 1), and every reference takes right_sign with
+FracConfig's default "plus": "plus" adds the right-hand integral,
+"minus" subtracts it, a left-sided form ignores it.  The test suite
+checks every form against a quadrature of the defining Caputo integrals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyadd, polymul, polypow, polyval
 
 from .errors import ConfigError
-from .special import gamma, mittag_leffler
+from .special import _horner, gamma, mittag_leffler
 
 
 def caputo_power(q, s, x):
@@ -32,43 +33,41 @@ def caputo_power(q, s, x):
     if not 0 < s < 1:
         raise ConfigError("power rule requires s in (0, 1)")
     x = np.asarray(x, dtype=float)
-    if (x < 0).any():
+    if not (x >= 0).all():  # NaN fails too
         raise ConfigError("power rule domain is x >= 0")
     out = gamma(q + 1.0) * x ** (q - s) / gamma(q + 1.0 - s)
     return out if out.ndim else float(out)
 
 
-def _right_power_part(m, s, x):
-    """(1/Gamma(1-s)) int_x^1 t^m (t-x)^(-s) dt for integer m >= 0.
-
-    Binomial expansion of (u + x)^m after the shift u = t - x; each
-    term integrates in closed form.
-    """
-    acc = 0.0
-    for k in range(m + 1):
-        acc = acc + (math.comb(m, k) * x ** (m - k)
-                     * (1.0 - x) ** (k + 1.0 - s) / (k + 1.0 - s))
-    return acc / gamma(1.0 - s)
+@functools.lru_cache(maxsize=64)
+def _factored(coeffs, s):
+    """caputo_polynomial's P and Q as monomial coefficient tuples."""
+    p, q = [0.0] * max(len(coeffs) - 1, 1), [0.0]
+    for m, c in enumerate(coeffs[1:], start=1):
+        if c:
+            p[m - 1] = c * gamma(m + 1.0) / gamma(m + 1.0 - s)
+            for k in range(m):
+                q = polyadd(q, c * m * math.comb(m - 1, k) / (k + 1.0 - s) * polymul(
+                    polypow([0.0, 1.0], m - 1 - k), polypow([1.0, -1.0], k)))
+    return tuple(p), tuple(np.asarray(q) / gamma(1.0 - s))
 
 
 def caputo_polynomial(coeffs, x, s, right_sign):
-    """Two-sided fractional derivative of sum_m coeffs[m] t^m on [0, 1].
+    """Two-sided fractional derivative of sum_m c_m t^m on [0, 1].
 
-    Term by term: the left part of t^m is caputo_power(m, s, x) and its
-    right part m * _right_power_part(m - 1, s, x); "plus" adds the
-    right part, "minus" subtracts it.  The constant term drops out.
+    x^(1-s) P(x) + (1-x)^(1-s) Q(x), "plus" adding the right part and
+    "minus" subtracting it: P[m-1] = c_m Gamma(m+1)/Gamma(m+1-s) (the
+    power rule) and Q = (1/Gamma(1-s)) sum_m c_m m sum_{k<m} C(m-1,k)
+    x^(m-1-k) (1-x)^k / (k+1-s), both cached per (coeffs, s).
     """
     if not 0 < s < 1:
         raise ConfigError("two-sided closed forms require s in (0, 1)")
     x = np.asarray(x, dtype=float)
-    if ((x < 0) | (x > 1)).any():
+    if not ((0 <= x) & (x <= 1)).all():  # NaN fails too
         raise ConfigError("two-sided closed forms hold on 0 <= x <= 1")
-    left = right = np.zeros_like(x)
-    for m, c in enumerate(coeffs[1:], start=1):
-        if not c:
-            continue
-        left = left + c * caputo_power(m, s, x)
-        right = right + c * m * _right_power_part(m - 1, s, x)
+    left, right = (_horner(poly, x) for poly in _factored(tuple(coeffs), s))
+    left *= x ** (1.0 - s)
+    right *= np.power(1.0 - x, 1.0 - s)  # scalar 1 - x: ** may round unlike an array
     out = left + right if right_sign == "plus" else left - right
     return out if out.ndim else float(out)
 
@@ -78,7 +77,7 @@ def left_caputo_exp(x, s):
     if not 0 < s < 1:
         raise ConfigError("requires s in (0, 1)")
     x = np.asarray(x, dtype=float)
-    if (x < 0).any():
+    if not (x >= 0).all():  # NaN fails too
         raise ConfigError("e^x closed form domain is x >= 0")
     out = x ** (1.0 - s) * mittag_leffler(1.0, 2.0 - s, x)
     return out if np.ndim(out) else float(out)

@@ -45,10 +45,11 @@ def _rgamma(x):
 
 
 def _horner(coef, z):
-    """sum_k coef[k] z^k over an array z."""
-    out = np.full(z.shape, coef[-1])
+    """sum_k coef[k] z^k over an array z, in place (a scalar for 0-d z)."""
+    out = np.full(z.shape, coef[-1])[()]
     for c in reversed(coef[:-1]):
-        out = out * z + c
+        out *= z
+        out += c
     return out
 
 
@@ -70,7 +71,7 @@ def mittag_leffler(a, b, z):
         raise ConfigError("Mittag-Leffler parameters a, b must be positive")
     z = np.asarray(z, dtype=float)
     r = float(np.max(np.abs(z), initial=0.0))
-    if r > 50:
+    if not r <= 50:  # NaN fails too
         raise ConfigError("series evaluation is restricted to |z| <= 50")
     coef = []
     total = 0.0

@@ -6,8 +6,13 @@
   exp for ``exp_x``), as the quadrature needs it.
 - ``mittag_leffler_series``: the scalar, term-by-term series that the
   array-valued ``fracdec.special.mittag_leffler`` replaced.
+- ``right_power_part``: the term-by-term right-hand integral of t^m,
+  and ``caputo_polynomial_terms``, the term-by-term two-sided form of a
+  coefficient tuple built on it and the power rule, that the factored
+  ``fracdec.oracles.caputo_polynomial`` (x^(1-s) P(x) +- (1-x)^(1-s)
+  Q(x), cached per (coeffs, s)) replaced.
 - ``two_sided_cubic`` ... ``frac_gradient_shifted_min``: the per-family
-  closed forms that ``fracdec.oracles.caputo_polynomial`` replaced.
+  closed forms that came before the one polynomial form.
 """
 
 import math
@@ -18,7 +23,7 @@ from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 
 from fracdec import AccuracyError, ConfigError, SeriesConvergenceError
-from fracdec.oracles import _right_power_part
+from fracdec.oracles import caputo_power
 from fracdec.special import gamma
 
 
@@ -128,11 +133,39 @@ def left_caputo_exp_series(x, s):
                      for xi in np.asarray(x, dtype=float)])
 
 
+def right_power_part(m, s, x):
+    """(1/Gamma(1-s)) int_x^1 t^m (t-x)^(-s) dt for integer m >= 0.
+
+    Binomial expansion of (u + x)^m after the shift u = t - x; each
+    term integrates in closed form.
+    """
+    acc = 0.0
+    for k in range(m + 1):
+        acc = acc + (math.comb(m, k) * x ** (m - k)
+                     * (1.0 - x) ** (k + 1.0 - s) / (k + 1.0 - s))
+    return acc / gamma(1.0 - s)
+
+
+def caputo_polynomial_terms(coeffs, x, s, right_sign):
+    """Two-sided fractional derivative of sum_m coeffs[m] t^m, term by
+    term: the left part of t^m is caputo_power(m, s, x) and its right
+    part m * right_power_part(m - 1, s, x)."""
+    x = np.asarray(x, dtype=float)
+    left = right = np.zeros_like(x)
+    for m, c in enumerate(coeffs[1:], start=1):
+        if not c:
+            continue
+        left = left + c * caputo_power(m, s, x)
+        right = right + c * m * right_power_part(m - 1, s, x)
+    out = left + right if right_sign == "plus" else left - right
+    return out if out.ndim else float(out)
+
+
 def two_sided_cubic(x, s=0.5, right_sign="minus"):
     """Two-sided fractional derivative of x^3 on [0, 1]."""
     x = np.asarray(x, dtype=float)
     left = gamma(4.0) * x ** (3.0 - s) / gamma(4.0 - s)
-    right = 3.0 * _right_power_part(2, s, x)
+    right = 3.0 * right_power_part(2, s, x)
     out = left - right if right_sign == "minus" else left + right
     return out if out.ndim else float(out)
 
@@ -141,7 +174,7 @@ def two_sided_quadratic(x, s=0.5, right_sign="plus"):
     """Two-sided fractional derivative of x^2 on [0, 1]."""
     x = np.asarray(x, dtype=float)
     left = gamma(3.0) * x ** (2.0 - s) / gamma(3.0 - s)
-    right = 2.0 * _right_power_part(1, s, x)
+    right = 2.0 * right_power_part(1, s, x)
     out = left + right if right_sign == "plus" else left - right
     return out if out.ndim else float(out)
 

@@ -211,6 +211,15 @@ class TestErrorNorms:
         convergence_study(fam, 0.5, [256, 1024])
         assert quad_calls == []
 
+    def test_l2_paper_n2_row_falls_back_to_quad(self, quad_calls):
+        # The paper's n = 2 row: on both half-width steps the 24- and
+        # 16-point passes disagree beyond the tolerance, so both go to
+        # adaptive quadrature (perfbench's conv1d reads quad_calls > 0).
+        fam = get_family("poly_neg10x3_plus_10x2")
+        (row,) = convergence_study(fam, 0.5, [2])
+        assert quad_calls == [(0.0, 0.5), (0.5, 1.0)]
+        assert f"{row['error']:.4f}" == "1.5619"
+
     def test_l2_large_step_needs_no_fallback(self, quad_calls):
         # s = 0.7, "minus", n = 4: the last step's estimate is 1.8e-10 on
         # a value of 10.61, inside the relative part of the threshold.

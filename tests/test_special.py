@@ -67,6 +67,12 @@ class TestMittagLeffler:
         with pytest.raises(ConfigError):
             mittag_leffler(1.0, 1.0, np.array([0.5, -50.5]))
 
+    def test_nan_argument_rejected(self):
+        # Not "did not converge in 200 terms": NaN fails the |z| guard.
+        for z in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ConfigError, match=r"\|z\| <= 50"):
+                mittag_leffler(1.0, 1.5, z)
+
     def test_term_budget_exhaustion(self):
         with pytest.raises(SeriesConvergenceError):
             mittag_leffler(0.05, 1.0, 40.0)
