@@ -48,10 +48,9 @@ def to_stairs(complex_, cochain):
         raise ConfigError("stairs are defined for 1-cochains")
     if complex_.dimension != 1 or complex_.vertex_coords is None:
         raise MeshError("stairs need an embedded 1D complex")
-    x = complex_.vertex_coords[:, 0]
-    edges = complex_.simplices[1]
-    order = np.argsort(x[edges].mean(axis=1))
-    lo, hi = np.sort(x[edges[order]], axis=1).T
+    ends = complex_.vertex_coords[:, 0][complex_.simplices[1]]
+    order = np.argsort((ends[:, 0] + ends[:, 1]) / 2.0)
+    lo, hi = np.sort(ends[order], axis=1).T
     # Edges that meet share a vertex coordinate, so any overlap is real.
     if np.any(lo[1:] < hi[:-1]):
         raise MeshError("edges overlap; cannot form a stairs function")
@@ -164,40 +163,47 @@ class WhitneyField:
         coef = (-c01 * lam1 - c02 * lam2,
                 c01 * lam0 - c12 * lam2,
                 c02 * lam0 + c12 * lam1)
-        return (coef[0][..., None] * grads[..., 0, :]
-                + coef[1][..., None] * grads[..., 1, :]
-                + coef[2][..., None] * grads[..., 2, :])
+        return np.stack([coef[0] * grads[..., 0, a] + coef[1] * grads[..., 1, a]
+                         + coef[2] * grads[..., 2, a] for a in (0, 1)], axis=-1)
 
 
 def whitney_reconstruct(complex_, cochain):
     """Build the Whitney interpolant of a 1-cochain on a triangle mesh.
 
     A triangle is degenerate, and raises GeometryError, when the sine
-    of its angle at its first vertex is below 1e-14: |det| of its two
+    of its angle at its first vertex is at most 1e-14: |det| of its two
     edge vectors from that vertex against the product of their lengths,
-    which holds at any scale.
+    both taken after an exact power-of-two scaling, so at any scale.
+    The gradients are the rows of the adjugate over det.
     """
-    if complex_.dimension != 2 or complex_.vertex_coords is None:
-        raise MeshError("Whitney reconstruction needs an embedded triangle mesh")
+    if complex_.dimension != 2 or np.shape(complex_.vertex_coords)[1:] != (2,):
+        raise MeshError("Whitney reconstruction needs a triangle mesh in the plane")
     if cochain.degree != 1:
         raise ConfigError("Whitney reconstruction acts on 1-cochains")
     if len(cochain.values) != complex_.n_simplices(1):
         raise ConfigError(f"cochain has {len(cochain.values)} values for "
                           f"{complex_.n_simplices(1)} edges")
-    coords = complex_.vertex_coords
     tris = complex_.simplices[2]
-    corners = np.take(coords, tris, axis=0)
-    t_mat = np.stack([corners[:, 1] - corners[:, 0],
-                      corners[:, 2] - corners[:, 0]], axis=2)
-    det = t_mat[:, 0, 0] * t_mat[:, 1, 1] - t_mat[:, 0, 1] * t_mat[:, 1, 0]
-    spans = np.hypot(t_mat[:, 0], t_mat[:, 1])
-    if np.any(np.abs(det) < _DEGENERATE_SINE * spans[:, 0] * spans[:, 1]):
+    corners = np.take(complex_.vertex_coords, tris, axis=0)
+    # e1x, e1y, e2x, e2y from vertex 0, times the 2^-k that brings each
+    # triangle's largest into [0.5, 1): det and lengths cannot over- or underflow.
+    vecs = np.array([np.subtract(corners[:, v, a], corners[:, 0, a], dtype=float)
+                     for v in (1, 2) for a in (0, 1)])
+    _, k = np.frexp(np.abs(vecs).max(axis=0))
+    e1x, e1y, e2x, e2y = np.ldexp(vecs, -k)
+    det = e1x * e2y - e2x * e1y
+    # "<=" also flags coincident corners.
+    if np.any(np.abs(det) <= _DEGENERATE_SINE * np.hypot(e1x, e1y) * np.hypot(e2x, e2y)):
         raise GeometryError("degenerate (zero-area) triangle")
-    inv = np.linalg.inv(t_mat)
-    g1, g2 = inv[:, 0], inv[:, 1]        # rows of T^{-1} are grad lambda_1,2
-    grads = np.stack([-g1 - g2, g1, g2], axis=1)
+    # The scaled adjugate over 2^k det; 0.0 - x negates without a -0.0.
+    det = np.ldexp(det, k)
+    grads = np.empty((len(tris), 3, 2))
+    grads[:, 1, 0], grads[:, 1, 1] = e2y / det, (0.0 - e2x) / det
+    grads[:, 2, 0], grads[:, 2, 1] = (0.0 - e1y) / det, e1x / det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
     # Edges (01, 02, 12) leave out vertex 2, 1, 0: facet slots reversed.
-    return WhitneyField(tris.copy(), corners, grads, cochain.values[complex_.facets[2][:, ::-1]])
+    return WhitneyField(tris.copy(), corners, grads,
+                        np.take(cochain.values, complex_.facets[2])[:, ::-1].copy())
 
 
 def eval_at_barycenters(field, complex_):
@@ -205,12 +211,12 @@ def eval_at_barycenters(field, complex_):
 
     At the barycenter every barycentric coordinate is 1/3, so the
     evaluation reduces to (1/3) sum_e c_e (grad lambda_j - grad
-    lambda_i).
+    lambda_i), summed over the edges (01, 02, 12) in that order.
     """
-    diff = np.stack([field.gradients[:, 1] - field.gradients[:, 0],
-                     field.gradients[:, 2] - field.gradients[:, 0],
-                     field.gradients[:, 2] - field.gradients[:, 1]], axis=1)
-    return (field.edge_values[:, :, None] * diff).sum(axis=1) / 3.0
+    g0, g1, g2 = field.gradients[:, 0], field.gradients[:, 1], field.gradients[:, 2]
+    c01, c02, c12 = (field.edge_values[:, k, None] for k in range(3))
+    # Summed from 0.0, as numpy sums: a total of -0.0 terms is 0.0.
+    return (0.0 + c01 * (g1 - g0) + c02 * (g2 - g0) + c12 * (g2 - g1)) / 3.0
 
 
 def edge_integrals(field, complex_):
@@ -232,15 +238,18 @@ def edge_integrals(field, complex_):
     np.minimum.at(first, rows, np.arange(len(rows)))
     edges = np.flatnonzero(first < len(rows))
     first = first[edges]
-    a, b = np.moveaxis(np.take(complex_.vertex_coords, table[edges], axis=0), 1, 0)
+    # a and b contiguous: arithmetic on strided (n, 2) views is slow.
+    a, b = np.take(complex_.vertex_coords, np.take(table, edges, axis=0).T, axis=0)
     vec = field.evaluate(first // 3, (a + b) / 2.0)
+    d = b - a
     out = np.zeros(len(table))
-    out[edges] = (vec * (b - a)).sum(axis=1)
+    # Summed from 0.0, as numpy sums: a total of -0.0 terms is 0.0.
+    out[edges] = 0.0 + vec[:, 0] * d[:, 0] + vec[:, 1] * d[:, 1]
     return out
 
 
 def relative_l2_per_triangle(predicted, reference, normalize="reference"):
-    """Per-triangle relative vector error with summary statistics.
+    """Per-triangle relative vector error of (T, 2) arrays, with summary statistics.
 
     normalize="reference" divides ||pred - ref|| by ||ref||;
     "predicted" divides by ||pred|| instead, which keeps the statistic
@@ -250,13 +259,14 @@ def relative_l2_per_triangle(predicted, reference, normalize="reference"):
     """
     predicted = np.asarray(predicted, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    if predicted.shape != reference.shape:
-        raise ConfigError("predicted/reference shapes differ")
+    if predicted.shape != reference.shape or predicted.shape[1:] != (2,):
+        raise ConfigError("predicted/reference must be (T, 2) arrays of one shape, "
+                          f"not {predicted.shape} and {reference.shape}")
     if normalize not in ("reference", "predicted"):
         raise ConfigError(f"unknown normalization {normalize!r}")
-    denom = np.linalg.norm(reference if normalize == "reference" else predicted,
-                           axis=1)
-    err = np.linalg.norm(predicted - reference, axis=1)
+    norm = reference if normalize == "reference" else predicted
+    denom, err = (np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
+                  for v in (norm, predicted - reference))
     flagged = denom <= 1e-12
     rel = np.where(flagged, np.nan, err / np.where(flagged, 1.0, denom))
     ok = rel[~flagged]

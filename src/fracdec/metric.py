@@ -104,10 +104,14 @@ def all_pairs_vertex_distance(complex_):
 
 
 def barycenters(complex_, p):
-    """Vertex-coordinate average of every p-simplex."""
+    """Vertex-coordinate average of every p-simplex, as floats: the sum
+    of its p+1 vertices' coordinates, in vertex order, over p+1."""
     if complex_.vertex_coords is None:
         raise MeshError("barycenters require an embedded complex")
-    return complex_.vertex_coords[complex_.simplices[p]].mean(axis=1)
+    simp = complex_.simplices[p]
+    # Summed from 0.0, as numpy sums (a total of -0.0 terms is 0.0), in float.
+    return sum((np.take(complex_.vertex_coords, simp[:, k], axis=0)
+                for k in range(p + 1)), 0.0) / (p + 1)
 
 
 def boundary_offsets(complex_, p):
@@ -125,14 +129,15 @@ def boundary_offsets(complex_, p):
         if complex_.vertex_coords is None:
             raise MeshError("triangle boundary offsets require an embedding")
         tris = complex_.vertex_coords[complex_.simplices[2]]
-        bary = tris.mean(axis=1)
+        bary = barycenters(complex_, 2)
         mids = np.stack([
             (tris[:, 0] + tris[:, 1]) / 2,
             (tris[:, 0] + tris[:, 2]) / 2,
             (tris[:, 1] + tris[:, 2]) / 2,
         ], axis=1)
         with np.errstate(over="ignore", under="ignore"):
-            return _norms(mids, bary[:, None, :]).mean(axis=1)
+            gaps = _norms(mids, bary[:, None, :])
+        return (gaps[:, 0] + gaps[:, 1] + gaps[:, 2]) / 3
     raise ConfigError(f"boundary offsets not defined for degree {p}")
 
 

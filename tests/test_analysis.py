@@ -35,6 +35,8 @@ from fracdec.analysis import (
 )
 from fracdec import analysis, mesh
 
+from conftest import surface_mesh
+
 
 def quad_oracle_l2(stairs, reference):
     """Per-step adaptive-quadrature L2 norm, the graded rule's oracle.
@@ -118,6 +120,15 @@ def oracle_rows_edge_integrals(field, complex_):
     out = np.zeros(len(table))
     out[edges] = (vec * (b - a)).sum(axis=1)
     return out
+
+
+def half_signed_zeros(rng, n):
+    """n normal values, about half of them replaced by 0.0 or -0.0: sums
+    of products that are all -0.0 show whether a rewritten sum keeps
+    numpy's sign of zero."""
+    values = rng.normal(size=n)
+    values[rng.random(n) < 0.5] = 0.0
+    return np.where(rng.random(n) < 0.5, -values, values)
 
 
 @pytest.fixture
@@ -300,10 +311,31 @@ class TestWhitney:
             bary = cx.vertex_coords[cx.simplices[2][t]].mean(axis=0)
             np.testing.assert_allclose(vecs[t], field.evaluate(t, bary), atol=1e-12)
 
-    def test_requires_triangle_mesh(self):
+    def test_requires_triangle_mesh(self, tmp_path):
         cx = generate_interval_mesh(0, 1, 4)
         with pytest.raises(MeshError):
             whitney_reconstruct(cx, Cochain(1, np.zeros(4)))
+        # A triangle mesh embedded in 3D has no planar Whitney lift.
+        surface = surface_mesh(tmp_path)
+        with pytest.raises(MeshError, match="in the plane"):
+            whitney_reconstruct(surface, Cochain(1, np.zeros(surface.n_simplices(1))))
+
+    def test_integer_coordinates_lift_as_floats(self):
+        # The integer-coordinate complex of the mesh tests lifts to the
+        # field of its float copy, bit for bit.
+        g = generate_unit_square_mesh(2)
+        coords = (3 * g.vertex_coords).astype(np.int64)
+        c = Cochain(1, np.random.default_rng(2).normal(size=g.n_simplices(1)))
+        lifted = []
+        for xy in (coords, coords * 1.0):
+            cx = SimplicialComplex(2, g.simplices, vertex_coords=xy)
+            field = whitney_reconstruct(cx, c)
+            lifted.append((field.gradients, field.edge_values,
+                           eval_at_barycenters(field, cx), edge_integrals(field, cx),
+                           field.evaluate(np.arange(3), [[0.5, 0.25]] * 3)))
+        assert lifted[0][0].dtype == np.float64
+        for got, want in zip(*lifted):
+            assert got.tobytes() == want.tobytes()
 
 
     def test_cochain_length_checked(self):
@@ -313,10 +345,13 @@ class TestWhitney:
 
     def test_degenerate_check_is_scale_free(self):
         # A small square is a good mesh; its gradients scale as 1 / h.
+        # Far from unit scale det and the edge lengths would under- or
+        # overflow unless the triangle is scaled first (RuntimeWarning is
+        # an error under pytest's filter).
         base = generate_unit_square_mesh(4)
         rng = np.random.default_rng(3)
         c = Cochain(1, rng.normal(size=base.n_simplices(1)))
-        for scale in (1e-7, 1e7):
+        for scale in (1e-300, 1e-170, 1e-160, 1e-7, 1e7, 1e160, 1e300):
             cx = SimplicialComplex.from_simplices(
                 2, base.simplices[2], vertex_coords=base.vertex_coords * scale)
             field = whitney_reconstruct(cx, c)
@@ -327,17 +362,27 @@ class TestWhitney:
                                        atol=1e-12)
         # A sliver whose corner sine is 2e-17 is degenerate at any size,
         # although its area, 0.05, is large.
-        sliver = SimplicialComplex.from_simplices(
-            2, [(0, 1, 2)], vertex_coords=[[0.0, 0.0], [1e8, 0.0], [5e7, 1e-9]])
-        with pytest.raises(GeometryError, match="degenerate"):
-            whitney_reconstruct(sliver, Cochain(1, np.zeros(3)))
+        for scale in (1e-300, 1e-170, 1e-160, 1.0, 1e160, 1e300):
+            sliver = SimplicialComplex.from_simplices(
+                2, [(0, 1, 2)],
+                vertex_coords=np.array([[0.0, 0.0], [1e8, 0.0], [5e7, 1e-9]]) * scale)
+            with pytest.raises(GeometryError, match="degenerate"):
+                whitney_reconstruct(sliver, Cochain(1, np.zeros(3)))
+        # Coincident corners, which edge lengths read from a file allow.
+        for coords in ([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [[2.0, 1.0]] * 3):
+            pinched = SimplicialComplex.from_simplices(
+                2, [(0, 1, 2)], vertex_coords=coords,
+                edge_lengths={(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0})
+            with pytest.raises(GeometryError, match="degenerate"):
+                whitney_reconstruct(pinched, Cochain(1, np.zeros(3)))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_edge_integrals_match_rows_oracle_bitwise(self, n):
         cx = generate_unit_square_mesh(n)
         rng = np.random.default_rng(n)
         for values in (rng.normal(size=cx.n_simplices(1)),
-                       np.zeros(cx.n_simplices(1)), -np.zeros(cx.n_simplices(1))):
+                       np.zeros(cx.n_simplices(1)), -np.zeros(cx.n_simplices(1)),
+                       *(half_signed_zeros(rng, cx.n_simplices(1)) for _ in range(10))):
             field = whitney_reconstruct(cx, Cochain(1, values))
             assert (edge_integrals(field, cx).tobytes()
                     == oracle_rows_edge_integrals(field, cx).tobytes())
@@ -368,10 +413,27 @@ class TestWhitneyOracles:
         return cx, c, whitney_reconstruct(cx, c)
 
     def test_reconstruct_matches_triangle_loop(self, lifted):
+        # The adjugate over det rounds unlike LAPACK's inverse: each
+        # gradient is held within 8 eps of its triangle's largest one.
         cx, c, field = lifted
         grads, edge_values = oracle_whitney_loop(cx, c)
-        np.testing.assert_array_equal(field.gradients, grads)
+        scale = np.abs(grads).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(field.gradients - grads) <= 8 * np.finfo(float).eps * scale)
         np.testing.assert_array_equal(field.edge_values, edge_values)
+
+    def test_barycenter_values_are_the_stacked_sum(self, lifted):
+        # The written-out sum over the three edges is the stack-and-sum
+        # form bit for bit, the signs of zeros included.
+        cx, c, _ = lifted
+        rng = np.random.default_rng(4)
+        for values in (c.values, -np.zeros(len(c.values)),
+                       half_signed_zeros(rng, len(c.values))):
+            field = whitney_reconstruct(cx, Cochain(1, values))
+            g = field.gradients
+            diff = np.stack([g[:, 1] - g[:, 0], g[:, 2] - g[:, 0], g[:, 2] - g[:, 1]],
+                            axis=1)
+            want = (field.edge_values[:, :, None] * diff).sum(axis=1) / 3.0
+            assert eval_at_barycenters(field, cx).tobytes() == want.tobytes()
 
     def test_edge_integrals_match_edge_loop(self, lifted):
         cx, c, field = lifted
@@ -423,9 +485,31 @@ class TestRelativeErrors:
         rel, _ = relative_l2_per_triangle(pred, ref, normalize="predicted")
         np.testing.assert_allclose(rel, [0.5])
 
+    def test_matches_numpy_norm(self):
+        # sqrt(x x + y y) is np.linalg.norm's bits, with flagged rows,
+        # zero rows and -0.0 entries, under either normalization.
+        rng = np.random.default_rng(9)
+        pred, ref = rng.normal(size=(2, 40, 2)) * np.logspace(-14, 3, 40)[:, None]
+        ref[3] = 0.0
+        pred[5] = -0.0
+        ref[7] = [-0.0, 1e-13]
+        pred[11] = ref[11]
+        for normalize, norm in (("reference", ref), ("predicted", pred)):
+            rel, summary = relative_l2_per_triangle(pred, ref, normalize=normalize)
+            denom = np.linalg.norm(norm, axis=1)
+            flagged = denom <= 1e-12
+            want = np.where(flagged, np.nan,
+                            np.linalg.norm(pred - ref, axis=1) / np.where(flagged, 1.0, denom))
+            assert rel.tobytes() == want.tobytes()
+            assert summary["flagged"] == flagged.sum() > 0
+            assert summary["mean"] == float(want[~flagged].mean())
+
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="one shape"):
             relative_l2_per_triangle(np.zeros((2, 2)), np.zeros((3, 2)))
+        for shape in ((4,), (4, 3), (2, 2, 2)):
+            with pytest.raises(ConfigError, match=r"\(T, 2\) arrays"):
+                relative_l2_per_triangle(np.zeros(shape), np.zeros(shape))
         with pytest.raises(ConfigError):
             relative_l2_per_triangle(np.zeros((2, 2)), np.zeros((2, 2)),
                                      normalize="max")

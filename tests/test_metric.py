@@ -26,7 +26,9 @@ from fracdec.metric import (
     simplex_distance,
 )
 
-from conftest import nudged_mesh, perturbed_square_mesh, surface_mesh
+from fracdec.mesh import _norms
+
+from conftest import nonuniform_interval_mesh, nudged_mesh, perturbed_square_mesh, surface_mesh
 
 
 def _fake_vertex_distances(monkeypatch, entries):
@@ -188,6 +190,43 @@ class TestBoundaryOffsets:
         cx = generate_unit_square_mesh(2)
         with pytest.raises(ConfigError):
             boundary_offsets(cx, 3)
+
+
+class TestBarycenters:
+    def test_written_out_sums_are_numpy_means(self, tmp_path):
+        # Barycenters and triangle offsets add their columns in numpy's
+        # order, so they are its means bit for bit: in 1D, 2D and 3D,
+        # on a reflected square whose coordinates include -0.0, and far
+        # from unit scale.
+        square = generate_unit_square_mesh(5)
+        meshes = [square, perturbed_square_mesh(6, seed=1),
+                  nonuniform_interval_mesh(17, seed=3), surface_mesh(tmp_path)]
+        for coords in (-square.vertex_coords, square.vertex_coords * 1e-160,
+                       square.vertex_coords * 1e160):
+            meshes.append(SimplicialComplex.from_simplices(
+                2, square.simplices[2], vertex_coords=coords))
+        assert np.signbit(meshes[4].vertex_coords).any()
+        for cx in meshes:
+            for p in range(cx.dimension + 1):
+                want = cx.vertex_coords[cx.simplices[p]].mean(axis=1)
+                assert barycenters(cx, p).tobytes() == want.tobytes()
+            if cx.dimension == 2:
+                tris = cx.vertex_coords[cx.simplices[2]]
+                mids = np.stack([(tris[:, 0] + tris[:, 1]) / 2, (tris[:, 0] + tris[:, 2]) / 2,
+                                 (tris[:, 1] + tris[:, 2]) / 2], axis=1)
+                with np.errstate(over="ignore", under="ignore"):
+                    want = _norms(mids, tris.mean(axis=1)[:, None, :]).mean(axis=1)
+                assert boundary_offsets(cx, 2).tobytes() == want.tobytes()
+
+    def test_integer_coordinates_are_read_as_floats(self):
+        g = generate_unit_square_mesh(3)
+        coords = (7 * g.vertex_coords).astype(np.int64)
+        cx = SimplicialComplex(2, g.simplices, vertex_coords=coords)
+        floats = SimplicialComplex(2, g.simplices, vertex_coords=coords * 1.0)
+        for p in range(3):
+            got = barycenters(cx, p)
+            assert got.dtype == np.float64
+            assert got.tobytes() == barycenters(floats, p).tobytes()
 
 
 class TestSimplexDistances:
