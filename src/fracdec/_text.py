@@ -56,11 +56,9 @@ def write_json(fh, item, columns, depth, brackets="[]"):
 
 def json_item(depth, width, keys=None):
     """The template of one row for write_json at `depth`: a JSON list
-    of `width` values or, given `width` keys, an object with those keys
-    in that order."""
+    of `width` >= 1 values or, given `width` keys, an object with those
+    keys in that order."""
     brackets = "[]" if keys is None else "{}"
-    if not width:
-        return brackets
     heads = [""] * width if keys is None else \
         [json.dumps(k).replace("%", "%%") + ": " for k in keys]
     pad = "\n" + " " * (depth + 2)

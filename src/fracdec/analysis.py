@@ -1,10 +1,10 @@
 """Reconstruction of 1-cochains and the error/convergence harness.
 
 1D cochains are compared to reference functions as piecewise-constant
-functions whose steps cover the edges exactly, the convention that
-reproduces the reference L2 error table; see the convergence study.
-The 1D studies build each interval mesh, and sample the family on it,
-once per size, for every order they are asked for.
+functions whose steps are the interval mesh's edges in order, the
+convention that reproduces the reference L2 error table; see the
+convergence study.  The 1D studies build each interval mesh, and sample
+the family on it, once per size, for every order they are asked for.
 
 2D cochains are lifted to piecewise-affine vector fields through the
 Whitney map and evaluated at triangle barycenters.
@@ -23,38 +23,6 @@ _L2_QUAD_TOL = 1e-10
 _L2_QUAD_RTOL = 1e-10
 # A triangle whose corner sine is below this is degenerate.
 _DEGENERATE_SINE = 1e-14
-
-
-@dataclass(frozen=True)
-class StairsFunction:
-    """Piecewise-constant function on consecutive intervals."""
-
-    breakpoints: np.ndarray   # length n+1, strictly increasing
-    values: np.ndarray        # length n
-
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", np.asarray(self.breakpoints, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if len(self.breakpoints) != len(self.values) + 1:
-            raise ConfigError("need one more breakpoint than step values")
-        if not np.all(np.diff(self.breakpoints) > 0):
-            raise MeshError("breakpoints must be strictly increasing")
-
-
-def to_stairs(complex_, cochain):
-    """1-cochain as a stairs function over a 1D embedded complex: step i
-    covers edge i exactly, the edges taken in barycenter order."""
-    if cochain.degree != 1:
-        raise ConfigError("stairs are defined for 1-cochains")
-    if complex_.dimension != 1 or complex_.vertex_coords is None:
-        raise MeshError("stairs need an embedded 1D complex")
-    ends = complex_.vertex_coords[:, 0][complex_.simplices[1]]
-    order = np.argsort((ends[:, 0] + ends[:, 1]) / 2.0)
-    lo, hi = np.sort(ends[order], axis=1).T
-    # Edges that meet share a vertex coordinate, so any overlap is real.
-    if np.any(lo[1:] < hi[:-1]):
-        raise MeshError("edges overlap; cannot form a stairs function")
-    return StairsFunction(np.append(lo, hi[-1]), cochain.values[order])
 
 
 def _graded_gauss_rule(m):
@@ -82,32 +50,41 @@ def quad(func, a, b, **kwargs):
     return adaptive_quad(func, a, b, **kwargs)
 
 
-def l2_error_stairs(stairs, reference):
-    """sqrt of the integral of (stairs - reference)^2 over the support.
+def l2_error_stairs(breakpoints, values, reference):
+    """sqrt of the integral of (stairs - reference)^2 over the support,
+    where the stairs function is values[i] on [breakpoints[i],
+    breakpoints[i + 1]].
 
-    reference must accept an array of points and return values of the
-    same shape (a scalar result is broadcast).  Every step is mapped to
-    [0, 1] by an endpoint-grading polynomial and integrated with
-    24-point Gauss-Legendre in one vectorised pass; the difference to a
-    16-point rule on the same step estimates its error.  Steps whose
-    estimate exceeds 1e-10 plus 1e-10 times the step's value (an
-    interior kink, say) are redone by adaptive quadrature at absolute
-    tolerance 1e-10.
+    ConfigError unless there is one more breakpoint than values;
+    MeshError unless the breakpoints strictly increase.  reference must
+    accept an array of points and return values of the same shape (a
+    scalar result is broadcast).  Every step is mapped to [0, 1] by an
+    endpoint-grading polynomial and integrated with 24-point
+    Gauss-Legendre in one vectorised pass; the difference to a 16-point
+    rule on the same step estimates its error.  Steps whose estimate
+    exceeds 1e-10 plus 1e-10 times the step's value (an interior kink,
+    say) are redone by adaptive quadrature at absolute tolerance 1e-10.
     """
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if len(breakpoints) != len(values) + 1:
+        raise ConfigError("need one more breakpoint than step values")
+    h = np.diff(breakpoints)[:, None]
+    if not np.all(h > 0):
+        raise MeshError("breakpoints must be strictly increasing")
     (fine_x, fine_w), (coarse_x, coarse_w) = _FINE_RULE, _COARSE_RULE
-    lo = stairs.breakpoints[:-1, None]
-    h = np.diff(stairs.breakpoints)[:, None]
+    lo = breakpoints[:-1, None]
     nodes = np.hstack([lo + h * fine_x, lo + h * coarse_x])
     ref = np.broadcast_to(np.asarray(reference(nodes), dtype=float), nodes.shape)
-    sq = (stairs.values[:, None] - ref) ** 2
+    sq = (values[:, None] - ref) ** 2
     steps = h[:, 0] * (sq[:, :len(fine_x)] @ fine_w)
     coarse = h[:, 0] * (sq[:, len(fine_x):] @ coarse_w)
     # "not <=" also sends NaN estimates to the fallback.
     tol = _L2_QUAD_TOL + _L2_QUAD_RTOL * np.abs(steps)
     for i in np.flatnonzero(~(np.abs(steps - coarse) <= tol)):
-        v = stairs.values[i]
+        v = values[i]
         val, err = quad(lambda t: (v - reference(t)) ** 2,
-                        stairs.breakpoints[i], stairs.breakpoints[i + 1],
+                        breakpoints[i], breakpoints[i + 1],
                         epsabs=_L2_QUAD_TOL, limit=200)
         # quad's error estimate is conservative near sqrt-type endpoints;
         # anything below 1e-7 per step is far inside the comparison needs.
@@ -115,15 +92,6 @@ def l2_error_stairs(stairs, reference):
             raise AccuracyError(f"step quadrature error {err:.2e} too large")
         steps[i] = val
     return float(np.sqrt(steps.sum()))
-
-
-def linf_error(predicted, reference):
-    """Maximum absolute deviation between two aligned vectors."""
-    predicted = np.asarray(predicted, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if predicted.shape != reference.shape or predicted.size == 0:
-        raise ConfigError("predicted/reference samples must align and be nonempty")
-    return float(np.max(np.abs(predicted - reference)))
 
 
 @dataclass(frozen=True)
@@ -308,7 +276,8 @@ def _linf_at_barycenters(complex_, deriv, family, config):
     """Linf error of a 1D derivative against the family's closed form at
     the edge barycenters."""
     bary = metric.barycenters(complex_, 1)[:, 0]
-    return linf_error(deriv.values, family.reference(bary, config.s, config.right_sign))
+    ref = family.reference(bary, config.s, config.right_sign)
+    return float(np.max(np.abs(deriv.values - ref)))
 
 
 def frac_derivative_1d(n_edges, family, config):
@@ -337,7 +306,8 @@ def convergence_study(family, s, edge_counts, config=None, support="edge"):
             err = _linf_at_barycenters(complex_, deriv, family, config)
         else:
             ref = lambda t: family.reference(t, s, config.right_sign)
-            err = l2_error_stairs(to_stairs(complex_, deriv), ref)
+            # Edge i of the interval mesh is [x_i, x_(i+1)]: the steps.
+            err = l2_error_stairs(complex_.vertex_coords[:, 0], deriv.values, ref)
         rows.append({"n": int(n), "error": err,
                      "ratio": err / prev if prev is not None else float("nan")})
         prev = err

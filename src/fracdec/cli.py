@@ -44,7 +44,7 @@ def _write_rows(path, header, table, fmt):
     of row objects; cells are str of the Python value, so a float is
     its repr."""
     names, columns = list(table), list(table.values())
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         if fmt == "json":
             _text.write_json(fh, _text.json_item(0, len(names), names), columns, 0)

@@ -66,7 +66,7 @@ class SimplicialComplex:
     0, 1, ..., n_0 - 1; every row is strictly increasing; every table
     is strictly increasing in its row keys, so sorted and free of
     duplicate rows; every facet of a simplex is in the complex; and
-    vertex_coords, if given, has n_0 rows.
+    vertex_coords, if given, is a finite (n_0, d) array with d >= 1.
 
     Attributes:
         dimension: top dimension N of the complex.
@@ -182,8 +182,15 @@ class SimplicialComplex:
         n = self.n_simplices(0)
         if not np.array_equal(self.simplices[0][:, 0], np.arange(n)):
             raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
-        if self.vertex_coords is not None and len(self.vertex_coords) != n:
-            raise MeshError(f"{len(self.vertex_coords)} vertex coordinates for {n} vertices")
+        coords = self.vertex_coords
+        if coords is not None:
+            if np.ndim(coords) != 2 or not np.shape(coords)[1]:
+                raise MeshError("vertex coordinates must be an (n_vertices, d) array "
+                                f"with d >= 1, not of shape {np.shape(coords)}")
+            if len(coords) != n:
+                raise MeshError(f"{len(coords)} vertex coordinates for {n} vertices")
+            if not np.all(np.isfinite(coords)):
+                raise MeshError("vertex coordinates must be finite")
         object.__setattr__(self, "facets", facets)
 
     def _validate_lengths(self, lengths_supplied):
@@ -362,10 +369,10 @@ def _norms(a, b, out=None):
     odd = out < _SQRT_TINY
     if out.max(initial=0.0) == np.inf:
         odd |= out == np.inf
+    # flatnonzero: np.nonzero or a boolean index scans a 2D mask ~40x slower.
     at = np.unravel_index(np.flatnonzero(odd), out.shape)
-    # Those entries' own points: index 0 on an axis a or b is broadcast on.
-    gap = np.subtract(*(x[tuple(i if n > 1 else 0 for i, n in zip(at, x.shape))]
-                        for x in (a, b)))
+    # Those entries' own points, (m, d), from views broadcast to out's shape.
+    gap = np.subtract(*(x[at] for x in np.broadcast_arrays(a, b)))
     scale = np.abs(gap).max(axis=1)
     ok = (scale > 0) & (scale < np.inf)
     gap = gap[ok] / scale[ok, None]
@@ -425,8 +432,7 @@ def load_off(path):
     table is parsed by one numpy call; only a table that call rejects is
     read again line by line, to name the line of the bad entry.
     """
-    with open(path) as fh:
-        lines = list(map(str.strip, fh.read().split("\n")))
+    lines = list(map(str.strip, _read_text(path).split("\n")))
     # Line numbers of the lines that are neither blank nor comments.
     numbers = [no for no, ln in enumerate(lines, 1) if ln and ln[0] != "#"]
     content = [lines[no - 1] for no in numbers]
@@ -458,6 +464,15 @@ def load_off(path):
     if np.all(coords[:, 2] == 0.0):
         coords = coords[:, :2]
     return SimplicialComplex.from_simplices(2, faces, vertex_coords=coords)
+
+
+def _read_text(path):
+    """The text of a mesh file, which must be UTF-8 (FormatError if not)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc}") from None
 
 
 def _numeric_table(rows, dtype):
@@ -502,7 +517,7 @@ def save_off(complex_, path):
     if len(columns) == 2:
         columns.append(np.zeros(len(coords)))
     tris = complex_.simplices[2]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("OFF\n")
         fh.write(f"{len(coords)} {complex_.n_simplices(1)} {len(tris)}\n")
         fh.writelines(_text.blocks(" ".join(["%s"] * len(columns)) + "\n", columns))
@@ -514,7 +529,7 @@ def save_json(complex_, path):
     json.dump(doc, indent=1, sort_keys=True), written a block of rows at
     a time."""
     coords = complex_.vertex_coords
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "dimension": {complex_.dimension},')
         if complex_.lengths_overridden or coords is None:
             # Keyed "i,j" and, like every JSON object here, in key order.
@@ -555,11 +570,10 @@ def load_json(path):
     A JSON true or false is not a number anywhere, nor is a string in
     "vertices" or as a length.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(str(exc), line=exc.lineno) from None
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(str(exc), line=exc.lineno) from None
     try:
         dim, tables = doc["dimension"], doc["simplices"]
     except (KeyError, TypeError):

@@ -24,13 +24,10 @@ from fracdec import (
     s_sweep,
 )
 from fracdec.analysis import (
-    StairsFunction,
     edge_integrals,
     eval_at_barycenters,
     l2_error_stairs,
-    linf_error,
     relative_l2_per_triangle,
-    to_stairs,
     whitney_reconstruct,
 )
 from fracdec import analysis, mesh
@@ -38,16 +35,16 @@ from fracdec import analysis, mesh
 from conftest import surface_mesh
 
 
-def quad_oracle_l2(stairs, reference):
+def quad_oracle_l2(breakpoints, values, reference):
     """Per-step adaptive-quadrature L2 norm, the graded rule's oracle.
 
     The tolerance is tighter than a 1e-10 absolute step tolerance, at
     which the loop itself is 1.7e-10 relative off at s = 0.3, n = 1024.
     """
     total = 0.0
-    for i, v in enumerate(stairs.values):
+    for i, v in enumerate(values):
         val, _ = quad(lambda t: (v - reference(t)) ** 2,
-                      stairs.breakpoints[i], stairs.breakpoints[i + 1],
+                      breakpoints[i], breakpoints[i + 1],
                       epsabs=1e-14, epsrel=1e-12, limit=200)
         total += val
     return float(np.sqrt(total))
@@ -143,24 +140,20 @@ def quad_calls(monkeypatch):
     return calls
 
 
-class TestStairsFunction:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            StairsFunction([0.0, 1.0], [1.0, 2.0])
-        with pytest.raises(MeshError):
-            StairsFunction([0.0, 0.0, 1.0], [1.0, 2.0])
-
-
 class TestToStairs:
-    def test_edge_support(self):
-        cx = generate_interval_mesh(0.0, 1.0, 4)
-        f = to_stairs(cx, Cochain(1, np.arange(4.0)))
-        np.testing.assert_allclose(f.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
+    """The studies' stairs function: one step per interval edge."""
 
-    def test_degree_check(self):
-        cx = generate_interval_mesh(0.0, 1.0, 4)
-        with pytest.raises(ConfigError):
-            to_stairs(cx, Cochain(0, np.zeros(5)))
+    def test_edge_support(self):
+        # The steps are the edges in order: the vertex coordinates are
+        # the breakpoints and the cochain's values are the steps.
+        fam = get_family("poly_neg10x3_plus_10x2")
+        cfg = FracConfig(s=0.3, right_sign="minus")
+        (row,) = convergence_study(fam, 0.3, [4], config=cfg)
+        cx, deriv = frac_derivative_1d(4, fam, cfg)
+        np.testing.assert_array_equal(cx.vertex_coords[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
+        want = l2_error_stairs(cx.vertex_coords[:, 0], deriv.values,
+                               lambda t: fam.reference(t, 0.3, "minus"))
+        assert row["error"] == want
 
     def test_unknown_support(self):
         # "edge" is the only stairs convention, for either kind of family.
@@ -169,40 +162,27 @@ class TestToStairs:
                 with pytest.raises(ConfigError, match="unknown stairs support"):
                     convergence_study(get_family(name), 0.5, [4], support=support)
 
-    def test_needs_1d(self):
-        cx = generate_unit_square_mesh(2)
-        with pytest.raises(MeshError):
-            to_stairs(cx, Cochain(1, np.zeros(cx.n_simplices(1))))
-
-    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
-    def test_overlap_check_is_scale_free(self, scale):
-        # Edge (0, 1) covers [0, 2], edge (1, 2) covers [1, 2]: an
-        # overlap at every scale.  Edges that only meet are fine.
-        c = Cochain(1, [1.0, 2.0])
-        overlapping = SimplicialComplex.from_simplices(
-            1, [(0, 1), (1, 2)], vertex_coords=np.array([[0.0], [2.0], [1.0]]) * scale)
-        with pytest.raises(MeshError, match="edges overlap"):
-            to_stairs(overlapping, c)
-        meeting = SimplicialComplex.from_simplices(
-            1, [(0, 1), (1, 2)], vertex_coords=np.array([[0.0], [1.0], [3.0]]) * scale)
-        f = to_stairs(meeting, c)
-        np.testing.assert_array_equal(f.breakpoints, np.array([0.0, 1.0, 3.0]) * scale)
-
 
 class TestErrorNorms:
+    def test_l2_validation(self):
+        with pytest.raises(ConfigError, match="one more breakpoint"):
+            l2_error_stairs([0.0, 1.0], [1.0, 2.0], lambda t: t)
+        for breakpoints in ([0.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan, 1.0]):
+            with pytest.raises(MeshError, match="strictly increasing"):
+                l2_error_stairs(breakpoints, [1.0, 2.0], lambda t: t)
+
     def test_l2_constant_vs_zero(self):
-        f = StairsFunction([0.0, 1.0], [3.0])
-        assert l2_error_stairs(f, lambda t: 0.0) == pytest.approx(3.0, rel=1e-10)
+        assert l2_error_stairs([0.0, 1.0], [3.0], lambda t: 0.0) == pytest.approx(3.0, rel=1e-10)
 
     def test_l2_two_steps_analytic(self):
         # steps 1 on [0,1], 2 on [1,3] against reference t:
         # int_0^1 (1-t)^2 + int_1^3 (2-t)^2 = 1/3 + 2/3 = 1.
-        f = StairsFunction([0.0, 1.0, 3.0], [1.0, 2.0])
-        assert l2_error_stairs(f, lambda t: t) == pytest.approx(1.0, rel=1e-9)
+        got = l2_error_stairs(np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0]), lambda t: t)
+        assert got == pytest.approx(1.0, rel=1e-9)
 
     def test_l2_exact_match_is_zero(self):
-        f = StairsFunction([0.0, 0.5, 1.0], [2.0, 2.0])
-        assert l2_error_stairs(f, lambda t: 2.0) == pytest.approx(0.0, abs=1e-12)
+        got = l2_error_stairs([0.0, 0.5, 1.0], [2.0, 2.0], lambda t: 2.0)
+        assert got == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 16, 1024])
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
@@ -214,7 +194,8 @@ class TestErrorNorms:
         cfg = FracConfig(s=s, right_sign=right_sign)
         (row,) = convergence_study(fam, s, [n], config=cfg, support=support)
         cx, deriv = frac_derivative_1d(n, fam, cfg)
-        want = quad_oracle_l2(to_stairs(cx, deriv), lambda t: fam.reference(t, s, right_sign))
+        want = quad_oracle_l2(cx.vertex_coords[:, 0], deriv.values,
+                              lambda t: fam.reference(t, s, right_sign))
         assert row["error"] == pytest.approx(want, rel=1e-10)
 
     def test_l2_fine_mesh_needs_no_fallback(self, quad_calls):
@@ -241,28 +222,30 @@ class TestErrorNorms:
         (row,) = convergence_study(fam, 0.7, [4], config=cfg, support="edge")
         assert quad_calls == []
         cx, deriv = frac_derivative_1d(4, fam, cfg)
-        stairs = to_stairs(cx, deriv)
-        want = quad_oracle_l2(stairs, lambda t: fam.reference(t, 0.7, "minus"))
+        want = quad_oracle_l2(cx.vertex_coords[:, 0], deriv.values,
+                              lambda t: fam.reference(t, 0.7, "minus"))
         assert row["error"] == pytest.approx(want, rel=1e-10)
 
     def test_l2_interior_kink_falls_back_to_quad(self, quad_calls):
         # sqrt|t - 0.3| has an unbounded derivative inside the second
         # step, which the graded rule cannot resolve; only that step
         # goes to adaptive quadrature.
-        f = StairsFunction([0.0, 0.25, 0.5, 0.75, 1.0], [0.2, 0.4, 0.5, 0.6])
+        stairs = ([0.0, 0.25, 0.5, 0.75, 1.0], [0.2, 0.4, 0.5, 0.6])
         ref = lambda t: np.sqrt(np.abs(t - 0.3))
-        got = l2_error_stairs(f, ref)
+        got = l2_error_stairs(*stairs, ref)
         assert quad_calls == [(0.25, 0.5)]
-        assert got == pytest.approx(quad_oracle_l2(f, ref), rel=1e-10)
+        assert got == pytest.approx(quad_oracle_l2(*stairs, ref), rel=1e-10)
 
     def test_linf_vectors(self):
-        assert linf_error([1.0, 2.0], [1.5, 2.0]) == pytest.approx(0.5)
-
-    def test_linf_validation(self):
-        with pytest.raises(ConfigError):
-            linf_error([1.0, 2.0], [1.0])
-        with pytest.raises(ConfigError):
-            linf_error([], [])
+        # A left-sided study's error is max |derivative - closed form|
+        # over the edge barycenters, bit for bit.
+        fam = get_family("exp_x")
+        cfg = FracConfig(sidedness="left_sided")
+        (row,) = convergence_study(fam, 0.5, [4], config=cfg)
+        cx, deriv = frac_derivative_1d(4, fam, cfg)
+        bary = barycenters(cx, 1)[:, 0]
+        np.testing.assert_array_equal(bary, [0.125, 0.375, 0.625, 0.875])
+        assert row["error"] == float(np.max(np.abs(deriv.values - fam.reference(bary, 0.5))))
 
 
 class TestWhitney:

@@ -237,10 +237,33 @@ class TestFracDeriv:
         ("degree.json", '{"dimension": 1, "vertices": [[0], [1], [2]], '
          '"simplices": {"1": [[0, 1], [1, 2]], "2": [[0, 1, 2]]}}',
          "'simplices' has a table '2' outside degrees 1..1"),
+        # A one-edge complex is built in any embedding, then refused.
+        ("edge2d.json", '{"dimension": 1, "vertices": [[0, 0], [1, 0]], '
+         '"simplices": {"1": [[0, 1]]}}', "weight matrix needs at least two simplices"),
+        ("edge3d.json", '{"dimension": 1, "vertices": [[0, 0, 0], [0, 0, 1]], '
+         '"simplices": {"1": [[0, 1]]}}', "weight matrix needs at least two simplices"),
+        ("nan.json", '{"dimension": 2, "vertices": [[0, 0], [1, NaN], [0, 1]], '
+         '"simplices": {"2": [[0, 1, 2]]}, '
+         '"edge_lengths": {"0,1": 1, "0,2": 1, "1,2": 1.5}}',
+         "vertex coordinates must be finite"),
+        ("empty.json", '{"dimension": 1, "vertices": [[], []], "simplices": {"1": [[0, 1]]}}',
+         "vertex coordinates must be an (n_vertices, d) array with d >= 1, "
+         "not of shape (2, 0)"),
+        ("flat.json", '{"dimension": 1, "vertices": [0, 1], "simplices": {"1": [[0, 1]]}}',
+         "bad 'vertices' or 'edge_lengths': expected a list of coordinate rows"),
+        ("latin1.json", b'{"dimension": 1, "simplices": {"1": [[0, 1]]}, "caf\xe9": 1}',
+         "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 51: "
+         "invalid continuation byte"),
+        ("latin1.off", b"OFF\n3 3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\xff\n",
+         "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 36: "
+         "invalid start byte"),
     ])
     def test_bad_mesh_file_exit_3(self, tmp_path, capsys, name, body, message):
         path = tmp_path / name
-        path.write_text(body)
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
         out = tmp_path / "d.csv"
         assert run("frac-deriv", "--mesh", str(path), "--family", "exp_x",
                    "-o", str(out)) == 3

@@ -86,6 +86,14 @@ class TestGenerators:
             np.testing.assert_array_equal(cx._euclidean_edge_lengths(),
                                           np.linalg.norm(diff, axis=1))
 
+    @pytest.mark.parametrize("coords, length", [
+        ([[0, 0], [1, 0]], 1.0), ([[0, 0, 0], [0, 1, 0]], 1.0),
+        ([[2e-300, 0, 0], [2e-300, 0, 1e-300]], 1e-300)])  # redone, scaled
+    def test_one_edge_in_the_plane_and_in_space(self, coords, length):
+        # A one-row edge table: its axis of length 1 is not broadcast.
+        cx = SimplicialComplex.from_simplices(1, [[0, 1]], coords)
+        np.testing.assert_array_equal(cx.edge_lengths, [length])
+
     @pytest.mark.parametrize("n", [1, 2, 7, 2048])
     def test_interval_tables_as_from_tuples(self, n):
         # The numpy edge table gives the tables of the old tuple list.
@@ -366,6 +374,25 @@ class TestValidation:
         simplices = {0: np.array([[0], [1]]), 1: np.array([[1, 0]])}
         with pytest.raises(MeshError):
             SimplicialComplex(1, simplices, edge_lengths=np.array([1.0]))
+
+    @pytest.mark.parametrize("coords, lengths, message", [
+        ([[0.0], [np.nan], [2.0]], {(0, 1): 1.0, (1, 2): 1.0}, "must be finite"),
+        ([[0.0, 0.0], [1.0, np.inf], [2.0, 0.0]], {(0, 1): 1.0, (1, 2): 1.0},
+         "must be finite"),
+        ([[0.0], [np.inf], [2.0]], None, "must be finite"),
+        ([[], [], []], None, r"d >= 1, not of shape \(3, 0\)"),
+        ([0.0, 1.0, 2.0], None, r"d >= 1, not of shape \(3,\)"),
+        ([[[0.0]], [[1.0]], [[2.0]]], None, r"d >= 1, not of shape \(3, 1, 1\)"),
+    ], ids=["nan-with-lengths", "inf-with-lengths", "inf", "no-columns", "flat", "3d-array"])
+    def test_vertex_coords_must_be_finite_rows(self, coords, lengths, message):
+        # Refused before any length is derived or checked against them.
+        with pytest.raises(MeshError, match=message):
+            SimplicialComplex.from_simplices(1, [[0, 1], [1, 2]], coords,
+                                             edge_lengths=lengths)
+        simplices = {0: np.arange(3).reshape(-1, 1), 1: np.array([[0, 1], [1, 2]])}
+        with pytest.raises(MeshError, match=message):
+            SimplicialComplex(1, simplices, vertex_coords=np.array(coords),
+                              edge_lengths=np.ones(2))
 
     def test_nonpositive_length_rejected(self):
         simplices = {0: np.array([[0], [1]]), 1: np.array([[0, 1]])}
@@ -724,6 +751,16 @@ class TestJsonFormat:
         back = load_json(path)
         np.testing.assert_allclose(back.edge_lengths, [2.0, 5.0])
         assert back.vertex_coords is None
+
+    @pytest.mark.parametrize("load, body", [
+        (load_json, b'{"dimension": 1, "simplices": {"1": [[0, 1]]}, "x\xff": 1}'),
+        (load_off, b"OFF\n# caf\xe9\n3 3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"),
+    ], ids=["json", "off"])
+    def test_not_utf8_rejected(self, tmp_path, load, body):
+        path = tmp_path / "latin1.mesh"
+        path.write_bytes(body)
+        with pytest.raises(FormatError, match="not UTF-8 text: 'utf-8' codec can't decode"):
+            load(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

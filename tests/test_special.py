@@ -68,9 +68,9 @@ class TestMittagLeffler:
             mittag_leffler(1.0, 1.0, np.array([0.5, -50.5]))
 
     def test_nan_argument_rejected(self):
-        # Not "did not converge in 200 terms": NaN fails the |z| guard.
+        # Not "did not converge in 200 terms": NaN fails the domain guard.
         for z in (np.nan, np.array([0.5, np.nan])):
-            with pytest.raises(ConfigError, match=r"\|z\| <= 50"):
+            with pytest.raises(ConfigError, match="0 <= z <= 50"):
                 mittag_leffler(1.0, 1.5, z)
 
     def test_term_budget_exhaustion(self):
@@ -98,23 +98,19 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 1.5), (1.0, 1.3),
                                       (1.0, 2.0), (2.0, 1.0), (2.0, 1.7)])
     def test_array_matches_scalar_series(self, a, b):
-        z = np.linspace(-1.0, 5.0, 61)
+        z = np.linspace(0.0, 5.0, 61)
         want = np.array([mittag_leffler_series(a, b, zi) for zi in z])
         np.testing.assert_allclose(mittag_leffler(a, b, z), want,
                                    rtol=1e-13, atol=1e-15)
 
-    def test_negative_z_within_the_cancellation_bound(self):
-        # eps * e^5 / e^-5 = 4.9e-12 is inside the 1e-10 bound.
-        assert mittag_leffler(1.0, 1.0, -5.0) == pytest.approx(math.exp(-5.0),
-                                                               rel=1e-11)
-        z = np.array([-5.0, -1.0, 0.0, 3.0])
-        np.testing.assert_allclose(mittag_leffler(1.0, 1.0, z), np.exp(z), rtol=1e-11)
-
-    @pytest.mark.parametrize("z", [-10.0, -20.0, -40.0, [0.5, -20.0, 2.0]])
+    @pytest.mark.parametrize("z", [-10.0, -20.0, -40.0, [0.5, -20.0, 2.0], -5.0,
+                                   -1e-300, [-0.0, -1e-300]])
     def test_negative_z_cancellation_raises(self, z):
-        # The series once returned -1.08e-7 for e^-20 and 44.7 for e^-40.
-        with pytest.raises(SeriesConvergenceError, match="at z = -[124]0"):
+        # Below zero the series cancels (it once returned -1.08e-7 for
+        # e^-20 and 44.7 for e^-40), so every z < 0 is refused; -0.0 is not.
+        with pytest.raises(ConfigError, match="0 <= z <= 50"):
             mittag_leffler(1.0, 1.0, z)
+        assert mittag_leffler(1.0, 1.0, -0.0) == 1.0
 
     def test_coefficients_match_scipy_rgamma(self):
         # 1 / math.gamma(a k + b), 0 once Gamma overflows, is rgamma to
@@ -131,11 +127,14 @@ class TestMittagLeffler:
             np.testing.assert_allclose(got[~big], want[~big], rtol=0, atol=1e-300)
 
     def test_negative_z_guard_costs_nothing_at_nonnegative_z(self, monkeypatch):
+        # One Horner pass per call; a refused argument costs none.
         passes = []
         horner = special._horner
         monkeypatch.setattr(special, "_horner",
                             lambda coef, z: passes.append(z) or horner(coef, z))
         mittag_leffler(1.0, 0.7, np.linspace(0.0, 5.0, 11))
-        assert len(passes) == 1
-        mittag_leffler(1.0, 0.7, np.linspace(-1.0, 5.0, 11))
-        assert len(passes) == 3
+        mittag_leffler(1.0, 0.7, 2.5)
+        assert len(passes) == 2
+        with pytest.raises(ConfigError):
+            mittag_leffler(1.0, 0.7, np.linspace(-1.0, 5.0, 11))
+        assert len(passes) == 2
