@@ -57,6 +57,17 @@ def _keys(rows, base):
     return keys
 
 
+def _check_dimension(dimension):
+    if dimension < 1:
+        raise MeshError("complex must contain at least edges (dimension >= 1)")
+
+
+def _check_coords_shape(coords):
+    if np.ndim(coords) != 2 or not np.shape(coords)[1]:
+        raise MeshError("vertex coordinates must be an (n_vertices, d) array "
+                        f"with d >= 1, not of shape {np.shape(coords)}")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """An oriented simplicial complex with a local metric on its edges.
@@ -149,8 +160,7 @@ class SimplicialComplex:
             return _norms(ends[:, 1], ends[:, 0])
 
     def _validate(self):
-        if self.dimension < 1:
-            raise MeshError("complex must contain at least edges (dimension >= 1)")
+        _check_dimension(self.dimension)
         for p in range(self.dimension + 1):
             if p not in self.simplices:
                 raise MeshError(f"missing simplex table for degree {p}")
@@ -184,9 +194,7 @@ class SimplicialComplex:
             raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
         coords = self.vertex_coords
         if coords is not None:
-            if np.ndim(coords) != 2 or not np.shape(coords)[1]:
-                raise MeshError("vertex coordinates must be an (n_vertices, d) array "
-                                f"with d >= 1, not of shape {np.shape(coords)}")
+            _check_coords_shape(coords)
             if len(coords) != n:
                 raise MeshError(f"{len(coords)} vertex coordinates for {n} vertices")
             if not np.all(np.isfinite(coords)):
@@ -225,8 +233,11 @@ class SimplicialComplex:
         a vertex index that is not an integer in [0, n_vertices), repeated
         vertices, a duplicate top simplex, an edge without a length or a
         length for a key that is not an edge raises MeshError before any
-        geometry is computed, as do no top simplices and no coordinates.
+        geometry is computed, as do a dimension below 1, coordinates that
+        are not an (n_vertices, d) array, and no top simplices and no
+        coordinates.
         """
+        _check_dimension(dimension)
         try:
             tops = np.reshape(top_simplices, (len(top_simplices), dimension + 1))
         except (TypeError, ValueError):  # ragged, or rows of another width
@@ -234,6 +245,7 @@ class SimplicialComplex:
         n_vertices = None
         if vertex_coords is not None:
             vertex_coords = np.asarray(vertex_coords, dtype=float)
+            _check_coords_shape(vertex_coords)
             n_vertices = len(vertex_coords)
         elif not len(tops):
             raise MeshError("no top simplices and no vertex coordinates")

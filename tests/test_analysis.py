@@ -1,5 +1,6 @@
 """Stairs comparison, Whitney reconstruction, and the study harness."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from fracdec import (
+    AccuracyError,
     Cochain,
     ConfigError,
     FracConfig,
@@ -30,7 +32,7 @@ from fracdec.analysis import (
     relative_l2_per_triangle,
     whitney_reconstruct,
 )
-from fracdec import analysis, mesh
+from fracdec import mesh
 
 from conftest import surface_mesh
 
@@ -128,16 +130,28 @@ def half_signed_zeros(rng, n):
     return np.where(rng.random(n) < 0.5, -values, values)
 
 
-@pytest.fixture
-def quad_calls(monkeypatch):
-    """Records the [lo, hi] of every fallback quad call in analysis."""
+def recording(reference):
+    """reference, and the list of node arrays it is called on: one row
+    of nodes per quadrature piece, one call per level."""
     calls = []
 
-    def counting_quad(func, lo, hi, **kwargs):
-        calls.append((lo, hi))
-        return quad(func, lo, hi, **kwargs)
-    monkeypatch.setattr(analysis, "quad", counting_quad)
-    return calls
+    def recorded(t, *args, **kwargs):
+        calls.append(np.array(t, dtype=float))
+        return reference(t, *args, **kwargs)
+    return recorded, calls
+
+
+def recorded_family(name):
+    """The family with a recording reference, and the list it records."""
+    fam = get_family(name)
+    reference, calls = recording(fam.reference)
+    return dataclasses.replace(fam, reference=reference), calls
+
+
+def pieces(nodes):
+    """The sorted [lo, hi] of each row of nodes, to 6 digits: the graded
+    rule's outer nodes lie within 1.2e-9 times the width of each end."""
+    return sorted(map(tuple, np.round(np.c_[nodes.min(axis=1), nodes.max(axis=1)], 6)))
 
 
 class TestToStairs:
@@ -198,43 +212,71 @@ class TestErrorNorms:
                               lambda t: fam.reference(t, s, right_sign))
         assert row["error"] == pytest.approx(want, rel=1e-10)
 
-    def test_l2_fine_mesh_needs_no_fallback(self, quad_calls):
-        fam = get_family("poly_neg10x3_plus_10x2")
+    def test_l2_fine_mesh_needs_no_fallback(self):
+        # Every step passes the first level: one reference call per norm.
+        fam, calls = recorded_family("poly_neg10x3_plus_10x2")
         convergence_study(fam, 0.5, [256, 1024])
-        assert quad_calls == []
+        assert [c.shape for c in calls] == [(256, 40), (1024, 40)]
 
-    def test_l2_paper_n2_row_falls_back_to_quad(self, quad_calls):
+    def test_l2_paper_n2_row_halves_both_steps(self):
         # The paper's n = 2 row: on both half-width steps the 24- and
-        # 16-point passes disagree beyond the tolerance, so both go to
-        # adaptive quadrature (perfbench's conv1d reads quad_calls > 0).
-        fam = get_family("poly_neg10x3_plus_10x2")
+        # 16-point rules disagree beyond the tolerance, so both are
+        # halved; the quarters of [0.5, 1] pass, those of [0, 0.5] are
+        # halved once more, and the eighths pass.
+        fam, calls = recorded_family("poly_neg10x3_plus_10x2")
         (row,) = convergence_study(fam, 0.5, [2])
-        assert quad_calls == [(0.0, 0.5), (0.5, 1.0)]
+        assert [pieces(c) for c in calls] == [
+            [(0.0, 0.5), (0.5, 1.0)],
+            [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)],
+            [(0.0, 0.125), (0.125, 0.25), (0.25, 0.375), (0.375, 0.5)]]
         assert f"{row['error']:.4f}" == "1.5619"
 
-    def test_l2_large_step_needs_no_fallback(self, quad_calls):
+    def test_l2_large_step_needs_no_fallback(self):
         # s = 0.7, "minus", n = 4: the last step's estimate is 1.8e-10 on
-        # a value of 10.61, inside the relative part of the threshold.
-        # An absolute 1e-10 alone sent it to quad, whose conservative
-        # error estimate then raised AccuracyError.
-        fam = get_family("poly_neg10x3_plus_10x2")
+        # a value of 10.61, inside the relative part of the threshold,
+        # so no step is halved.
+        fam, calls = recorded_family("poly_neg10x3_plus_10x2")
         cfg = FracConfig(s=0.7, right_sign="minus")
         (row,) = convergence_study(fam, 0.7, [4], config=cfg, support="edge")
-        assert quad_calls == []
+        assert [c.shape for c in calls] == [(4, 40)]
         cx, deriv = frac_derivative_1d(4, fam, cfg)
         want = quad_oracle_l2(cx.vertex_coords[:, 0], deriv.values,
                               lambda t: fam.reference(t, 0.7, "minus"))
         assert row["error"] == pytest.approx(want, rel=1e-10)
 
-    def test_l2_interior_kink_falls_back_to_quad(self, quad_calls):
+    def test_l2_interior_kink_halves_only_its_step(self):
         # sqrt|t - 0.3| has an unbounded derivative inside the second
-        # step, which the graded rule cannot resolve; only that step
-        # goes to adaptive quadrature.
+        # step, which the graded rule cannot resolve; only pieces of
+        # that step are halved.
         stairs = ([0.0, 0.25, 0.5, 0.75, 1.0], [0.2, 0.4, 0.5, 0.6])
-        ref = lambda t: np.sqrt(np.abs(t - 0.3))
+        ref, calls = recording(lambda t: np.sqrt(np.abs(t - 0.3)))
         got = l2_error_stairs(*stairs, ref)
-        assert quad_calls == [(0.25, 0.5)]
+        assert calls[0].shape == (4, 40) and len(calls) > 1
+        for nodes in calls[1:]:
+            assert 0.25 < nodes.min() and nodes.max() < 0.5
         assert got == pytest.approx(quad_oracle_l2(*stairs, ref), rel=1e-10)
+
+    def test_l2_jump_matches_quad_oracle(self):
+        # A jump inside the second step: its pieces are halved down to
+        # the jump, and the rest pass at the first level.
+        stairs = ([0.0, 0.25, 0.5, 0.75, 1.0], [0.2, 0.4, 0.5, 0.6])
+        ref = lambda t: (t > 0.3) * 1.0
+        got = l2_error_stairs(*stairs, ref)
+        assert got == pytest.approx(quad_oracle_l2(*stairs, ref), rel=1e-10)
+
+    def test_l2_nan_reference_raises_at_once(self):
+        # A NaN never passes the estimate; halving would not end.
+        ref, calls = recording(lambda t: np.full(np.shape(t), np.nan))
+        with pytest.raises(AccuracyError, match="not finite"):
+            l2_error_stairs([0.0, 0.5, 1.0], [1.0, 2.0], ref)
+        assert len(calls) == 1
+
+    def test_l2_unresolved_step_raises(self):
+        # sin(1/(t - 0.3)) oscillates without end at 0.3: the step
+        # around it runs out of its 200 halvings.
+        with pytest.raises(AccuracyError, match="200 halvings"):
+            l2_error_stairs([0.0, 0.25, 0.5, 0.75, 1.0], [0.2, 0.4, 0.5, 0.6],
+                            lambda t: np.sin(1.0 / (t - 0.3)))
 
     def test_linf_vectors(self):
         # A left-sided study's error is max |derivative - closed form|

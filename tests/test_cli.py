@@ -257,6 +257,20 @@ class TestFracDeriv:
         ("latin1.off", b"OFF\n3 3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\xff\n",
          "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 36: "
          "invalid start byte"),
+        # Refused before a table of rows of width dimension + 1 <= 0 is read.
+        ("dim0.json", '{"dimension": 0, "simplices": {"0": [[0], [1]]}}',
+         "complex must contain at least edges (dimension >= 1)"),
+        ("dim-1.json", '{"dimension": -1, "vertices": [[0], [1]], "simplices": {"-1": [[]]}}',
+         "complex must contain at least edges (dimension >= 1)"),
+        ("dim-2.json", '{"dimension": -2, "simplices": {"-2": [[]]}}',
+         "complex must contain at least edges (dimension >= 1)"),
+        ("lengths.json", '{"dimension": 1, "edge_lengths": {"0,1": 1, "1,2": 2}, '
+         '"simplices": {"1": [[0, 1], [1, 2]]}}',
+         "the mesh must be embedded to sample a function"),
+        ("bare.json", '{"dimension": 1, "simplices": {"1": [[0, 1], [1, 2]]}}',
+         "edge lengths required when there is no embedding"),
+        ("list.json", '{"dimension": 1, "simplices": [[0, 1], [1, 2]]}',
+         "'simplices' has no degree-1 table"),
     ])
     def test_bad_mesh_file_exit_3(self, tmp_path, capsys, name, body, message):
         path = tmp_path / name
@@ -811,9 +825,18 @@ print(json.dumps(report))
 
 
 def test_generator_meshes_load_no_scipy(tmp_path):
-    # scipy is needed for meshes that are not lattice meshes and for the
-    # L2 fallback only; the generator-mesh commands run on numpy alone.
+    # scipy is needed for Dijkstra on meshes that are not lattice meshes
+    # only; the generator-mesh commands, README's convergence tables and
+    # field experiment included, run on numpy alone.
     commands = [
+        ["convergence", "--family", "poly_neg10x3_plus_10x2", "--edge-counts", "2,4,8,16",
+         "-o", "table.csv"],
+        ["convergence", "--family", "power", "--edge-counts", "32,64",
+         "--s-values", "0.25,0.5,0.75", "-o", "sweep.csv"],
+        ["convergence", "--family", "exp_x", "--sidedness", "left",
+         "--edge-counts", "1048576", "-o", "big_sweep.csv"],
+        ["field2d", "--family", "saddle_2d", "--n", "8", "--normalize", "predicted",
+         "-o", "experiment"],
         ["gen-mesh", "interval", "--edges", "8", "-o", "m.json"],
         ["gen-mesh", "square", "--n", "4", "-o", "m.off"],
         ["frac-deriv", "--interval", "16", "--family", "power", "-o", "a.csv"],

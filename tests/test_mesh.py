@@ -383,7 +383,9 @@ class TestValidation:
         ([[], [], []], None, r"d >= 1, not of shape \(3, 0\)"),
         ([0.0, 1.0, 2.0], None, r"d >= 1, not of shape \(3,\)"),
         ([[[0.0]], [[1.0]], [[2.0]]], None, r"d >= 1, not of shape \(3, 1, 1\)"),
-    ], ids=["nan-with-lengths", "inf-with-lengths", "inf", "no-columns", "flat", "3d-array"])
+        (5.0, None, r"d >= 1, not of shape \(\)"),
+    ], ids=["nan-with-lengths", "inf-with-lengths", "inf", "no-columns", "flat", "3d-array",
+            "scalar"])
     def test_vertex_coords_must_be_finite_rows(self, coords, lengths, message):
         # Refused before any length is derived or checked against them.
         with pytest.raises(MeshError, match=message):
