@@ -6,7 +6,10 @@ ordering.  Every simplex table is kept in strictly increasing key order
 (sorted, no duplicate rows), where a row's key is its digits in base
 n_vertices; the complex checks this on construction, so row and column
 indices of the operators are reproducible across runs and file
-round-trips, and lookups are binary searches.  The coboundary is kept as
+round-trips.  An edge's facets are its own vertices, since vertex v is
+row v; higher facets are found by a binary search of their keys.  The
+generators write their tables in key order in closed form and pass
+them to the constructor, which checks them.  The coboundary is kept as
 each coface's table of facet rows and applied as a signed gather.  Every
 Euclidean length (edges here, offsets and tables in metric) comes from
 one kernel, _norms.  The module needs numpy alone.
@@ -15,6 +18,7 @@ one kernel, _norms.  The module needs numpy alone.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
@@ -171,26 +175,36 @@ class SimplicialComplex:
                 raise MeshError("simplex vertex indices must be strictly increasing")
         # Degree by degree: facets present at every degree means, by
         # induction, every face is, and then every key is in range.
-        base = int(self.simplices[0].max(initial=-1)) + 1
+        n = self.n_simplices(0)
+        # Vertex v is row v of the table 0..n-1, which is sorted.
+        by_index = np.array_equal(self.simplices[0][:, 0], np.arange(n))
+        base = n if by_index else int(self.simplices[0].max()) + 1
         facets = {}
         for p in range(self.dimension + 1):
-            if p:
+            if p == 1 and by_index:
+                # Slot k of edge (u, v) drops vertex k: rows v, u.
+                rows = self.simplices[1][:, ::-1, None]
+                found = np.ascontiguousarray(rows[..., 0], dtype=np.intp)
+                # As unsigned, a negative entry is >= n (a uint64 past 2^63 casts to one).
+                miss = found.view(np.uint64) >= n
+            elif p:
                 rows = _facets(self.simplices[p])
                 query = _keys(rows, base)
                 # Misses land on a wrong key or on the sentinel, which no key reaches.
                 keys = np.append(keys, np.iinfo(np.int64).max)
                 found = np.searchsorted(keys, query)
                 miss = keys[found] != query
+            if p:
                 if np.any(miss):
                     raise MeshError(f"simplex {tuple(rows[miss][0].tolist())} "
                                     f"is not in the complex")
                 found.flags.writeable = False
                 facets[p] = found
-            keys = _keys(self.simplices[p], base)
-            if np.any(keys[1:] <= keys[:-1]):
-                raise MeshError(f"degree-{p} table must be sorted, without duplicates")
-        n = self.n_simplices(0)
-        if not np.array_equal(self.simplices[0][:, 0], np.arange(n)):
+            if p or not by_index:
+                keys = _keys(self.simplices[p], base)
+                if np.any(keys[1:] <= keys[:-1]):
+                    raise MeshError(f"degree-{p} table must be sorted, without duplicates")
+        if not by_index:
             raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
         coords = self.vertex_coords
         if coords is not None:
@@ -415,14 +429,43 @@ def _generator_tables(lattice, a=0.0, b=1.0):
     return coords, np.column_stack([ll, ll + 1, ur, ll, ll + n + 1, ur]).reshape(-1, 3)
 
 
+def _memory_budget():
+    """Physical memory in bytes, or None where sysconf cannot tell."""
+    try:
+        budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return budget if budget > 0 else None
+
+
+def _generator_size(name, n, dimension):
+    """n as an int, checked before any array is made: ConfigError unless
+    it is an integer (a bool is not one) of at least 1 whose mesh fits
+    in physical memory.  The mesh keeps 8 bytes for each entry of its
+    tables, facet rows, coordinates and edge lengths."""
+    if type(n) is bool or not isinstance(n, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {n!r}")
+    n = int(n)
+    if n < 1:
+        raise ConfigError(f"{name} must be >= 1")
+    n_vertices = (n + 1) ** dimension
+    n_edges, n_triangles = (n, 0) if dimension == 1 else (n * (3 * n + 2), 2 * n * n)
+    need = 8 * ((1 + dimension) * n_vertices + 5 * n_edges + 6 * n_triangles)
+    budget = _memory_budget()
+    if budget is not None and need > budget:
+        raise ConfigError(f"{name} = {n} needs {need / 2 ** 30:.1f} GiB of mesh tables, "
+                          f"more than the {budget / 2 ** 30:.1f} GiB of memory")
+    return n
+
+
 def generate_interval_mesh(a, b, n_edges):
     """Uniform 1D mesh: n_edges+1 equally spaced vertices on [a, b]."""
     if not -np.inf < a < b < np.inf:
         raise ConfigError(f"need finite a < b, got [{a}, {b}]")
-    if n_edges < 1:
-        raise ConfigError("n_edges must be >= 1")
+    n_edges = _generator_size("n_edges", n_edges, 1)
     coords, edges = _generator_tables((n_edges + 1,), a, b)
-    return SimplicialComplex.from_simplices(1, edges, vertex_coords=coords)
+    vertices = np.arange(n_edges + 1, dtype=np.int64).reshape(-1, 1)
+    return SimplicialComplex(1, {1: edges, 0: vertices}, coords)
 
 
 def generate_unit_square_mesh(n):
@@ -431,10 +474,17 @@ def generate_unit_square_mesh(n):
     Every cell is split along its lower-left-to-upper-right diagonal,
     giving (n+1)^2 vertices and 2 n^2 triangles.
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    n = _generator_size("n", n, 2)
     coords, tris = _generator_tables((n + 1, n + 1))
-    return SimplicialComplex.from_simplices(2, tris, vertex_coords=coords)
+    m = n + 1
+    u = np.arange(m * m, dtype=np.int64)
+    # Vertex u's edges go to u+1, u+m and u+m+1 (right, up, diagonal),
+    # those that exist, in that order, which is key order.
+    right, up = u % m < n, u < n * m
+    exists = np.column_stack([right, up, right & up])
+    ends = u[:, None] + np.array([1, m, m + 1])
+    edges = np.column_stack([np.broadcast_to(u[:, None], ends.shape)[exists], ends[exists]])
+    return SimplicialComplex(2, {2: tris, 1: edges, 0: u.reshape(-1, 1)}, coords)
 
 
 def load_off(path):

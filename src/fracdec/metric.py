@@ -14,13 +14,12 @@ Dijkstra (scipy, imported at first use).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ConnectivityError, GeometryError, MeshError
-from .mesh import _norms
+from .mesh import _memory_budget, _norms
 
 DISTANCE_MODES = ("geodesic", "euclidean")
 # Distance tables are built in row blocks of about this many entries,
@@ -36,15 +35,6 @@ class DistanceTable:
     p: int
     mode: str
     entries: np.ndarray
-
-
-def _memory_budget():
-    """Physical memory in bytes, or None where sysconf cannot tell."""
-    try:
-        budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return None
-    return budget if budget > 0 else None
 
 
 def _check_dense_memory(complex_, p, n_rows, vertex_table):

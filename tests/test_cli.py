@@ -380,6 +380,22 @@ class TestFracDeriv:
             assert run("frac-deriv", *source, "--family", "exp_x",
                        "-o", str(out)) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("frac-deriv", "--interval", "100000000000", "--family", "power"),
+        ("gen-mesh", "square", "--n", "3000000"),
+        ("field2d", "--family", "saddle_2d", "--n", "3000000"),
+        ("convergence", "--family", "power", "--edge-counts", "100000000000")])
+    def test_generator_mesh_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # Refused from the size alone, before any table is made, in one line.
+        def no_tables(*args):
+            raise AssertionError("a generator table was made")
+        monkeypatch.setattr(fracdec.mesh, "_generator_tables", no_tables)
+        assert run(*argv, "-o", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n") and err.endswith("GiB of memory\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.listdir(tmp_path)
+
     def test_bad_s_exit_2(self, tmp_path):
         out = tmp_path / "d.csv"
         assert run("frac-deriv", "--interval", "4", "--family", "power",

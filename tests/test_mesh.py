@@ -24,6 +24,7 @@ from fracdec import (
     save_json,
     save_off,
 )
+from fracdec import mesh as mesh_module
 
 from conftest import (
     dense_coboundary,
@@ -146,6 +147,79 @@ class TestGenerators:
             t = cx.simplices[p]
             assert np.all(t[:, :-1] < t[:, 1:])
             assert all(tuple(t[i]) < tuple(t[i + 1]) for i in range(len(t) - 1))
+
+
+def _bits(x):
+    return x.shape, x.dtype, x.tobytes()
+
+
+class TestGeneratorsMatchRebuild:
+    """The generators hand their closed-form tables to the constructor;
+    the mesh is, field by field, the from_simplices rebuild of its own
+    top table and coordinates."""
+
+    @staticmethod
+    def check(cx, lattice):
+        rebuilt = SimplicialComplex.from_simplices(
+            cx.dimension, cx.simplices[cx.dimension], vertex_coords=cx.vertex_coords)
+        assert list(cx.simplices) == list(rebuilt.simplices) == \
+            list(range(cx.dimension, -1, -1))
+        for p, table in rebuilt.simplices.items():
+            got = cx.simplices[p]
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, table)
+        assert list(cx.facets) == list(rebuilt.facets)
+        for p, rows in rebuilt.facets.items():
+            got = cx.facets[p]
+            assert got.dtype == np.int64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, rows)
+        assert _bits(cx.vertex_coords) == _bits(rebuilt.vertex_coords)
+        assert _bits(cx.edge_lengths) == _bits(rebuilt.edge_lengths)
+        assert cx.lattice == rebuilt.lattice == lattice
+        assert not cx.lengths_overridden and not rebuilt.lengths_overridden
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1e300, 1e300), (1e-100, 2e-100)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024])
+    def test_interval(self, a, b, n):
+        self.check(generate_interval_mesh(a, b, n), (n + 1,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 32])
+    def test_square(self, n):
+        self.check(generate_unit_square_mesh(n), (n + 1, n + 1))
+
+
+class TestGeneratorSizes:
+    """A generator size is an integer of at least 1 whose mesh fits in
+    memory, checked before any table is made."""
+
+    @pytest.mark.parametrize("build, size", [
+        (lambda n: generate_interval_mesh(0.0, 1.0, n), 2.5),
+        (lambda n: generate_interval_mesh(0.0, 1.0, n), 4.0),
+        (lambda n: generate_interval_mesh(0.0, 1.0, n), True),
+        (lambda n: generate_interval_mesh(0.0, 1.0, n), "3"),
+        (generate_unit_square_mesh, 4.0), (generate_unit_square_mesh, True),
+        (generate_unit_square_mesh, np.True_), (generate_unit_square_mesh, None),
+        (generate_unit_square_mesh, np.float64(2.0))])
+    def test_non_integer_sizes_refused(self, build, size):
+        with pytest.raises(ConfigError, match=f"must be an integer, got {re.escape(repr(size))}"):
+            build(size)
+
+    def test_numpy_integers_accepted(self):
+        for size in (np.int32(3), np.uint64(3), np.int64(3)):
+            assert generate_unit_square_mesh(size).lattice == (4, 4)
+            assert generate_interval_mesh(0.0, 1.0, size).lattice == (4,)
+
+    @pytest.mark.parametrize("build, need", [
+        # 8 bytes for each of 2 V + 5 E entries (interval) or
+        # 3 V + 5 E + 6 T (square): tables, facet rows, coordinates, lengths.
+        (lambda: generate_interval_mesh(0.0, 1.0, 4), 8 * (2 * 5 + 5 * 4)),
+        (lambda: generate_unit_square_mesh(2), 8 * (3 * 9 + 5 * 16 + 6 * 8))])
+    def test_memory_refusal_threshold(self, monkeypatch, build, need):
+        monkeypatch.setattr(mesh_module, "_memory_budget", lambda: need)
+        build()
+        monkeypatch.setattr(mesh_module, "_memory_budget", lambda: need - 1)
+        with pytest.raises(ConfigError, match="GiB of memory"):
+            build()
 
 
 def oracle_faces(simplex):
@@ -530,6 +604,37 @@ class TestFacets:
                                edge_lengths=np.empty(0))
         assert cx.facets[1].shape == (0, 2)
         assert build_coboundary(cx, 0).shape == (0, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_edge_facets_by_index_of_any_integer_type(self, oracle_mesh, dtype):
+        # An edge's facet rows are its own vertices, reversed: int64 and
+        # read-only whatever the table's integer type.
+        for cx in (oracle_mesh, generate_unit_square_mesh(3)):
+            typed = SimplicialComplex(
+                cx.dimension, {p: t.astype(dtype) for p, t in cx.simplices.items()},
+                cx.vertex_coords, cx.edge_lengths, cx.lengths_overridden)
+            self.check(typed)
+            for p in typed.facets:
+                np.testing.assert_array_equal(typed.facets[p], cx.facets[p])
+
+    def test_vertex_table_of_uint64_not_from_0(self):
+        simplices = {0: np.array([[0], [1], [3]], dtype=np.uint64),
+                     1: np.array([[0, 1], [1, 3]], dtype=np.uint64)}
+        with pytest.raises(MeshError, match=r"vertex table must be 0, 1, \.\.\., 2"):
+            SimplicialComplex(1, simplices, edge_lengths=np.ones(2))
+
+    # Both ends outside 0..8 of a 9-vertex interval: slot 0, the edge
+    # without its first vertex, is named.
+    @pytest.mark.parametrize("dtype, row, named", [
+        (np.int64, (9, 11), 11), (np.int32, (-3, -1), -1), (np.int64, (-5, 9), 9),
+        (np.uint64, (2 ** 63, 2 ** 64 - 1), 2 ** 64 - 1), (np.uint64, (9, 2 ** 63), 2 ** 63)])
+    def test_edge_with_both_ends_out_of_range(self, dtype, row, named):
+        cx = generate_interval_mesh(0.0, 1.0, 8)
+        edges = np.vstack([cx.simplices[1].astype(dtype), np.array([row], dtype=dtype)])
+        simplices = {0: cx.simplices[0], 1: edges}
+        with pytest.raises(MeshError) as exc:
+            SimplicialComplex(1, simplices, vertex_coords=cx.vertex_coords)
+        assert str(exc.value) == f"simplex ({named},) is not in the complex"
 
 
 def _as_array(d):
