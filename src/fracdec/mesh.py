@@ -7,16 +7,17 @@ ordering.  Every simplex table is kept in strictly increasing key order
 n_vertices; the complex checks this on construction, so row and column
 indices of the operators are reproducible across runs and file
 round-trips.  An edge's facets are its own vertices, since vertex v is
-row v; higher facets are found by a binary search of their keys.  The
-generators write their tables in key order in closed form and pass
-them to the constructor, which checks them.  The coboundary is kept as
-each coface's table of facet rows and applied as a signed gather.  Every
-Euclidean length (edges here, offsets and tables in metric) comes from
-one kernel, _norms.  The module needs numpy alone.
+row v; higher facets are found by a binary search of their keys.
+from_simplices sorts only what is out of order, so the generators' top
+tables, written in key order, pass through unsorted.  The coboundary is
+kept as each coface's table of facet rows and applied as a signed
+gather.  Every Euclidean length (edges here, offsets and tables in
+metric) comes from one kernel, _norms.  The module needs numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import suppress
@@ -59,6 +60,12 @@ def _keys(rows, base):
         out_of_range |= unsigned[..., k] >= base
     keys[out_of_range] = -1
     return keys
+
+
+def _increasing(table):
+    """True when every row of an (n, q) table is strictly increasing;
+    one column pair at a time, which beats comparing strided views."""
+    return all(np.all(table[:, k] < table[:, k + 1]) for k in range(table.shape[1] - 1))
 
 
 def _check_dimension(dimension):
@@ -171,41 +178,46 @@ class SimplicialComplex:
         for p, table in self.simplices.items():
             if table.ndim != 2 or table.shape[1] != p + 1 or table.dtype.kind not in "iu":
                 raise MeshError(f"degree-{p} table must be integers in {p + 1} columns")
-            if p > 0 and not np.all(table[:, :-1] < table[:, 1:]):
+            if p > 0 and not _increasing(table):
                 raise MeshError("simplex vertex indices must be strictly increasing")
+        # The vertex table first: below, vertex v is row v.
+        n = self.n_simplices(0)
+        vertices = self.simplices[0][:, 0]
+        if np.any(vertices[1:] <= vertices[:-1]):
+            raise MeshError("degree-0 table must be sorted, without duplicates")
+        if not np.array_equal(vertices, np.arange(n)):
+            # An edge end that is no vertex is named first, as a missing facet.
+            ends = self.simplices[1][:, ::-1]
+            absent = ~np.isin(ends, vertices)
+            if np.any(absent):
+                raise MeshError(f"simplex {tuple(ends[absent][:1].tolist())} "
+                                f"is not in the complex")
+            raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
         # Degree by degree: facets present at every degree means, by
         # induction, every face is, and then every key is in range.
-        n = self.n_simplices(0)
-        # Vertex v is row v of the table 0..n-1, which is sorted.
-        by_index = np.array_equal(self.simplices[0][:, 0], np.arange(n))
-        base = n if by_index else int(self.simplices[0].max()) + 1
         facets = {}
-        for p in range(self.dimension + 1):
-            if p == 1 and by_index:
+        for p in range(1, self.dimension + 1):
+            if p == 1:
                 # Slot k of edge (u, v) drops vertex k: rows v, u.
                 rows = self.simplices[1][:, ::-1, None]
                 found = np.ascontiguousarray(rows[..., 0], dtype=np.intp)
                 # As unsigned, a negative entry is >= n (a uint64 past 2^63 casts to one).
                 miss = found.view(np.uint64) >= n
-            elif p:
+            else:
                 rows = _facets(self.simplices[p])
-                query = _keys(rows, base)
+                query = _keys(rows, n)
                 # Misses land on a wrong key or on the sentinel, which no key reaches.
                 keys = np.append(keys, np.iinfo(np.int64).max)
                 found = np.searchsorted(keys, query)
                 miss = keys[found] != query
-            if p:
-                if np.any(miss):
-                    raise MeshError(f"simplex {tuple(rows[miss][0].tolist())} "
-                                    f"is not in the complex")
-                found.flags.writeable = False
-                facets[p] = found
-            if p or not by_index:
-                keys = _keys(self.simplices[p], base)
-                if np.any(keys[1:] <= keys[:-1]):
-                    raise MeshError(f"degree-{p} table must be sorted, without duplicates")
-        if not by_index:
-            raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
+            if np.any(miss):
+                raise MeshError(f"simplex {tuple(rows[miss][0].tolist())} "
+                                f"is not in the complex")
+            found.flags.writeable = False
+            facets[p] = found
+            keys = _keys(self.simplices[p], n)
+            if np.any(keys[1:] <= keys[:-1]):
+                raise MeshError(f"degree-{p} table must be sorted, without duplicates")
         coords = self.vertex_coords
         if coords is not None:
             _check_coords_shape(coords)
@@ -280,14 +292,20 @@ class SimplicialComplex:
         bad = (tops < 0) | (tops >= n_vertices)
         if np.any(bad):
             raise bad_index(tops[bad].tolist()[0])
-        tops = np.sort(tops.astype(np.int64), axis=1)
-        if np.any(tops[:, 1:] == tops[:, :-1]):
-            raise MeshError("top simplex with repeated vertices")
-        first = np.unique(_keys(tops, n_vertices), return_index=True)[1]
-        if len(first) < len(tops):
-            dup = tuple(np.delete(tops, first, axis=0)[0].tolist())
-            raise MeshError(f"duplicate top simplex {dup}")
-        simplices = {dimension: tops[first]}
+        # Rows, then the table, are sorted unless already in order.
+        tops = tops.astype(np.int64)
+        if not _increasing(tops):
+            tops.sort(axis=1)
+            if np.any(tops[:, 1:] == tops[:, :-1]):
+                raise MeshError("top simplex with repeated vertices")
+        keys = _keys(tops, n_vertices)
+        if np.any(keys[1:] <= keys[:-1]):
+            first = np.unique(keys, return_index=True)[1]
+            if len(first) < len(tops):
+                dup = tuple(np.delete(tops, first, axis=0)[0].tolist())
+                raise MeshError(f"duplicate top simplex {dup}")
+            tops = tops[first]
+        simplices = {dimension: tops}
         for p in range(dimension - 1, 0, -1):
             faces = _facets(simplices[p + 1]).reshape(-1, p + 1)
             simplices[p] = faces[np.unique(_keys(faces, n_vertices), return_index=True)[1]]
@@ -417,9 +435,8 @@ def _generator_tables(lattice, a=0.0, b=1.0):
     n edges, (n+1, n+1) the unit square with n-by-n cells."""
     n = lattice[0] - 1
     if len(lattice) == 1:
-        first = np.arange(n, dtype=np.int64)
         return (np.linspace(a, b, n + 1).reshape(-1, 1),
-                np.column_stack([first, first + 1]))
+                np.arange(n, dtype=np.int64)[:, None] + np.arange(2))
     ticks = np.arange(n + 1) / n
     coords = np.column_stack([np.tile(ticks, n + 1), np.repeat(ticks, n + 1)])
     # Vertex (i, j) is j (n+1) + i; ll is each cell's lower-left vertex,
@@ -429,8 +446,10 @@ def _generator_tables(lattice, a=0.0, b=1.0):
     return coords, np.column_stack([ll, ll + 1, ur, ll, ll + n + 1, ur]).reshape(-1, 3)
 
 
+@functools.cache
 def _memory_budget():
-    """Physical memory in bytes, or None where sysconf cannot tell."""
+    """Physical memory in bytes, or None where sysconf cannot tell; read
+    once, since every generator mesh and dense table is checked."""
     try:
         budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, OSError, ValueError):
@@ -440,8 +459,9 @@ def _memory_budget():
 
 def _generator_size(name, n, dimension):
     """n as an int, checked before any array is made: ConfigError unless
-    it is an integer (a bool is not one) of at least 1 whose mesh fits
-    in physical memory.  The mesh keeps 8 bytes for each entry of its
+    it is an integer (a bool is not one) of at least 1 whose top
+    simplices have int64 keys (see _keys) and whose mesh fits in
+    physical memory.  The mesh keeps 8 bytes for each entry of its
     tables, facet rows, coordinates and edge lengths."""
     if type(n) is bool or not isinstance(n, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {n!r}")
@@ -449,6 +469,9 @@ def _generator_size(name, n, dimension):
     if n < 1:
         raise ConfigError(f"{name} must be >= 1")
     n_vertices = (n + 1) ** dimension
+    if n_vertices ** (dimension + 1) >= 2 ** 63:
+        raise ConfigError(f"{name} = {n} gives {n_vertices} vertices, too many "
+                          f"to index degree-{dimension} simplices")
     n_edges, n_triangles = (n, 0) if dimension == 1 else (n * (3 * n + 2), 2 * n * n)
     need = 8 * ((1 + dimension) * n_vertices + 5 * n_edges + 6 * n_triangles)
     budget = _memory_budget()
@@ -464,8 +487,7 @@ def generate_interval_mesh(a, b, n_edges):
         raise ConfigError(f"need finite a < b, got [{a}, {b}]")
     n_edges = _generator_size("n_edges", n_edges, 1)
     coords, edges = _generator_tables((n_edges + 1,), a, b)
-    vertices = np.arange(n_edges + 1, dtype=np.int64).reshape(-1, 1)
-    return SimplicialComplex(1, {1: edges, 0: vertices}, coords)
+    return SimplicialComplex.from_simplices(1, edges, vertex_coords=coords)
 
 
 def generate_unit_square_mesh(n):
@@ -476,15 +498,7 @@ def generate_unit_square_mesh(n):
     """
     n = _generator_size("n", n, 2)
     coords, tris = _generator_tables((n + 1, n + 1))
-    m = n + 1
-    u = np.arange(m * m, dtype=np.int64)
-    # Vertex u's edges go to u+1, u+m and u+m+1 (right, up, diagonal),
-    # those that exist, in that order, which is key order.
-    right, up = u % m < n, u < n * m
-    exists = np.column_stack([right, up, right & up])
-    ends = u[:, None] + np.array([1, m, m + 1])
-    edges = np.column_stack([np.broadcast_to(u[:, None], ends.shape)[exists], ends[exists]])
-    return SimplicialComplex(2, {2: tris, 1: edges, 0: u.reshape(-1, 1)}, coords)
+    return SimplicialComplex.from_simplices(2, tris, vertex_coords=coords)
 
 
 def load_off(path):

@@ -380,19 +380,28 @@ class TestFracDeriv:
             assert run("frac-deriv", *source, "--family", "exp_x",
                        "-o", str(out)) == 0
 
-    @pytest.mark.parametrize("argv", [
-        ("frac-deriv", "--interval", "100000000000", "--family", "power"),
-        ("gen-mesh", "square", "--n", "3000000"),
-        ("field2d", "--family", "saddle_2d", "--n", "3000000"),
-        ("convergence", "--family", "power", "--edge-counts", "100000000000")])
-    def test_generator_mesh_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+    # Sizes past int64 keys (V^(dim+1) >= 2^63: N >= 1448 for a square)
+    # or past a 1 GiB memory budget.
+    @pytest.mark.parametrize("argv, tail", [
+        (("frac-deriv", "--interval", "100000000", "--family", "power"), "GiB of memory"),
+        (("frac-deriv", "--interval", "100000000000", "--family", "power"),
+         "too many to index degree-1 simplices"),
+        (("gen-mesh", "square", "--n", "1500"), "too many to index degree-2 simplices"),
+        (("gen-mesh", "square", "--n", "3000000"), "too many to index degree-2 simplices"),
+        (("field2d", "--family", "saddle_2d", "--n", "3000000"),
+         "too many to index degree-2 simplices"),
+        (("convergence", "--family", "power", "--edge-counts", "100000000000"),
+         "too many to index degree-1 simplices")])
+    def test_generator_mesh_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                 argv, tail):
         # Refused from the size alone, before any table is made, in one line.
         def no_tables(*args):
             raise AssertionError("a generator table was made")
         monkeypatch.setattr(fracdec.mesh, "_generator_tables", no_tables)
+        monkeypatch.setattr(fracdec.mesh, "_memory_budget", lambda: 2 ** 30)
         assert run(*argv, "-o", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: n") and err.endswith("GiB of memory\n")
+        assert err.startswith("error: n") and err.endswith(tail + "\n")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not os.listdir(tmp_path)
 

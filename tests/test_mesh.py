@@ -154,14 +154,15 @@ def _bits(x):
 
 
 class TestGeneratorsMatchRebuild:
-    """The generators hand their closed-form tables to the constructor;
-    the mesh is, field by field, the from_simplices rebuild of its own
-    top table and coordinates."""
+    """The generators' top tables are in key order, so from_simplices
+    keeps them unsorted; the mesh is, field by field, the rebuild of its
+    own tops listed in reverse, each reversed, which it must sort."""
 
     @staticmethod
     def check(cx, lattice):
+        tops = cx.simplices[cx.dimension][::-1, ::-1]
         rebuilt = SimplicialComplex.from_simplices(
-            cx.dimension, cx.simplices[cx.dimension], vertex_coords=cx.vertex_coords)
+            cx.dimension, tops, vertex_coords=cx.vertex_coords)
         assert list(cx.simplices) == list(rebuilt.simplices) == \
             list(range(cx.dimension, -1, -1))
         for p, table in rebuilt.simplices.items():
@@ -189,8 +190,9 @@ class TestGeneratorsMatchRebuild:
 
 
 class TestGeneratorSizes:
-    """A generator size is an integer of at least 1 whose mesh fits in
-    memory, checked before any table is made."""
+    """A generator size is an integer of at least 1 whose top keys fit
+    in an int64 and whose mesh fits in memory, checked before any table
+    is made."""
 
     @pytest.mark.parametrize("build, size", [
         (lambda n: generate_interval_mesh(0.0, 1.0, n), 2.5),
@@ -208,6 +210,21 @@ class TestGeneratorSizes:
         for size in (np.int32(3), np.uint64(3), np.int64(3)):
             assert generate_unit_square_mesh(size).lattice == (4, 4)
             assert generate_interval_mesh(0.0, 1.0, size).lattice == (4,)
+
+    def test_key_limit(self, monkeypatch):
+        # Keys of the top simplices need V^(dim+1) < 2^63: a square of
+        # N = 1447 passes the size check, N = 1448 does not.
+        def no_tables(*args):
+            raise AssertionError("a generator table was made")
+        monkeypatch.setattr(mesh_module, "_generator_tables", no_tables)
+        monkeypatch.setattr(mesh_module, "_memory_budget", lambda: None)
+        with pytest.raises(AssertionError, match="table was made"):
+            generate_unit_square_mesh(1447)
+        with pytest.raises(ConfigError, match="2099601 vertices, too many to index "
+                                              "degree-2 simplices"):
+            generate_unit_square_mesh(1448)
+        with pytest.raises(ConfigError, match="too many to index degree-1 simplices"):
+            generate_interval_mesh(0.0, 1.0, 3037000500)
 
     @pytest.mark.parametrize("build, need", [
         # 8 bytes for each of 2 V + 5 E entries (interval) or
