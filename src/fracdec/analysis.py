@@ -254,8 +254,6 @@ def _study_configs(family, s_values, edge_counts, config):
     any mesh, so a bad order fails first."""
     if not s_values or not edge_counts:
         raise ConfigError("s_values and edge_counts must be nonempty")
-    if family.dim != 1:
-        raise ConfigError("1D studies need a 1D family")
     config = operator.FracConfig() if config is None else config
     if family.side == "two_sided" and config.sidedness == "left_sided":
         raise ConfigError(f"family {family.name} is two-sided; a left-sided "
@@ -266,6 +264,8 @@ def _study_configs(family, s_values, edge_counts, config):
 def _derivatives_1d(family, configs, edge_counts):
     """(n, config, complex, derivative) for every size, then every config:
     one interval mesh on [0, 1] and one vertex sample per size."""
+    if family.dim != 1:
+        raise ConfigError(f"1D derivatives need a 1D family, not {family.name}")
     for n in edge_counts:
         complex_ = mesh.generate_interval_mesh(0.0, 1.0, n)
         alpha = mesh.Cochain(0, family.sample(complex_.vertex_coords[:, 0]))

@@ -186,12 +186,6 @@ class SimplicialComplex:
         if np.any(vertices[1:] <= vertices[:-1]):
             raise MeshError("degree-0 table must be sorted, without duplicates")
         if not np.array_equal(vertices, np.arange(n)):
-            # An edge end that is no vertex is named first, as a missing facet.
-            ends = self.simplices[1][:, ::-1]
-            absent = ~np.isin(ends, vertices)
-            if np.any(absent):
-                raise MeshError(f"simplex {tuple(ends[absent][:1].tolist())} "
-                                f"is not in the complex")
             raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
         # Degree by degree: facets present at every degree means, by
         # induction, every face is, and then every key is in range.
@@ -457,11 +451,21 @@ def _memory_budget():
     return budget if budget > 0 else None
 
 
+def _check_memory(need, message, hint=""):
+    """The one memory guard, of generator meshes and dense distance
+    tables: ConfigError when need bytes exceed physical memory, in one
+    line of message (its {} filled with need in GiB), the budget, hint."""
+    budget = _memory_budget()
+    if budget is not None and need > budget:
+        raise ConfigError(f"{message.format(need / 2 ** 30)}, more than the "
+                          f"{budget / 2 ** 30:.1f} GiB of memory{hint}")
+
+
 def _generator_size(name, n, dimension):
     """n as an int, checked before any array is made: ConfigError unless
     it is an integer (a bool is not one) of at least 1 whose top
-    simplices have int64 keys (see _keys) and whose mesh fits in
-    physical memory.  The mesh keeps 8 bytes for each entry of its
+    simplices have int64 keys (see _keys) and whose mesh passes
+    _check_memory.  The mesh keeps 8 bytes for each entry of its
     tables, facet rows, coordinates and edge lengths."""
     if type(n) is bool or not isinstance(n, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {n!r}")
@@ -473,11 +477,8 @@ def _generator_size(name, n, dimension):
         raise ConfigError(f"{name} = {n} gives {n_vertices} vertices, too many "
                           f"to index degree-{dimension} simplices")
     n_edges, n_triangles = (n, 0) if dimension == 1 else (n * (3 * n + 2), 2 * n * n)
-    need = 8 * ((1 + dimension) * n_vertices + 5 * n_edges + 6 * n_triangles)
-    budget = _memory_budget()
-    if budget is not None and need > budget:
-        raise ConfigError(f"{name} = {n} needs {need / 2 ** 30:.1f} GiB of mesh tables, "
-                          f"more than the {budget / 2 ** 30:.1f} GiB of memory")
+    _check_memory(8 * ((1 + dimension) * n_vertices + 5 * n_edges + 6 * n_triangles),
+                  f"{name} = {n} needs {{:.1f}} GiB of mesh tables")
     return n
 
 

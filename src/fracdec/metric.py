@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConnectivityError, GeometryError, MeshError
-from .mesh import _memory_budget, _norms
+from .mesh import _check_memory, _norms
 
 DISTANCE_MODES = ("geodesic", "euclidean")
 # Distance tables are built in row blocks of about this many entries,
@@ -35,22 +35,6 @@ class DistanceTable:
     p: int
     mode: str
     entries: np.ndarray
-
-
-def _check_dense_memory(complex_, p, n_rows, vertex_table):
-    """Refuse n_rows rows of a table over E p-simplices when their
-    n_rows E floats, plus V^2 for the vertex table if one is built,
-    exceed physical memory."""
-    need = 8 * (n_rows * complex_.n_simplices(p)
-                + vertex_table * complex_.n_simplices(0) ** 2)
-    budget = _memory_budget()
-    if budget is not None and need > budget:
-        raise ConfigError(
-            f"dense distances over {complex_.n_simplices(p)} degree-{p} simplices "
-            f"need {need / 2 ** 30:.1f} GiB, more than the {budget / 2 ** 30:.1f} GiB "
-            f"of memory; meshes from generate_interval_mesh or "
-            f"generate_unit_square_mesh (--interval or --square, or a mesh file "
-            f"written by gen-mesh) need no dense table")
 
 
 def _lattice_vertex_distance(complex_, sources):
@@ -93,12 +77,19 @@ def all_pairs_vertex_distance(complex_):
     return DistanceTable(p=0, mode="geodesic", entries=dist)
 
 
+def _table(complex_, p):
+    """The degree-p table; ConfigError naming a degree outside 0..dimension."""
+    if not 0 <= p <= complex_.dimension:
+        raise ConfigError(f"degree {p} out of range for dimension {complex_.dimension}")
+    return complex_.simplices[p]
+
+
 def barycenters(complex_, p):
     """Vertex-coordinate average of every p-simplex, as floats: the sum
     of its p+1 vertices' coordinates, in vertex order, over p+1."""
+    simp = _table(complex_, p)
     if complex_.vertex_coords is None:
         raise MeshError("barycenters require an embedded complex")
-    simp = complex_.simplices[p]
     # Summed from 0.0, as numpy sums (a total of -0.0 terms is 0.0), in float.
     return sum((np.take(complex_.vertex_coords, simp[:, k], axis=0)
                 for k in range(p + 1)), 0.0) / (p + 1)
@@ -116,10 +107,8 @@ def boundary_offsets(complex_, p):
     if p == 1:
         return complex_.edge_lengths / 2.0
     if p == 2:
-        if complex_.vertex_coords is None:
-            raise MeshError("triangle boundary offsets require an embedding")
-        tris = complex_.vertex_coords[complex_.simplices[2]]
         bary = barycenters(complex_, 2)
+        tris = complex_.vertex_coords[complex_.simplices[2]]
         mids = np.stack([
             (tris[:, 0] + tris[:, 1]) / 2,
             (tris[:, 0] + tris[:, 2]) / 2,
@@ -143,10 +132,15 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
     """
     if mode not in DISTANCE_MODES:
         raise ConfigError(f"unknown distance mode {mode!r}")
-    simp = complex_.simplices[p]
+    simp = _table(complex_, p)
     picked = np.arange(len(simp)) if rows is None else np.asarray(rows)
     closed_form = complex_.lattice is not None
-    _check_dense_memory(complex_, p, len(picked), mode == "geodesic" and not closed_form)
+    vertex_table = mode == "geodesic" and not closed_form
+    _check_memory(8 * (len(picked) * len(simp) + vertex_table * complex_.n_simplices(0) ** 2),
+                  f"dense distances over {len(simp)} degree-{p} simplices need {{:.1f}} GiB",
+                  "; meshes from generate_interval_mesh or generate_unit_square_mesh "
+                  "(--interval or --square, or a mesh file written by gen-mesh) "
+                  "need no dense table")
     step = max(1, _BLOCK_ENTRIES // max(len(simp), complex_.n_simplices(0), 1))
     if mode == "euclidean":
         b = barycenters(complex_, p)

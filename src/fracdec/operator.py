@@ -85,8 +85,6 @@ def _weight_rows(complex_, p, config, rows=None):
     Only valid for s in (0, 1); s = 1 takes the Kronecker branch in the
     operator.
     """
-    if config.s >= 1.0:
-        raise ConfigError("s = 1 is integer order: weight matrix is the identity")
     rows = np.arange(complex_.n_simplices(p + 1)) if rows is None else rows
     # The distance table is ours alone, so the weights overwrite it.
     w = metric.simplex_distance(complex_, p + 1, config.distance_mode,
@@ -248,16 +246,20 @@ def build_frac_derivative(complex_, p, config):
 
     At s = 1 the weight matrix is skipped entirely so that applying the
     operator is bit-identical to the plain coboundary.  left_sided and
-    right_sign "minus" are defined only on 1D complexes and rejected
-    elsewhere, at any s.  A complex from a mesh generator (its lattice
-    is set) gets the FFT-applied weights, any other the dense matrix.
+    right_sign "minus" compare first coordinates, so they are rejected,
+    at any s, off 1D complexes whose other coordinates are constant.  A
+    complex from a mesh generator (its lattice is set) gets the
+    FFT-applied weights, any other the dense matrix.
     """
-    if complex_.dimension != 1:
-        for name, default in (("sidedness", "two_sided"), ("right_sign", "plus")):
-            value = getattr(config, name)
-            if value != default:
-                raise ConfigError(f"{name}={value!r} is defined for 1D complexes "
-                                  f"only, not dimension {complex_.dimension}")
+    coords = complex_.vertex_coords
+    for name, default in (("sidedness", "two_sided"), ("right_sign", "plus")):
+        value = getattr(config, name)
+        if value != default and complex_.dimension != 1:
+            raise ConfigError(f"{name}={value!r} is defined for 1D complexes "
+                              f"only, not dimension {complex_.dimension}")
+        if value != default and coords is not None and np.any(coords[:, 1:] != coords[:1, 1:]):
+            raise ConfigError(f"{name}={value!r} compares first coordinates, so the "
+                              f"other coordinates of the 1D complex must be constant")
     d = mesh.build_coboundary(complex_, p)
     if config.s >= 1.0:
         return FracOperator(p=p, config=config, coboundary=d)

@@ -24,7 +24,6 @@ from fracdec import (
     get_family,
     load_json,
     load_off,
-    metric,
 )
 from fracdec.cli import main
 
@@ -366,7 +365,7 @@ class TestFracDeriv:
         doc["vertices"][32][0] += 1e-3
         nudged = tmp_path / "nudged.json"
         nudged.write_text(json.dumps(doc))
-        monkeypatch.setattr(metric, "_memory_budget", lambda: 2 ** 15)
+        monkeypatch.setattr(fracdec.mesh, "_memory_budget", lambda: 2 ** 15)
         out = tmp_path / "d.csv"
         assert run("frac-deriv", "--mesh", str(nudged), "--family", "exp_x",
                    "-o", str(out)) == 2
@@ -379,6 +378,28 @@ class TestFracDeriv:
         for source in (("--interval", "64"), ("--mesh", str(mesh_path))):
             assert run("frac-deriv", *source, "--family", "exp_x",
                        "-o", str(out)) == 0
+
+    def test_sidedness_off_the_x_axis_exit_2(self, tmp_path, capsys):
+        # A 1D mesh along y has one first coordinate: sidedness is refused.
+        for column, code in ((1, 2), (0, 0)):
+            vertices = [[0, 0] for _ in range(4)]
+            for i, row in enumerate(vertices):
+                row[column] = i
+            mesh_path = tmp_path / f"line{column}.json"
+            mesh_path.write_text(json.dumps({"dimension": 1, "vertices": vertices,
+                                             "simplices": {"1": [[0, 1], [1, 2], [2, 3]]}}))
+            for option in (("--sidedness", "left"), ("--right-sign", "minus")):
+                out = tmp_path / "d.csv"
+                assert run("frac-deriv", "--mesh", str(mesh_path), "--family", "exp_x",
+                           *option, "-o", str(out)) == code
+                if code:
+                    err = capsys.readouterr().err
+                    assert err.startswith("error: ")
+                    assert err.endswith("other coordinates of the 1D complex must be constant\n")
+                    assert err.count("\n") == 1 and "Traceback" not in err
+                    assert not out.exists()
+                else:
+                    out.unlink()
 
     # Sizes past int64 keys (V^(dim+1) >= 2^63: N >= 1448 for a square)
     # or past a 1 GiB memory budget.

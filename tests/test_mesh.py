@@ -406,7 +406,10 @@ class TestValidation:
             return
         with pytest.raises(MeshError, match="is missing"):
             oracle_check_closure(simplices)
-        with pytest.raises(MeshError, match="not in the complex"):
+        # Without a vertex, the vertex table itself is refused.
+        message = r"vertex table must be 0, 1, \.\.\., 2" if len(missing) == 1 \
+            else "not in the complex"
+        with pytest.raises(MeshError, match=message):
             SimplicialComplex(2, simplices, edge_lengths=lengths)
 
     # Direct construction checks the table invariant: vertices 0..n-1,

@@ -18,7 +18,7 @@ from fracdec import (
     generate_interval_mesh,
     generate_unit_square_mesh,
 )
-from fracdec import metric
+from fracdec import mesh, metric
 from fracdec.metric import DistanceTable, simplex_distance
 from fracdec.operator import _LatticeWeights, _fast_len, _weight_rows
 from fracdec.special import gamma
@@ -327,6 +327,31 @@ class TestSidedness:
             with pytest.raises(MeshError, match="embedded"):
                 build_frac_derivative(cx, 0, cfg)
 
+    def test_sidedness_needs_a_straight_x_line(self):
+        # Sidedness compares first coordinates: a vertical or bent 1D
+        # complex would get an all-zero or an unsigned derivative.
+        edges = [(0, 1), (1, 2), (2, 3)]
+        for coords in ([(0, 0), (0, 1), (0, 2), (0, 3)],
+                       [(0, 0), (1, 0), (1, 1), (2, 1)]):
+            cx = SimplicialComplex.from_simplices(1, edges, vertex_coords=coords)
+            build_frac_derivative(cx, 0, FracConfig())
+            for s, cfg in itertools.product((0.5, 1.0), (
+                    {"sidedness": "left_sided"}, {"right_sign": "minus"})):
+                with pytest.raises(ConfigError, match="other coordinates .* must be constant"):
+                    build_frac_derivative(cx, 0, FracConfig(s=s, **cfg))
+        # Constant columns after the first change nothing but the path:
+        # dense on the embedded copy, FFT on the generator's interval.
+        line = generate_interval_mesh(0, 1, 6)
+        x = line.vertex_coords
+        v = Cochain(0, np.exp(x[:, 0]))
+        for extra in ([0.0], [5.0, -2.0]):
+            flat = SimplicialComplex.from_simplices(
+                1, line.simplices[1], vertex_coords=np.hstack([x, np.tile(extra, (7, 1))]))
+            for cfg in (FracConfig(sidedness="left_sided"), FracConfig(right_sign="minus")):
+                np.testing.assert_allclose(
+                    build_frac_derivative(flat, 0, cfg).apply(v).values,
+                    build_frac_derivative(line, 0, cfg).apply(v).values, rtol=1e-12, atol=1e-14)
+
     def test_right_sign_minus_rejected_off_1d(self):
         cx = generate_unit_square_mesh(2)
         for s in (0.5, 1.0):
@@ -519,7 +544,7 @@ class TestDenseMemoryGuard:
         # One float short of a whole table: the FFT path's few rows fit.
         cx = generate_unit_square_mesh(3)
         e = cx.n_simplices(1)
-        monkeypatch.setattr(metric, "_memory_budget", lambda: 8 * e * e - 8)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: 8 * e * e - 8)
         for complex_ in (nudged_mesh(cx), cx):
             with pytest.raises(ConfigError, match="--interval or --square, or a "
                                                   "mesh file written by gen-mesh"):
@@ -534,9 +559,9 @@ class TestDenseMemoryGuard:
     def test_guard_needs_e_squared_plus_v_squared(self, monkeypatch):
         cx = nudged_mesh(generate_interval_mesh(0, 1, 10))
         need = 8 * (10 ** 2 + 11 ** 2)
-        monkeypatch.setattr(metric, "_memory_budget", lambda: need)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: need)
         metric.simplex_distance(cx, 1, "geodesic")
-        monkeypatch.setattr(metric, "_memory_budget", lambda: need - 1)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: need - 1)
         with pytest.raises(ConfigError):
             metric.simplex_distance(cx, 1, "geodesic")
 
@@ -546,9 +571,9 @@ class TestDenseMemoryGuard:
         cx = perturbed_square_mesh(4, seed=4)
         rows = np.array([7, 0, 3])
         need = 8 * (3 * cx.n_simplices(1) + cx.n_simplices(0) ** 2)
-        monkeypatch.setattr(metric, "_memory_budget", lambda: need)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: need)
         metric.simplex_distance(cx, 1, "geodesic", rows=rows)
-        monkeypatch.setattr(metric, "_memory_budget", lambda: need - 1)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: need - 1)
         with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
             metric.simplex_distance(cx, 1, "geodesic", rows=rows)
         # Euclidean rows, and geodesic rows of a lattice mesh, need their
@@ -556,11 +581,11 @@ class TestDenseMemoryGuard:
         square = generate_unit_square_mesh(4)
         assert square.n_simplices(1) == cx.n_simplices(1)
         need = 8 * 3 * cx.n_simplices(1)
-        monkeypatch.setattr(metric, "_memory_budget", lambda: need)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: need)
         metric.simplex_distance(cx, 1, "euclidean", rows=rows)
         slab = metric.simplex_distance(square, 1, "geodesic", rows=rows).entries
         assert slab.shape == (3, square.n_simplices(1))
-        monkeypatch.setattr(metric, "_memory_budget", lambda: need - 1)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: need - 1)
         for complex_, mode in ((cx, "euclidean"), (square, "geodesic")):
             with pytest.raises(ConfigError):
                 metric.simplex_distance(complex_, 1, mode, rows=rows)
@@ -570,10 +595,10 @@ class TestDenseMemoryGuard:
         # Euclidean weights are refused under a budget below E^2 floats.
         cx = nudged_mesh(generate_unit_square_mesh(4))
         e = cx.n_simplices(1)
-        monkeypatch.setattr(metric, "_memory_budget", lambda: 8 * e * e - 8)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: 8 * e * e - 8)
         with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
             build_frac_derivative(cx, 0, FracConfig(distance_mode="euclidean"))
-        monkeypatch.setattr(metric, "_memory_budget", lambda: 8 * e * e)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: 8 * e * e)
         op = build_frac_derivative(cx, 0, FracConfig(distance_mode="euclidean"))
         assert op.weights.shape == (e, e)
 
@@ -583,16 +608,16 @@ class TestDenseMemoryGuard:
         cx = perturbed_square_mesh(4, seed=4)
         e = cx.n_simplices(1)
         assert (e, cx.n_simplices(0)) == (56, 25)
-        monkeypatch.setattr(metric, "_memory_budget", lambda: 8 * e ** 2 + 8)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: 8 * e ** 2 + 8)
         assert metric.simplex_distance(cx, 1, "euclidean").entries.shape == (e, e)
         with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
             metric.simplex_distance(cx, 1, "geodesic")
 
     def test_no_budget_no_check(self, monkeypatch):
-        monkeypatch.setattr(metric, "_memory_budget", lambda: None)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: None)
         cx = nudged_mesh(generate_interval_mesh(0, 1, 10))
         assert metric.simplex_distance(cx, 1, "euclidean").entries.shape == (10, 10)
 
     def test_budget_is_physical_memory(self):
-        budget = metric._memory_budget()
+        budget = mesh._memory_budget()
         assert budget is None or budget > 2 ** 20
