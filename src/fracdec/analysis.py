@@ -118,23 +118,27 @@ class WhitneyField:
         matching (2,) point or (..., 2) array; one vector per point.
         """
         tri = np.asarray(tri_index)
-        # np.take gathers whole rows, much faster than fancy indexing.
-        grads = np.take(self.gradients, tri, axis=0)
-        c01, c02, c12 = np.moveaxis(np.take(self.edge_values, tri, axis=0), -1, 0)
+        # np.take gathers whole rows, much faster than fancy indexing: one
+        # row of six gradient components (grad lambda_0, 1, 2) per point.
+        g = np.take(self.gradients.reshape(-1, 6), tri, axis=0)
+        c = np.take(self.edge_values, tri, axis=0)
+        c01, c02, c12 = c[..., 0], c[..., 1], c[..., 2]
         # Barycentric coordinates: lambda_k = grad lambda_k . (x - c_0)
         # for k = 1, 2, and lambda_0 = 1 - lambda_1 - lambda_2.
-        origin = np.take(self.corners[:, 0], tri, axis=0)
-        x, y = np.moveaxis(np.asarray(point, dtype=float) - origin, -1, 0)
-        lam1 = grads[..., 1, 0] * x + grads[..., 1, 1] * y
-        lam2 = grads[..., 2, 0] * x + grads[..., 2, 1] * y
+        d = np.asarray(point, dtype=float) - np.take(self.corners[:, 0], tri, axis=0)
+        x, y = d[..., 0], d[..., 1]
+        lam1 = g[..., 2] * x + g[..., 3] * y
+        lam2 = g[..., 4] * x + g[..., 5] * y
         lam0 = 1.0 - (lam1 + lam2)
         # sum_e c_e (lambda_i grad lambda_j - lambda_j grad lambda_i),
         # gathered by vertex: the coefficient of grad lambda_v.
-        coef = (-c01 * lam1 - c02 * lam2,
-                c01 * lam0 - c12 * lam2,
-                c02 * lam0 + c12 * lam1)
-        return np.stack([coef[0] * grads[..., 0, a] + coef[1] * grads[..., 1, a]
-                         + coef[2] * grads[..., 2, a] for a in (0, 1)], axis=-1)
+        coef0 = -c01 * lam1 - c02 * lam2
+        coef1 = c01 * lam0 - c12 * lam2
+        coef2 = c02 * lam0 + c12 * lam1
+        out = np.empty(np.shape(coef0) + (2,))
+        out[..., 0] = coef0 * g[..., 0] + coef1 * g[..., 2] + coef2 * g[..., 4]
+        out[..., 1] = coef0 * g[..., 1] + coef1 * g[..., 3] + coef2 * g[..., 5]
+        return out
 
 
 def whitney_reconstruct(complex_, cochain):

@@ -376,6 +376,15 @@ class Coboundary:
         return out
 
 
+def _check_degree(p, top, dimension):
+    """ConfigError unless the degree p is an integer (a bool is not one)
+    in 0..top, for a complex of the given dimension."""
+    if type(p) is bool or not isinstance(p, (int, np.integer)):
+        raise ConfigError(f"degree must be an integer, got {p!r}")
+    if not 0 <= p <= top:
+        raise ConfigError(f"degree {p} out of range for dimension {dimension}")
+
+
 def build_coboundary(complex_, p):
     """Signed incidence matrix D_p sending p-cochains to (p+1)-cochains.
 
@@ -383,8 +392,7 @@ def build_coboundary(complex_, p):
     face omitting v_k; every entry is 0 or +-1 and each row has exactly
     p+2 nonzeros.
     """
-    if not 0 <= p < complex_.dimension:
-        raise ConfigError(f"degree {p} out of range for dimension {complex_.dimension}")
+    _check_degree(p, complex_.dimension - 1, complex_.dimension)
     return Coboundary(complex_.facets[p + 1], complex_.n_simplices(p))
 
 

@@ -8,7 +8,9 @@ asked for a few rows only; the whole table is its rows 0..E-1.  The mesh
 alone picks the vertex distances: closed-form lattice path lengths from
 the rows' vertices on a generator mesh (its lattice is set), so a few
 rows allocate nothing of size E^2 or V^2; else the all-pairs table of
-Dijkstra (scipy, imported at first use).
+Dijkstra (scipy, imported at first use).  On the square the closed form
+fills one lag table of (2m - 1)^2 entries, of which each source's row is
+a window.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConnectivityError, GeometryError, MeshError
-from .mesh import _check_memory, _norms
+from .mesh import _check_degree, _check_memory, _norms
 
 DISTANCE_MODES = ("geodesic", "euclidean")
 # Distance tables are built in row blocks of about this many entries,
@@ -44,19 +46,28 @@ def _lattice_vertex_distance(complex_, sources):
     In 1D it is |x_i - x_j|.  On the unit square with cell size h, a
     vertex a cells along x and b along y away is h (sqrt(2) min(|a|, |b|)
     + ||a| - |b||) away when a b >= 0, since the diagonals run from
-    lower left to upper right, and h (|a| + |b|) otherwise.
+    lower left to upper right, and h (|a| + |b|) otherwise.  That
+    depends on the lag (b, a) alone, so it fills one lag table over
+    (-m, m)^2, and a source's row is the m-by-m window of it that its
+    own lattice coordinates pick.
     """
     if len(complex_.lattice) == 1:
         x = complex_.vertex_coords[:, 0]
         return np.abs(x[sources, None] - x[None, :])
     m = complex_.lattice[0]
-    y, x = np.divmod(np.arange(m * m), m)
-    a = x[None, :] - x[sources, None]
-    b = y[None, :] - y[sources, None]
+    lag = np.arange(1 - m, m)
+    a, b = lag[None, :], lag[:, None]
     along, across = np.abs(a), np.abs(b)
     short = np.minimum(along, across)
     diagonal = math.sqrt(2.0) * short + np.abs(along - across)
-    return np.where(a * b >= 0, diagonal, along + across) / (m - 1)
+    table = np.where(a * b >= 0, diagonal, along + across) / (m - 1)
+    # windows[i, j] is table[i:i + m, j:j + m]; vertex (y, x) of the
+    # window at (m - 1 - y_s, m - 1 - x_s) is at lag (y - y_s, x - x_s).
+    row, col = table.strides
+    windows = np.lib.stride_tricks.as_strided(table, (m, m, m, m), (row, col, row, col),
+                                              writeable=False)
+    y, x = np.divmod(sources, m)
+    return windows[m - 1 - y, m - 1 - x].reshape(len(y), m * m)
 
 
 def all_pairs_vertex_distance(complex_):
@@ -78,9 +89,9 @@ def all_pairs_vertex_distance(complex_):
 
 
 def _table(complex_, p):
-    """The degree-p table; ConfigError naming a degree outside 0..dimension."""
-    if not 0 <= p <= complex_.dimension:
-        raise ConfigError(f"degree {p} out of range for dimension {complex_.dimension}")
+    """The degree-p table; ConfigError for a degree that is not an
+    integer in 0..dimension."""
+    _check_degree(p, complex_.dimension, complex_.dimension)
     return complex_.simplices[p]
 
 
@@ -164,13 +175,15 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
         near = dm[src[block, 0]]
         for i in range(1, p + 1):
             np.minimum(near, dm[src[block, i]], out=near)
-        # np.take keeps C order; near[:, idx] would be Fortran-ordered.
-        out = np.take(near, simp[:, 0], axis=1)
+        # Straight into the block's rows: np.take keeps C order, where
+        # near[:, idx] would be Fortran-ordered, and "clip" mode writes
+        # to out unbuffered (every index is in range).
+        out = entries[block]
+        np.take(near, simp[:, 0], axis=1, out=out, mode="clip")
         for j in range(1, p + 1):
-            np.minimum(out, np.take(near, simp[:, j], axis=1), out=out)
+            np.minimum(out, np.take(near, simp[:, j], axis=1, mode="clip"), out=out)
         # l_a + l_b is summed first so the table is exactly symmetric.
         out += offs[picked[block], None] + offs[None, :]
-        entries[block] = out
     entries[np.arange(len(picked)), picked] = 0.0
     lo, hi = entries.min(initial=0.0), entries.max(initial=0.0)
     if not (np.isfinite(lo) and np.isfinite(hi)):

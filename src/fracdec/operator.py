@@ -6,10 +6,14 @@ distance-to-the-s weights between (p+1)-simplices.  Rows of W index the
 target simplex, columns the source simplex.  In 1D the sidedness and the
 right-side sign are folded into W when it is built.  W is a dense array,
 the rows 0..E-1, except on meshes from the two generators, where it is
-a multi-level Toeplitz operator: a few rows, whose distances are closed
-form, scattered at their per-axis cell lags into symbols that numpy.fft
-applies; the dense path is its oracle.  At s = 1 the operator is the
-plain coboundary, bit-exactly (Kronecker branch).
+a multi-level Toeplitz operator applied by numpy.fft; the dense path is
+its oracle.  There a few corner rows, whose distances are closed form,
+go into one table by a single flat assignment at their class pair and
+cell lag modulo the grid.  Their diagonal is the rows' own (C_s times
+the largest weight they hold), and the table is scaled in place by a
+power of two, the exponent of their largest |weight|, before its
+transform.  At s = 1 the operator is the plain coboundary, bit-exactly
+(Kronecker branch).
 """
 
 from __future__ import annotations
@@ -160,42 +164,62 @@ class _LatticeWeights:
     def build(cls, complex_, p, config):
         """Take the symbols from the rows of each class's corner cells.
 
-        Along every axis the class boxes differ in size by at most one
-        cell, so the lags seen from a box's two ends cover every lag to
-        any other box.  The rows share the dense path's weights, so the
-        diagonal is C_s times the largest weight they hold, and in 1D
-        left_sided leaves a lower-triangular symbol and "minus" a
-        negated upper part.  Where rows see the same lag, their weights
-        agree to rounding and the last in C order is kept.
+        Every class has a simplex at vertex 0, whose other vertices are
+        its offsets, and those simplices lead the key-ordered table in
+        key order.  Along every axis a class's box of cells starts at 0
+        and ends at m - 1 minus its largest offset, so boxes differ in
+        size by at most one cell and the lags seen from a box's two
+        ends cover every lag to any other box.  The corner rows come
+        from one _weight_rows call, so the diagonal is C_s times the
+        largest weight they hold, and in 1D left_sided leaves a
+        lower-triangular symbol and "minus" a negated upper part.  They
+        go into the table by one flat assignment, at their class pair
+        and, per axis, their cell lag modulo the grid; where rows see
+        the same lag, their weights agree to rounding and the last in C
+        order is kept.  The table is then scaled in place by
+        2^-exponent, exponent being that of the rows' largest |weight|,
+        and the rows and indices are released before the transform,
+        which writes the symbols in place.  mesh._check_memory refuses
+        the peak before the rows are made.
         """
         simp, lattice = complex_.simplices[p + 1], complex_.lattice
-        # A vertex's flat index is its lattice coordinates in C order,
-        # so flat offsets from the lowest vertex key the classes.
+        kinds = int(simp[:, 0].searchsorted(1))
+        key = mesh._keys(simp[:, 1:] - simp[:, :1], complex_.n_simplices(0))
+        kind = key[:kinds].searchsorted(key)
+        # A vertex's flat index is its lattice coordinates in C order.
         cells = np.unravel_index(simp[:, 0], lattice)
-        _, kind = np.unique(mesh._keys(simp[:, 1:] - simp[:, :1], complex_.n_simplices(0)),
-                            return_inverse=True)
-        kinds = kind.max() + 1
-        grid = tuple(_fast_len(2 * m - 1) for m in lattice)
-        slots = np.ravel_multi_index((kind, *cells), (kinds, *grid))
-        # Corner rows: cells at their class's lowest or highest on every axis.
-        corner = True
-        for c, m in zip(cells, lattice):
-            lo, hi = np.full(kinds, m), np.zeros(kinds, dtype=np.intp)
-            np.minimum.at(lo, kind, c)
-            np.maximum.at(hi, kind, c)
-            corner = corner & ((c == lo[kind]) | (c == hi[kind]))
+        reach = np.unravel_index(simp[:kinds], lattice)
+        corner = np.ones(len(simp), dtype=bool)
+        for c, m, r in zip(cells, lattice, reach):
+            corner &= (c == 0) | (c == (m - 1 - r.max(axis=1))[kind])
         rows = np.flatnonzero(corner)
+        grid = tuple(_fast_len(2 * m - 1) for m in lattice)
+        size, spectrum = math.prod(grid), (kinds, kinds, *grid[:-1], grid[-1] // 2 + 1)
+        # The peak: the table and len(grid) + 4 integers per simplex, with
+        # either the rows, their flat indices and a wrap mask (17 bytes an
+        # entry) or the symbols.
+        mesh._check_memory(
+            8 * (kinds * kinds * size + (len(grid) + 4) * len(simp))
+            + max(17 * len(rows) * len(simp), 16 * math.prod(spectrum)),
+            f"FFT weights over {len(simp)} degree-{p + 1} simplices need {{:.1f}} GiB")
+        flat = np.ravel_multi_index(cells, grid)
+        slots = kind * size + flat
         w = _weight_rows(complex_, p, config, rows)
         # The symbols are kept over 2^exponent, which brings the largest
         # weight into [0.5, 1) exactly, so the transform cannot overflow
         # where W @ x would not (say at a huge C_s).
-        exponent = int(np.frexp(np.abs(w).max())[1])
-        # Each row's weights go to its class pair and, per axis, the cell
-        # difference, whose negative values index from the end: the lag.
+        exponent = int(np.frexp(max(w.max(), -w.min()))[1])
+        # Row r, source e: (kind_r, kind_e, cell_r - cell_e), plus a whole
+        # grid on every axis where that difference is negative.
+        at = np.add.outer(kind[rows] * (kinds * size) + flat[rows], kind * size - flat)
+        for c, n, stride in zip(cells, grid, np.cumprod((1, *grid[:0:-1]))[::-1]):
+            np.add(at, n * stride, out=at, where=np.less.outer(c[rows], c))
         table = np.zeros((kinds, kinds, *grid))
-        table[(kind[rows, None], kind, *(c[rows, None] - c for c in cells))] = \
-            np.ldexp(w, -exponent)
-        symbols = np.fft.rfftn(table, axes=tuple(range(2, 2 + len(grid))))
+        table.reshape(-1)[at] = w
+        del w, at
+        np.ldexp(table, -exponent, out=table)
+        symbols = np.fft.rfftn(table, axes=tuple(range(2, 2 + len(grid))),
+                               out=np.empty(spectrum, dtype=complex))
         return cls(grid, slots, symbols, exponent)
 
     @property

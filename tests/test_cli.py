@@ -379,6 +379,21 @@ class TestFracDeriv:
             assert run("frac-deriv", *source, "--family", "exp_x",
                        "-o", str(out)) == 0
 
+    def test_fft_memory_guard_exit_2(self, tmp_path, capsys, monkeypatch):
+        # An N = 3 square's tables fit in 8 KiB, its FFT build does not:
+        # refused before the build allocates, in one line.
+        monkeypatch.setattr(fracdec.mesh, "_memory_budget", lambda: 2 ** 13)
+        out = tmp_path / "d.csv"
+        assert run("frac-deriv", "--square", "3", "--family", "saddle_2d",
+                   "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: FFT weights over 33 degree-1 simplices need 0.0 GiB, "
+                       "more than the 0.0 GiB of memory\n")
+        assert not out.exists()
+        monkeypatch.setattr(fracdec.mesh, "_memory_budget", lambda: 2 ** 14)
+        assert run("frac-deriv", "--square", "3", "--family", "saddle_2d",
+                   "-o", str(out)) == 0
+
     def test_sidedness_off_the_x_axis_exit_2(self, tmp_path, capsys):
         # A 1D mesh along y has one first coordinate: sidedness is refused.
         for column, code in ((1, 2), (0, 0)):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -287,8 +288,37 @@ def _dijkstra_rows(complex_, sources):
     return dijkstra(graph, directed=False, indices=sources)
 
 
+def oracle_lattice_rows(complex_, sources):
+    """The closed form evaluated entry by entry, for every (source,
+    vertex) pair, as the oracle of the lag-table rows."""
+    if len(complex_.lattice) == 1:
+        x = complex_.vertex_coords[:, 0]
+        return np.abs(x[sources, None] - x[None, :])
+    m = complex_.lattice[0]
+    y, x = np.divmod(np.arange(m * m), m)
+    a = x[None, :] - x[sources, None]
+    b = y[None, :] - y[sources, None]
+    along, across = np.abs(a), np.abs(b)
+    short = np.minimum(along, across)
+    diagonal = math.sqrt(2.0) * short + np.abs(along - across)
+    return np.where(a * b >= 0, diagonal, along + across) / (m - 1)
+
+
 class TestLatticeDistances:
     """Closed-form vertex distances of generator meshes, against Dijkstra."""
+
+    @pytest.mark.parametrize("cx", [*(generate_unit_square_mesh(n) for n in (1, 2, 7, 40)),
+                                    generate_interval_mesh(-3.0, 5.0, 17)],
+                             ids=lambda cx: str(cx.lattice))
+    def test_lag_table_rows_are_the_closed_form(self, cx):
+        # Bit for bit, from unsorted and repeated sources, corners included.
+        n = cx.n_simplices(0)
+        rng = np.random.default_rng(n)
+        sources = np.r_[n - 1, rng.integers(0, n, 25), 0, n - 1, 0]
+        got = metric._lattice_vertex_distance(cx, sources)
+        want = oracle_lattice_rows(cx, sources)
+        assert got.shape == (len(sources), n) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cx", _LATTICE_MESHES, ids=lambda cx: str(cx.lattice))
     def test_closed_form_matches_dijkstra(self, cx):

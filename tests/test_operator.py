@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,46 @@ def test_fast_len_is_scipys():
         [next_fast_len(n, real=True) for n in range(1, 5001)]
 
 
+class TestLatticeMemoryGuard:
+    """The FFT build is refused before it allocates when its peak would
+    not fit: the table with either the corner rows and their indices or
+    the symbols."""
+
+    def test_guard_counts_the_build_peak(self, monkeypatch):
+        # N = 3 edges: E = 33, 12 corner rows, 3 classes on an 8 x 8 grid
+        # (a 3 x 3 x 8 x 5 spectrum), and 6 integers per edge.
+        cx = generate_unit_square_mesh(3)
+        e, rows, table, spectrum = 33, 12, 9 * 64, 9 * 8 * 5
+        need = 8 * (table + 6 * e) + max(17 * rows * e, 16 * spectrum)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: need)
+        build_frac_derivative(cx, 0, FracConfig())
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: need - 1)
+        # The mesh passes the generators' guard; its operator does not fit.
+        assert generate_unit_square_mesh(3).lattice == (4, 4)
+        with pytest.raises(ConfigError, match="^FFT weights over 33 degree-1 simplices need "
+                                              r"0\.0 GiB, more than the 0\.0 GiB of memory$"):
+            build_frac_derivative(cx, 0, FracConfig())
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    def test_build_peak_is_bounded(self, monkeypatch, n, mode):
+        # The tracemalloc peak of a whole build is at most 3.5 times the
+        # operator it makes, and no more than the guard counted.
+        cx = generate_unit_square_mesh(n)
+        counted, check = [], mesh._check_memory
+        monkeypatch.setattr(mesh, "_check_memory",
+                            lambda need, *args: counted.append(need) or check(need, *args))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            op = build_frac_derivative(cx, 0, FracConfig(distance_mode=mode))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * op.weights.nbytes
+        assert len(counted) == 1 and peak <= counted[0]
+
+
 class TestDenseMemoryGuard:
     def test_guard_names_the_generators(self, monkeypatch):
         # One float short of a whole table: the FFT path's few rows fit.
@@ -551,10 +592,14 @@ class TestDenseMemoryGuard:
                 metric.simplex_distance(complex_, 1, "geodesic")
             with pytest.raises(ConfigError, match="generate_unit_square_mesh"):
                 build_frac_derivative(nudged_mesh(cx), 0, FracConfig())
-        # Euclidean slabs and the FFT path allocate nothing of size E^2.
+        # Euclidean slabs and the FFT path allocate nothing of size E^2;
+        # the FFT build's 12 corner rows are few next to E from N = 4 on
+        # (at N = 3 they and the table need more than E^2 floats).
         assert metric.simplex_distance(cx, 1, "euclidean",
                                        rows=np.array([0, 5])).entries.shape == (2, e)
-        build_frac_derivative(cx, 0, FracConfig())
+        square = generate_unit_square_mesh(4)
+        monkeypatch.setattr(mesh, "_memory_budget", lambda: 8 * square.n_simplices(1) ** 2 - 8)
+        build_frac_derivative(square, 0, FracConfig())
 
     def test_guard_needs_e_squared_plus_v_squared(self, monkeypatch):
         cx = nudged_mesh(generate_interval_mesh(0, 1, 10))

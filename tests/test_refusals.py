@@ -1,8 +1,9 @@
 """Public entry points refuse bad input with the package's own errors.
 
-A family of the wrong dimension, a degree outside 0..dimension and a
-sidedness the mesh cannot take each end in ConfigError or MeshError
-(exit 2 or 3 on the command line), never in a TypeError or KeyError.
+A family of the wrong dimension, a degree that is not an integer in
+0..dimension (a float or a bool) and a sidedness the mesh cannot take
+each end in ConfigError or MeshError (exit 2 or 3 on the command line),
+never in a TypeError or KeyError.
 """
 
 import pytest
@@ -72,6 +73,13 @@ CASES = {
     "barycenters-degree2-interval":
         lambda: metric.barycenters(generate_interval_mesh(0, 1, 4), 2),
     "barycenters-degree-1": lambda: metric.barycenters(generate_unit_square_mesh(2), -1),
+    "simplex_distance-degree1.5":
+        lambda: metric.simplex_distance(generate_unit_square_mesh(2), 1.5),
+    "build_frac_derivative-degree0.5":
+        lambda: build_frac_derivative(generate_unit_square_mesh(2), 0.5, FracConfig()),
+    "barycenters-degree1.0": lambda: metric.barycenters(generate_unit_square_mesh(2), 1.0),
+    "build_frac_derivative-degree-True":
+        lambda: build_frac_derivative(generate_unit_square_mesh(2), True, FracConfig()),
 }
 
 
