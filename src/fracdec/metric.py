@@ -9,8 +9,11 @@ alone picks the vertex distances: closed-form lattice path lengths from
 the rows' vertices on a generator mesh (its lattice is set), so a few
 rows allocate nothing of size E^2 or V^2; else the all-pairs table of
 Dijkstra (scipy, imported at first use).  On the square the closed form
-fills one lag table of (2m - 1)^2 entries, of which each source's row is
-a window.
+fills one lag table per call, over the lags the rows' vertices see (at
+most (2m - 1)^2 entries), of which each vertex's row is a window; a row
+block's nearest-vertex rows are minima of its vertex slots' windows, so
+no table of whole vertex rows is gathered, and the columns go in blocks
+too.
 """
 
 from __future__ import annotations
@@ -39,35 +42,53 @@ class DistanceTable:
     entries: np.ndarray
 
 
-def _lattice_vertex_distance(complex_, sources):
-    """Shortest-path distances from the source vertices to every vertex
-    of a generator mesh, in closed form.
+def _lattice_rows(complex_, src):
+    """Shortest-path distances from the vertices in src to every vertex
+    of a generator mesh, in closed form: rows(k) is the (len, V) block
+    of rows from the vertices src[k], for any index k into src.
 
     In 1D it is |x_i - x_j|.  On the unit square with cell size h, a
     vertex a cells along x and b along y away is h (sqrt(2) min(|a|, |b|)
     + ||a| - |b||) away when a b >= 0, since the diagonals run from
     lower left to upper right, and h (|a| + |b|) otherwise.  That
-    depends on the lag (b, a) alone, so it fills one lag table over
-    (-m, m)^2, and a source's row is the m-by-m window of it that its
-    own lattice coordinates pick.
+    depends on the lag (b, a) alone, so it fills one lag table, over the
+    lags that src's vertices see, and a vertex's row is the m-by-m
+    window of it that its own lattice coordinates pick.
     """
     if len(complex_.lattice) == 1:
         x = complex_.vertex_coords[:, 0]
-        return np.abs(x[sources, None] - x[None, :])
+
+        def rows(k):
+            d = np.subtract(x[src[k], None], x[None, :])
+            return np.abs(d, out=d)
+        return rows
     m = complex_.lattice[0]
-    lag = np.arange(1 - m, m)
-    a, b = lag[None, :], lag[:, None]
-    along, across = np.abs(a), np.abs(b)
-    short = np.minimum(along, across)
-    diagonal = math.sqrt(2.0) * short + np.abs(along - across)
-    table = np.where(a * b >= 0, diagonal, along + across) / (m - 1)
+    y, x = np.divmod(src, m)
+    top, left = y.max(), x.max()
+    across, along = np.abs(np.arange(-top, m - y.min())), np.abs(np.arange(-left, m - x.min()))
+    # Built in place: ||a| - |b|| + sqrt(2) min(|a|, |b|), then the
+    # quadrants where a and b differ in sign, which are blocks.
+    table = np.subtract.outer(across, along, dtype=float)
+    np.abs(table, out=table)
+    short = np.minimum.outer(across, along, dtype=float)
+    short *= math.sqrt(2.0)
+    table += short
+    del short
+    np.add.outer(across[:top], along[left + 1:], out=table[:top, left + 1:])
+    np.add.outer(across[top + 1:], along[:left], out=table[top + 1:, :left])
+    table /= m - 1
     # windows[i, j] is table[i:i + m, j:j + m]; vertex (y, x) of the
-    # window at (m - 1 - y_s, m - 1 - x_s) is at lag (y - y_s, x - x_s).
+    # window at (top - y_s, left - x_s) is at lag (y - y_s, x - x_s).
     row, col = table.strides
-    windows = np.lib.stride_tricks.as_strided(table, (m, m, m, m), (row, col, row, col),
-                                              writeable=False)
-    y, x = np.divmod(sources, m)
-    return windows[m - 1 - y, m - 1 - x].reshape(len(y), m * m)
+    windows = np.lib.stride_tricks.as_strided(
+        table, (len(across) - m + 1, len(along) - m + 1, m, m), (row, col, row, col),
+        writeable=False)
+    return lambda k: windows[top - y[k], left - x[k]].reshape(-1, m * m)
+
+
+def _lattice_vertex_distance(complex_, sources):
+    """Every row of _lattice_rows at once: (len(sources), V)."""
+    return _lattice_rows(complex_, sources)(slice(None))
 
 
 def all_pairs_vertex_distance(complex_):
@@ -98,28 +119,34 @@ def _table(complex_, p):
 def barycenters(complex_, p):
     """Vertex-coordinate average of every p-simplex, as floats: the sum
     of its p+1 vertices' coordinates, in vertex order, over p+1."""
-    simp = _table(complex_, p)
+    return _centers(complex_, _table(complex_, p))
+
+
+def _centers(complex_, simp):
+    """barycenters of the simplices whose vertex rows are simp."""
     if complex_.vertex_coords is None:
         raise MeshError("barycenters require an embedded complex")
     # Summed from 0.0, as numpy sums (a total of -0.0 terms is 0.0), in float.
     return sum((np.take(complex_.vertex_coords, simp[:, k], axis=0)
-                for k in range(p + 1)), 0.0) / (p + 1)
+                for k in range(simp.shape[1])), 0.0) / simp.shape[1]
 
 
-def boundary_offsets(complex_, p):
-    """Barycenter-to-boundary length l(sigma) for every p-simplex.
+def boundary_offsets(complex_, p, picked=slice(None)):
+    """Barycenter-to-boundary length l(sigma) for every p-simplex, or
+    for the simplices picked by an index or slice.
 
     l is 0 for vertices and half the edge length for edges.  For a
     triangle the boundary distance depends on direction, so we use the
     average of the three barycenter-to-edge-midpoint distances.
     """
     if p == 0:
-        return np.zeros(complex_.n_simplices(0))
+        return np.zeros(len(complex_.simplices[0][picked]))
     if p == 1:
-        return complex_.edge_lengths / 2.0
+        return complex_.edge_lengths[picked] / 2.0
     if p == 2:
-        bary = barycenters(complex_, 2)
-        tris = complex_.vertex_coords[complex_.simplices[2]]
+        simp = complex_.simplices[2][picked]
+        bary = _centers(complex_, simp)
+        tris = complex_.vertex_coords[simp]
         mids = np.stack([
             (tris[:, 0] + tris[:, 1]) / 2,
             (tris[:, 0] + tris[:, 2]) / 2,
@@ -136,15 +163,26 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
 
     geodesic: min over vertex pairs of d_m(u, v) + l(sigma) + l(eta),
     zero on the diagonal.  euclidean: distance between barycenters.
-    An index array gives just those rows, in that order; rows=None is
-    rows 0..E-1, the dense symmetric table.  Either is refused first if
-    it does not fit in memory, with the all-pairs vertex table that
-    geodesic rows need off a lattice mesh.
+    A 1D integer index array gives just those rows, in that order (an
+    empty one a table of no rows); rows=None is rows 0..E-1, the dense
+    symmetric table.  Either is refused first if it does not fit in
+    memory, with the all-pairs vertex table that geodesic rows need off
+    a lattice mesh.  On a lattice, geodesic rows need besides the table
+    one lag table (fewer than 4 V entries) and temporaries of a block of
+    rows and columns.
     """
     if mode not in DISTANCE_MODES:
         raise ConfigError(f"unknown distance mode {mode!r}")
     simp = _table(complex_, p)
-    picked = np.arange(len(simp)) if rows is None else np.asarray(rows)
+    if rows is None:
+        picked = np.arange(len(simp))
+    else:
+        picked = np.asarray(rows)
+        if picked.ndim != 1 or picked.size and (
+                picked.dtype.kind not in "iu" or picked.min() < 0 or picked.max() >= len(simp)):
+            raise ConfigError(f"rows must be a 1D array of integer indices in "
+                              f"[0, {len(simp)}) of the degree-{p} simplices")
+        picked = picked.astype(np.intp, copy=False)
     closed_form = complex_.lattice is not None
     vertex_table = mode == "geodesic" and not closed_form
     _check_memory(8 * (len(picked) * len(simp) + vertex_table * complex_.n_simplices(0) ** 2),
@@ -152,38 +190,48 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
                   "; meshes from generate_interval_mesh or generate_unit_square_mesh "
                   "(--interval or --square, or a mesh file written by gen-mesh) "
                   "need no dense table")
+    entries = np.empty((len(picked), len(simp)))
+    if not len(picked):
+        return DistanceTable(p=p, mode=mode, entries=entries)
     step = max(1, _BLOCK_ENTRIES // max(len(simp), complex_.n_simplices(0), 1))
     if mode == "euclidean":
         b = barycenters(complex_, p)
-        entries = np.empty((len(picked), len(simp)))
         with np.errstate(over="ignore", under="ignore"):
             for i in range(0, len(picked), step):
                 _norms(b[picked[i:i + step], None], b[None], out=entries[i:i + step])
         return DistanceTable(p=p, mode=mode, entries=entries)
 
+    # vertex_rows(k): the rows of d_m from the vertices src[k].
+    src = simp[picked]
     if closed_form:
-        # Distances from the rows' vertices only; src indexes dm's rows.
-        sources, src = np.unique(simp[picked], return_inverse=True)
-        dm, src = _lattice_vertex_distance(complex_, sources), src.reshape(-1, p + 1)
+        vertex_rows = _lattice_rows(complex_, src)
     else:
-        dm, src = all_pairs_vertex_distance(complex_).entries, simp[picked]
-    offs = boundary_offsets(complex_, p)
-    entries = np.empty((len(picked), len(simp)))
+        dm = all_pairs_vertex_distance(complex_).entries
+
+        def vertex_rows(k):
+            return dm[src[k]]
+    own = boundary_offsets(complex_, p, picked)
+    # One column block's offsets are made once; more blocks mean rows
+    # longer than a block, each a row block of its own.
+    whole = boundary_offsets(complex_, p) if len(simp) <= _BLOCK_ENTRIES else None
     for start in range(0, len(picked), step):
         block = slice(start, start + step)
         # near[a, v]: distance from the nearest vertex of simplex a to v.
-        near = dm[src[block, 0]]
+        near = vertex_rows((block, 0))
         for i in range(1, p + 1):
-            np.minimum(near, dm[src[block, i]], out=near)
-        # Straight into the block's rows: np.take keeps C order, where
-        # near[:, idx] would be Fortran-ordered, and "clip" mode writes
-        # to out unbuffered (every index is in range).
-        out = entries[block]
-        np.take(near, simp[:, 0], axis=1, out=out, mode="clip")
-        for j in range(1, p + 1):
-            np.minimum(out, np.take(near, simp[:, j], axis=1, mode="clip"), out=out)
-        # l_a + l_b is summed first so the table is exactly symmetric.
-        out += offs[picked[block], None] + offs[None, :]
+            np.minimum(near, vertex_rows((block, i)), out=near)
+        for first in range(0, len(simp), _BLOCK_ENTRIES):
+            cols = slice(first, first + _BLOCK_ENTRIES)
+            # Straight into the block's rows: np.take keeps C order, where
+            # near[:, idx] would be Fortran-ordered, and "clip" mode writes
+            # to out unbuffered (every index is in range).
+            out = entries[block, cols]
+            np.take(near, simp[cols, 0], axis=1, out=out, mode="clip")
+            for j in range(1, p + 1):
+                np.minimum(out, np.take(near, simp[cols, j], axis=1, mode="clip"), out=out)
+            # l_a + l_b is summed first so the table is exactly symmetric.
+            out += own[block, None] + (
+                boundary_offsets(complex_, p, cols) if whole is None else whole)
     entries[np.arange(len(picked)), picked] = 0.0
     lo, hi = entries.min(initial=0.0), entries.max(initial=0.0)
     if not (np.isfinite(lo) and np.isfinite(hi)):

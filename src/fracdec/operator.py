@@ -7,20 +7,23 @@ target simplex, columns the source simplex.  In 1D the sidedness and the
 right-side sign are folded into W when it is built.  W is a dense array,
 the rows 0..E-1, except on meshes from the two generators, where it is
 a multi-level Toeplitz operator applied by numpy.fft; the dense path is
-its oracle.  There a few corner rows, whose distances are closed form,
-go into one table by a single flat assignment at their class pair and
-cell lag modulo the grid.  Their diagonal is the rows' own (C_s times
-the largest weight they hold), and the table is scaled in place by a
-power of two, the exponent of their largest |weight|, before its
-transform.  At s = 1 the operator is the plain coboundary, bit-exactly
-(Kronecker branch).
+its oracle.  There half the corner rows (cell 0 on the first lattice
+axis, either end of the class's box on the others), whose distances are
+closed form, go unfolded into one table by a single flat assignment at
+their class pair and cell lag modulo the grid.  W is symmetric, so the
+other half-space of lags follows as table[k, l, -L] = table[l, k, L],
+and in 1D the sides fold onto the table by lag sign.  The diagonal is
+the rows' own (C_s times the largest weight they hold), and the table
+is scaled in place by a power of two, the exponent of their largest
+|weight|, before its transform.  At s = 1 the operator is the plain
+coboundary, bit-exactly (Kronecker branch).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,7 +107,8 @@ def _weight_rows(complex_, p, config, rows=None):
     if not np.isfinite(top):
         raise GeometryError("zero distance between distinct simplices")
     w[diagonal] = config.diagonal_constant * top
-    _fold_sides(w, complex_, p + 1, config, rows)
+    if (config.sidedness, config.right_sign) != ("two_sided", "plus"):
+        _fold_sides(w, complex_, p + 1, config, rows)
     return w
 
 
@@ -118,8 +122,6 @@ def _fold_sides(w, complex_, q, config, rows):
     the 1D exp experiment.  right_sign "minus" negates the sources
     strictly to the right of the target.  w is changed in place.
     """
-    if config.sidedness == "two_sided" and config.right_sign == "plus":
-        return
     x = metric.barycenters(complex_, q)[:, 0]
     if config.sidedness == "left_sided":
         np.multiply(w, x[None, :] < x[rows, None], out=w)
@@ -162,61 +164,89 @@ class _LatticeWeights:
 
     @classmethod
     def build(cls, complex_, p, config):
-        """Take the symbols from the rows of each class's corner cells.
+        """Take the symbols from half the corner rows of each class, and
+        the other half-space of lags from W's symmetry.
 
         Every class has a simplex at vertex 0, whose other vertices are
         its offsets, and those simplices lead the key-ordered table in
         key order.  Along every axis a class's box of cells starts at 0
         and ends at m - 1 minus its largest offset, so boxes differ in
-        size by at most one cell and the lags seen from a box's two
-        ends cover every lag to any other box.  The corner rows come
-        from one _weight_rows call, so the diagonal is C_s times the
-        largest weight they hold, and in 1D left_sided leaves a
-        lower-triangular symbol and "minus" a negated upper part.  They
-        go into the table by one flat assignment, at their class pair
-        and, per axis, their cell lag modulo the grid; where rows see
-        the same lag, their weights agree to rounding and the last in C
-        order is kept.  The table is then scaled in place by
-        2^-exponent, exponent being that of the rows' largest |weight|,
-        and the rows and indices are released before the transform,
-        which writes the symbols in place.  mesh._check_memory refuses
-        the peak before the rows are made.
+        size by at most one cell.  The rows are the cells at 0 on the
+        first axis and at either end of the box on the others (one row
+        per class in 1D, up to two in 2D), so they see every lag to any
+        other box whose first component is >= 0 from the source's side.
+        They
+        come unfolded (two-sided, "plus") from one _weight_rows call, so
+        the diagonal is C_s times the largest weight they hold.  As W is
+        symmetric, row r's weight to source e is W[e, r], which goes to
+        (class_e, class_r, cell_e - cell_r) by one flat assignment, the
+        lag taken modulo the grid; where rows see the same lag, their
+        weights agree to rounding and the last in C order is kept.  The
+        lags < 0 on the first axis are then filled as
+        table[k, l, -L] = table[l, k, L], by one ufunc per slice, with
+        no copy of the table.  In 1D the sides fold onto the table by
+        lag sign: left_sided leaves lags < 0 empty and zeroes lag 0, and
+        "minus" fills lags < 0 negated.  The table is then scaled in
+        place by 2^-exponent, exponent being that of the rows' largest
+        |weight|, and the transform writes the symbols in place.
+        mesh._check_memory refuses the peak before the rows are made.
         """
         simp, lattice = complex_.simplices[p + 1], complex_.lattice
         kinds = int(simp[:, 0].searchsorted(1))
         key = mesh._keys(simp[:, 1:] - simp[:, :1], complex_.n_simplices(0))
         kind = key[:kinds].searchsorted(key)
-        # A vertex's flat index is its lattice coordinates in C order.
+        del key
+        # A vertex's flat index is its lattice coordinates in C order, so
+        # the simplices at cell 0 on the first axis lead the table.
         cells = np.unravel_index(simp[:, 0], lattice)
         reach = np.unravel_index(simp[:kinds], lattice)
-        corner = np.ones(len(simp), dtype=bool)
-        for c, m, r in zip(cells, lattice, reach):
-            corner &= (c == 0) | (c == (m - 1 - r.max(axis=1))[kind])
+        head = int(simp[:, 0].searchsorted(math.prod(lattice[1:])))
+        corner = np.ones(head, dtype=bool)
+        for c, m, r in zip(cells[1:], lattice[1:], reach[1:]):
+            corner &= (c[:head] == 0) | (c[:head] == (m - 1 - r.max(axis=1))[kind[:head]])
         rows = np.flatnonzero(corner)
         grid = tuple(_fast_len(2 * m - 1) for m in lattice)
         size, spectrum = math.prod(grid), (kinds, kinds, *grid[:-1], grid[-1] // 2 + 1)
-        # The peak: the table and len(grid) + 4 integers per simplex, with
+        # The peak: the table and len(grid) + 3 integers per simplex, with
         # either the rows, their flat indices and a wrap mask (17 bytes an
-        # entry) or the symbols.
+        # entry) or the symbols; one more integer per simplex covers the
+        # small arrays and the transform's own buffers.
         mesh._check_memory(
             8 * (kinds * kinds * size + (len(grid) + 4) * len(simp))
             + max(17 * len(rows) * len(simp), 16 * math.prod(spectrum)),
             f"FFT weights over {len(simp)} degree-{p + 1} simplices need {{:.1f}} GiB")
         flat = np.ravel_multi_index(cells, grid)
         slots = kind * size + flat
-        w = _weight_rows(complex_, p, config, rows)
+        w = _weight_rows(complex_, p, replace(config, sidedness="two_sided", right_sign="plus"),
+                         rows)
         # The symbols are kept over 2^exponent, which brings the largest
         # weight into [0.5, 1) exactly, so the transform cannot overflow
         # where W @ x would not (say at a huge C_s).
         exponent = int(np.frexp(max(w.max(), -w.min()))[1])
-        # Row r, source e: (kind_r, kind_e, cell_r - cell_e), plus a whole
-        # grid on every axis where that difference is negative.
-        at = np.add.outer(kind[rows] * (kinds * size) + flat[rows], kind * size - flat)
-        for c, n, stride in zip(cells, grid, np.cumprod((1, *grid[:0:-1]))[::-1]):
-            np.add(at, n * stride, out=at, where=np.less.outer(c[rows], c))
+        # Row r, source e: (kind_e, kind_r, cell_e - cell_r), which is >= 0
+        # on the first axis, plus a whole grid on every other axis where
+        # it is negative.
+        at = np.add.outer(kind[rows] * size - flat[rows], kind * (kinds * size) + flat)
+        for a in range(1, len(grid)):
+            np.add(at, math.prod(grid[a:]), out=at,
+                   where=np.greater.outer(cells[a][rows], cells[a]))
         table = np.zeros((kinds, kinds, *grid))
         table.reshape(-1)[at] = w
         del w, at
+        if config.sidedness == "left_sided":
+            # Only lags > 0 stay: those < 0 were never filled.
+            table[:, :, 0] = 0.0
+        else:
+            # Lags 1..m-1 on the first axis to their negatives, the pair
+            # transposed; on a second axis lag 0 stays and the rest reverse.
+            m, n = lattice[0], grid[0]
+            fold = np.negative if config.right_sign == "minus" else np.positive
+            half, mirror = table[:, :, m - 1:0:-1].swapaxes(0, 1), table[:, :, n - m + 1:]
+            if len(grid) == 1:
+                fold(half, out=mirror)
+            else:
+                fold(half[..., :1], out=mirror[..., :1])
+                fold(half[..., :0:-1], out=mirror[..., 1:])
         np.ldexp(table, -exponent, out=table)
         symbols = np.fft.rfftn(table, axes=tuple(range(2, 2 + len(grid))),
                                out=np.empty(spectrum, dtype=complex))

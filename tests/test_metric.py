@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,46 @@ class TestLatticeDistances:
                 slab = simplex_distance(cx, p, rows=rows).entries
                 np.testing.assert_array_equal(slab[np.arange(3), rows], 0.0)
                 np.testing.assert_array_equal(slab, whole[rows])
+
+
+class TestDistanceRows:
+    """Rows of a distance table: checked, and on a lattice mesh made
+    from lag-table windows with no table of whole vertex rows."""
+
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    def test_rows_are_a_1d_integer_index_array(self, mode):
+        square = generate_unit_square_mesh(3)
+        e = square.n_simplices(1)
+        for cx in (square, nudged_mesh(square)):
+            for rows in ([], (), np.array([], dtype=np.int32)):
+                assert simplex_distance(cx, 1, mode, rows=rows).entries.shape == (0, e)
+            for rows in (np.array([e - 1, 0], dtype=np.uint8), np.array([3], dtype=np.int32)):
+                np.testing.assert_array_equal(simplex_distance(cx, 1, mode, rows=rows).entries,
+                                              simplex_distance(cx, 1, mode).entries[rows])
+            for rows in (np.arange(-1, e), [e], np.ones(e, dtype=bool), np.zeros((2, 2), int),
+                         [0.0], "0"):
+                with pytest.raises(ConfigError, match=r"^rows must be a 1D array of integer "
+                                   rf"indices in \[0, {e}\) of the degree-1 simplices$"):
+                    simplex_distance(cx, 1, mode, rows=rows)
+
+    def test_lattice_rows_gather_no_vertex_rows(self):
+        # The rows the FFT build asks for on an N = 256 square: each edge at
+        # lattice row 0 whose cell is at either end of its class's box.  The
+        # peak beyond the table returned stays below the (row vertices) x V
+        # table that gathering whole vertex rows would need.
+        cx = generate_unit_square_mesh(256)
+        m, (u, v) = 257, cx.simplices[1].T
+        rows = np.flatnonzero((u < m) & ((u == 0) | (u == m - 1 - (v - u) % m)))
+        assert len(rows) == 6
+        gathered = 8 * len(np.unique(cx.simplices[1][rows])) * cx.n_simplices(0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = simplex_distance(cx, 1, "geodesic", rows=rows).entries
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes < gathered
 
 
 class TestSimplexDistanceOracles:

@@ -50,9 +50,12 @@ def oracle_signed(w, x):
 
 
 def oracle_lattice_symbols(complex_, p, config):
-    """The original lattice build, as the (slots, symbols, exponent)
-    oracle: class keys by matmul, a box per class by boolean masks, and
-    lags by % on each axis of the (E, q, dims) vertex coordinates."""
+    """The half-row lattice build, as the (slots, symbols, exponent)
+    oracle: class keys by matmul, a box per class by boolean masks, rows
+    at cell 0 on the first axis and at either end of the box on the
+    others, lags by % on each axis of the (E, q, dims) vertex
+    coordinates, and the other half-space of lags and the 1D sides by
+    explicit index arrays over every class pair."""
     simp = complex_.simplices[p + 1]
     coords = np.stack(np.unravel_index(simp, complex_.lattice), axis=-1)
     cells = coords[:, 0]
@@ -69,19 +72,31 @@ def oracle_lattice_symbols(complex_, p, config):
     corners = []
     for k in range(kinds):
         box = cells[kind == k]
-        for corner in itertools.product(*zip(box.min(axis=0), box.max(axis=0))):
+        assert box[:, 0].min() == 0
+        ends = [(0,)] + list(zip(box.min(axis=0)[1:], box.max(axis=0)[1:]))
+        for corner in itertools.product(*ends):
             corners.append(k * size + np.ravel_multi_index(corner, grid))
     rows = np.unique(index[corners])
-    w = _weight_rows(complex_, p, config, rows)
+    unfolded = dataclasses.replace(config, sidedness="two_sided", right_sign="plus")
+    w = _weight_rows(complex_, p, unfolded, rows)
+    # W is symmetric: row r's weight to e is W[e, r], at lag cell_e - cell_r.
     lag = np.zeros(w.shape, dtype=np.int64)
     for axis, n in enumerate(grid):
-        lag = lag * n + (cells[rows, None, axis] - cells[None, :, axis]) % n
-    pair = kind[rows, None] * kinds + kind[None, :]
+        lag = lag * n + (cells[None, :, axis] - cells[rows, None, axis]) % n
+    pair = kind[None, :] * kinds + kind[rows, None]
     exponent = int(np.frexp(np.abs(w).max())[1])
     table = np.zeros(kinds * kinds * size)
     table[pair * size + lag] = np.ldexp(w, -exponent)
-    symbols = np.fft.rfftn(table.reshape(kinds, kinds, *grid),
-                           axes=tuple(range(2, 2 + len(grid))))
+    table = table.reshape(kinds, kinds, *grid)
+    if config.sidedness == "left_sided":
+        table[:, :, 0] = 0.0
+    else:
+        sign = -1.0 if config.right_sign == "minus" else 1.0
+        every = np.indices(grid).reshape(len(grid), -1).T
+        seen = every[(every[:, 0] >= 1) & (every[:, 0] < complex_.lattice[0])]
+        for k, l in itertools.product(range(kinds), repeat=2):
+            table[(k, l, *((-seen) % grid).T)] = sign * table[(l, k, *seen.T)]
+    symbols = np.fft.rfftn(table, axes=tuple(range(2, 2 + len(grid))))
     return slots, symbols, exponent
 
 
@@ -447,6 +462,21 @@ class TestLatticeBackend:
             np.testing.assert_allclose(cols, dense, rtol=0,
                                        atol=1e-13 * np.abs(dense).max())
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    @pytest.mark.parametrize("sidedness, right_sign", _SIDES)
+    def test_sides_fold_by_lag_sign(self, n, mode, sidedness, right_sign):
+        # Every column of the FFT operator, whose sides are folded onto its
+        # table by lag sign, against the dense matrix, folded row by row.
+        cx = generate_interval_mesh(-1.0, 2.0, n)
+        for s in (0.2, 0.75):
+            cfg = FracConfig(s=s, sidedness=sidedness, right_sign=right_sign,
+                             distance_mode=mode)
+            fast, dense = _fast_and_dense(cx, 0, cfg)
+            cols = np.column_stack([fast @ e for e in np.eye(len(dense))])
+            np.testing.assert_allclose(cols, dense, rtol=0,
+                                       atol=1e-13 * np.abs(dense).max())
+
     def test_single_edge_same_error(self):
         cx = generate_interval_mesh(0.0, 1.0, 1)
         assert cx.lattice == (2,)
@@ -546,10 +576,10 @@ class TestLatticeMemoryGuard:
     the symbols."""
 
     def test_guard_counts_the_build_peak(self, monkeypatch):
-        # N = 3 edges: E = 33, 12 corner rows, 3 classes on an 8 x 8 grid
-        # (a 3 x 3 x 8 x 5 spectrum), and 6 integers per edge.
+        # N = 3 edges: E = 33, 6 corner rows (2 per class), 3 classes on an
+        # 8 x 8 grid (a 3 x 3 x 8 x 5 spectrum), and 6 integers per edge.
         cx = generate_unit_square_mesh(3)
-        e, rows, table, spectrum = 33, 12, 9 * 64, 9 * 8 * 5
+        e, rows, table, spectrum = 33, 6, 9 * 64, 9 * 8 * 5
         need = 8 * (table + 6 * e) + max(17 * rows * e, 16 * spectrum)
         monkeypatch.setattr(mesh, "_memory_budget", lambda: need)
         build_frac_derivative(cx, 0, FracConfig())

@@ -1,9 +1,11 @@
 """Public entry points refuse bad input with the package's own errors.
 
 A family of the wrong dimension, a degree that is not an integer in
-0..dimension (a float or a bool) and a sidedness the mesh cannot take
+0..dimension (a float or a bool), distance rows that are not a 1D
+integer index array in range (a float, a negative or too large index,
+a 2D array or a boolean mask) and a sidedness the mesh cannot take
 each end in ConfigError or MeshError (exit 2 or 3 on the command line),
-never in a TypeError or KeyError.
+never in a TypeError, KeyError, IndexError or ValueError.
 """
 
 import pytest
@@ -34,6 +36,11 @@ def _vertical_line():
 
 def _abstract_line():
     return SimplicialComplex.from_simplices(1, _EDGES, edge_lengths=dict.fromkeys(_EDGES, 1.0))
+
+
+def _distance_rows(mode, rows):
+    """Rows of the 4-edge interval's edge distances, as a call."""
+    return lambda: metric.simplex_distance(generate_interval_mesh(0, 1, 4), 1, mode, rows=rows)
 
 
 _LEFT, _MINUS = FracConfig(sidedness="left_sided"), FracConfig(right_sign="minus")
@@ -80,6 +87,10 @@ CASES = {
     "barycenters-degree1.0": lambda: metric.barycenters(generate_unit_square_mesh(2), 1.0),
     "build_frac_derivative-degree-True":
         lambda: build_frac_derivative(generate_unit_square_mesh(2), True, FracConfig()),
+    **{f"simplex_distance-{mode}-rows{name}": _distance_rows(mode, rows)
+       for mode in ("geodesic", "euclidean")
+       for name, rows in (("1.5", [1.5]), ("5", [5]), ("-1", [-1]), ("2d", [[0, 1]]),
+                          ("mask", [True, False, True, False]))},
 }
 
 
