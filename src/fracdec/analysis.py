@@ -283,7 +283,7 @@ def _linf_at_barycenters(complex_, deriv, family, config):
     the edge barycenters."""
     bary = metric.barycenters(complex_, 1)[:, 0]
     ref = family.reference(bary, config.s, config.right_sign)
-    return float(np.max(np.abs(deriv.values - ref)))
+    return float(np.abs(deriv.values - ref).max())
 
 
 def frac_derivative_1d(n_edges, family, config):

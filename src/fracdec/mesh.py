@@ -9,7 +9,9 @@ indices of the operators are reproducible across runs and file
 round-trips.  An edge's facets are its own vertices, since vertex v is
 row v; higher facets are found by a binary search of their keys.
 from_simplices sorts only what is out of order, so the generators' top
-tables, written in key order, pass through unsorted.  The coboundary is
+tables, written in key order, pass through unsorted; each lower table is
+one sort of its cofaces' facet keys, each key kept once and decoded
+back into a row.  The coboundary is
 kept as each coface's table of facet rows and applied as a signed
 gather.  Every Euclidean length (edges here, offsets and tables in
 metric) comes from one kernel, _norms.  The module needs numpy alone.
@@ -62,10 +64,50 @@ def _keys(rows, base):
     return keys
 
 
+def _top_table(tops, n_vertices):
+    """An int64 copy of a top table, its rows, then the table, sorted
+    unless already in order; MeshError on a repeated vertex or row."""
+    tops = tops.astype(np.int64)
+    if not _increasing(tops):
+        tops.sort(axis=1)
+        if (tops[:, 1:] == tops[:, :-1]).any():
+            raise MeshError("top simplex with repeated vertices")
+    keys = _keys(tops, n_vertices)
+    if not (keys[1:] <= keys[:-1]).any():
+        return tops
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    repeat = keys[1:] == keys[:-1]
+    if repeat.any():
+        # The first row, in the order given, that repeats an earlier one.
+        raise MeshError(f"duplicate top simplex {tuple(tops[order[1:][repeat].min()].tolist())}")
+    return tops[order]
+
+
+def _faces(table, n_vertices):
+    """The table of the distinct facets of a table's rows, in key order:
+    the facets' keys sorted, each kept where it differs from the one
+    before, and decoded digit by digit."""
+    keys = _keys(_facets(table), n_vertices).ravel()
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    rows = np.empty((len(keys), table.shape[1] - 1), dtype=np.int64)
+    for k in range(rows.shape[1] - 1, 0, -1):
+        np.divmod(keys, n_vertices, out=(keys, rows[:, k]))
+    rows[:, 0] = keys
+    return rows
+
+
 def _increasing(table):
     """True when every row of an (n, q) table is strictly increasing;
     one column pair at a time, which beats comparing strided views."""
-    return all(np.all(table[:, k] < table[:, k + 1]) for k in range(table.shape[1] - 1))
+    for k in range(table.shape[1] - 1):
+        if not (table[:, k] < table[:, k + 1]).all():
+            return False
+    return True
 
 
 def _check_dimension(dimension):
@@ -74,9 +116,10 @@ def _check_dimension(dimension):
 
 
 def _check_coords_shape(coords):
-    if np.ndim(coords) != 2 or not np.shape(coords)[1]:
+    shape = np.shape(coords)
+    if len(shape) != 2 or not shape[1]:
         raise MeshError("vertex coordinates must be an (n_vertices, d) array "
-                        f"with d >= 1, not of shape {np.shape(coords)}")
+                        f"with d >= 1, not of shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +201,9 @@ class SimplicialComplex:
             return None
         lattice = (m,) * dim
         want_coords, want_tops = _generator_tables(lattice, *ends)
+        # Equal counts make the top tables' shapes equal.
         if not (_same_bits(coords, want_coords)
-                and np.array_equal(self.simplices[dim], want_tops)):
+                and (self.simplices[dim] == want_tops).all()):
             return None
         if euclid is not None and not _same_bits(self.edge_lengths, euclid):
             return None
@@ -180,59 +224,62 @@ class SimplicialComplex:
                 raise MeshError(f"degree-{p} table must be integers in {p + 1} columns")
             if p > 0 and not _increasing(table):
                 raise MeshError("simplex vertex indices must be strictly increasing")
-        # The vertex table first: below, vertex v is row v.
+        # The vertex table first: below, vertex v is row v.  Strictly
+        # increasing, it is 0, 1, ..., n - 1 when its ends are.
         n = self.n_simplices(0)
         vertices = self.simplices[0][:, 0]
-        if np.any(vertices[1:] <= vertices[:-1]):
+        if (vertices[1:] <= vertices[:-1]).any():
             raise MeshError("degree-0 table must be sorted, without duplicates")
-        if not np.array_equal(vertices, np.arange(n)):
+        if n and (vertices[0] != 0 or vertices[-1] != n - 1):
             raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
         # Degree by degree: facets present at every degree means, by
         # induction, every face is, and then every key is in range.
         facets = {}
         for p in range(1, self.dimension + 1):
+            table = self.simplices[p]
             if p == 1:
                 # Slot k of edge (u, v) drops vertex k: rows v, u.
-                rows = self.simplices[1][:, ::-1, None]
-                found = np.ascontiguousarray(rows[..., 0], dtype=np.intp)
+                found = np.ascontiguousarray(table[:, ::-1], dtype=np.intp)
                 # As unsigned, a negative entry is >= n (a uint64 past 2^63 casts to one).
                 miss = found.view(np.uint64) >= n
             else:
-                rows = _facets(self.simplices[p])
-                query = _keys(rows, n)
-                # Misses land on a wrong key or on the sentinel, which no key reaches.
-                keys = np.append(keys, np.iinfo(np.int64).max)
-                found = np.searchsorted(keys, query)
-                miss = keys[found] != query
-            if np.any(miss):
+                query = _keys(_facets(table), n)
+                # Clipped to the last key, a miss lands on a wrong key;
+                # a facet row of an empty table misses at once.
+                found = keys[:-1].searchsorted(query)
+                miss = keys[found] != query if len(keys) else np.ones(query.shape, bool)
+            if miss.any():
+                rows = table[:, ::-1, None] if p == 1 else _facets(table)
                 raise MeshError(f"simplex {tuple(rows[miss][0].tolist())} "
                                 f"is not in the complex")
             found.flags.writeable = False
             facets[p] = found
-            keys = _keys(self.simplices[p], n)
-            if np.any(keys[1:] <= keys[:-1]):
+            keys = _keys(table, n)
+            if (keys[1:] <= keys[:-1]).any():
                 raise MeshError(f"degree-{p} table must be sorted, without duplicates")
         coords = self.vertex_coords
         if coords is not None:
             _check_coords_shape(coords)
             if len(coords) != n:
                 raise MeshError(f"{len(coords)} vertex coordinates for {n} vertices")
-            if not np.all(np.isfinite(coords)):
+            if not np.isfinite(coords).all():
                 raise MeshError("vertex coordinates must be finite")
         object.__setattr__(self, "facets", facets)
 
     def _validate_lengths(self, lengths_supplied):
         """Check the edge lengths; return the lengths derived from the
         embedding when they were computed for the check, else None."""
-        if len(self.edge_lengths) != len(self.simplices[1]):
+        lengths = self.edge_lengths
+        if len(lengths) != len(self.simplices[1]):
             raise MeshError("edge_lengths must align with the edge table")
-        if not np.all(np.isfinite(self.edge_lengths)) or np.any(self.edge_lengths <= 0):
+        # A NaN fails the first comparison.
+        if not (lengths.min(initial=1.0) > 0 and lengths.max(initial=1.0) < np.inf):
             raise GeometryError("edge lengths must be strictly positive and finite")
         # Lengths derived from the embedding agree with it by construction.
         if lengths_supplied and self.vertex_coords is not None \
                 and not self.lengths_overridden:
             euclid = self._euclidean_edge_lengths()
-            if np.any(np.abs(self.edge_lengths - euclid) > _EDGE_LENGTH_RTOL * euclid):
+            if (np.abs(lengths - euclid) > _EDGE_LENGTH_RTOL * euclid).any():
                 raise MeshError("edge lengths disagree with the embedding")
             return euclid
         return None
@@ -259,7 +306,7 @@ class SimplicialComplex:
         """
         _check_dimension(dimension)
         try:
-            tops = np.reshape(top_simplices, (len(top_simplices), dimension + 1))
+            tops = np.asarray(top_simplices).reshape(len(top_simplices), dimension + 1)
         except (TypeError, ValueError):  # ragged, or rows of another width
             raise MeshError(f"every top simplex needs {dimension + 1} vertices") from None
         n_vertices = None
@@ -283,26 +330,11 @@ class SimplicialComplex:
                     raise bad_index(v)
         if n_vertices is None:
             n_vertices = int(tops.max()) + 1
-        bad = (tops < 0) | (tops >= n_vertices)
-        if np.any(bad):
-            raise bad_index(tops[bad].tolist()[0])
-        # Rows, then the table, are sorted unless already in order.
-        tops = tops.astype(np.int64)
-        if not _increasing(tops):
-            tops.sort(axis=1)
-            if np.any(tops[:, 1:] == tops[:, :-1]):
-                raise MeshError("top simplex with repeated vertices")
-        keys = _keys(tops, n_vertices)
-        if np.any(keys[1:] <= keys[:-1]):
-            first = np.unique(keys, return_index=True)[1]
-            if len(first) < len(tops):
-                dup = tuple(np.delete(tops, first, axis=0)[0].tolist())
-                raise MeshError(f"duplicate top simplex {dup}")
-            tops = tops[first]
-        simplices = {dimension: tops}
+        if len(tops) and not (tops.min() >= 0 and tops.max() < n_vertices):
+            raise bad_index(next(v for v in tops.ravel().tolist() if not 0 <= v < n_vertices))
+        simplices = {dimension: _top_table(tops, n_vertices)}
         for p in range(dimension - 1, 0, -1):
-            faces = _facets(simplices[p + 1]).reshape(-1, p + 1)
-            simplices[p] = faces[np.unique(_keys(faces, n_vertices), return_index=True)[1]]
+            simplices[p] = _faces(simplices[p + 1], n_vertices)
         simplices[0] = np.arange(n_vertices, dtype=np.int64).reshape(-1, 1)
         lengths = None
         if edge_lengths is not None:
@@ -329,7 +361,7 @@ class Cochain:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1:
             raise ConfigError("cochain values must be a flat vector")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ConfigError("cochain values must be finite")
 
 
@@ -412,8 +444,11 @@ def _norms(a, b, out=None):
         d *= d
         out += d
     np.sqrt(out, out=out)
+    huge = out.max(initial=0.0) == np.inf
+    if not huge and out.min(initial=np.inf) >= _SQRT_TINY:
+        return out
     odd = out < _SQRT_TINY
-    if out.max(initial=0.0) == np.inf:
+    if huge:
         odd |= out == np.inf
     # flatnonzero: np.nonzero or a boolean index scans a 2D mask ~40x slower.
     at = np.unravel_index(np.flatnonzero(odd), out.shape)
@@ -428,7 +463,7 @@ def _norms(a, b, out=None):
 
 def _same_bits(x, y):
     """Whether two float64 arrays have the same shape and bits."""
-    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+    return x.shape == y.shape and (x.view(np.int64) == y.view(np.int64)).all()
 
 
 def _generator_tables(lattice, a=0.0, b=1.0):
@@ -437,15 +472,29 @@ def _generator_tables(lattice, a=0.0, b=1.0):
     n edges, (n+1, n+1) the unit square with n-by-n cells."""
     n = lattice[0] - 1
     if len(lattice) == 1:
-        return (np.linspace(a, b, n + 1).reshape(-1, 1),
-                np.arange(n, dtype=np.int64)[:, None] + np.arange(2))
+        # np.linspace(a, b, n + 1)'s arithmetic, so its bits, without its
+        # Python-level set-up; the ends are read as floats.
+        a, b = float(a), float(b)
+        step = (b - a) / n
+        x = np.arange(n + 1.0)
+        if step:
+            x *= step
+        else:  # the step underflowed: scale by the width instead
+            x /= n
+            x *= b - a
+        x += a
+        x[-1] = b
+        return x.reshape(-1, 1), np.arange(n, dtype=np.int64)[:, None] + np.arange(2)
     ticks = np.arange(n + 1) / n
-    coords = np.column_stack([np.tile(ticks, n + 1), np.repeat(ticks, n + 1)])
-    # Vertex (i, j) is j (n+1) + i; ll is each cell's lower-left vertex,
-    # and its cell's two triangles meet on the diagonal from ll to ur.
-    ll = (np.arange(n, dtype=np.int64)[:, None] * (n + 1) + np.arange(n)).ravel()
-    ur = ll + n + 2
-    return coords, np.column_stack([ll, ll + 1, ur, ll, ll + n + 1, ur]).reshape(-1, 3)
+    # Vertex (i, j), at (ticks[i], ticks[j]), is j (n+1) + i.
+    coords = np.empty((n + 1, n + 1, 2))
+    coords[..., 0] = ticks
+    coords[..., 1] = ticks[:, None]
+    # ll is each cell's lower-left vertex, and its cell's two triangles
+    # meet on the diagonal from ll to ll + n + 2.
+    ll = np.arange(n, dtype=np.int64)[:, None] * (n + 1) + np.arange(n)
+    tops = ll.reshape(-1, 1) + np.array([0, 1, n + 2, 0, n + 1, n + 2])
+    return coords.reshape(-1, 2), tops.reshape(-1, 3)
 
 
 @functools.cache
@@ -472,9 +521,14 @@ def _check_memory(need, message, hint=""):
 def _generator_size(name, n, dimension):
     """n as an int, checked before any array is made: ConfigError unless
     it is an integer (a bool is not one) of at least 1 whose top
-    simplices have int64 keys (see _keys) and whose mesh passes
+    simplices have int64 keys (see _keys) and whose build passes
     _check_memory.  The mesh keeps 8 bytes for each entry of its
-    tables, facet rows, coordinates and edge lengths."""
+    tables, facet rows, coordinates and edge lengths, and its build
+    peaks below twice that, which is what the guard counts: about 1.9
+    times for an interval, while recognition makes the tables again
+    next to the generator's own, and 1.7 times for a square, in the
+    facet search and the edge lengths (tracemalloc, n = 2^16 and 2^20,
+    N = 128 and 1024)."""
     if type(n) is bool or not isinstance(n, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {n!r}")
     n = int(n)
@@ -485,13 +539,14 @@ def _generator_size(name, n, dimension):
         raise ConfigError(f"{name} = {n} gives {n_vertices} vertices, too many "
                           f"to index degree-{dimension} simplices")
     n_edges, n_triangles = (n, 0) if dimension == 1 else (n * (3 * n + 2), 2 * n * n)
-    _check_memory(8 * ((1 + dimension) * n_vertices + 5 * n_edges + 6 * n_triangles),
-                  f"{name} = {n} needs {{:.1f}} GiB of mesh tables")
+    _check_memory(2 * 8 * ((1 + dimension) * n_vertices + 5 * n_edges + 6 * n_triangles),
+                  f"{name} = {n} needs {{:.1f}} GiB to build its mesh")
     return n
 
 
 def generate_interval_mesh(a, b, n_edges):
-    """Uniform 1D mesh: n_edges+1 equally spaced vertices on [a, b]."""
+    """Uniform 1D mesh: n_edges+1 equally spaced vertices on [a, b], the
+    bits of np.linspace(float(a), float(b), n_edges + 1)."""
     if not -np.inf < a < b < np.inf:
         raise ConfigError(f"need finite a < b, got [{a}, {b}]")
     n_edges = _generator_size("n_edges", n_edges, 1)

@@ -211,9 +211,14 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
         def vertex_rows(k):
             return dm[src[k]]
     own = boundary_offsets(complex_, p, picked)
-    # One column block's offsets are made once; more blocks mean rows
-    # longer than a block, each a row block of its own.
-    whole = boundary_offsets(complex_, p) if len(simp) <= _BLOCK_ENTRIES else None
+    # Row j of slots holds vertex slot j's column indices.  One column
+    # block's are made contiguous once, since np.take copies a strided
+    # index array on every call, and its offsets are made once; more
+    # blocks mean rows longer than a block, each a row block of its own,
+    # and a contiguous copy of every block would cost a table's bytes.
+    slots, whole = simp.T, None
+    if len(simp) <= _BLOCK_ENTRIES:
+        slots, whole = slots.copy(), boundary_offsets(complex_, p)
     for start in range(0, len(picked), step):
         block = slice(start, start + step)
         # near[a, v]: distance from the nearest vertex of simplex a to v.
@@ -226,9 +231,9 @@ def simplex_distance(complex_, p, mode="geodesic", rows=None):
             # near[:, idx] would be Fortran-ordered, and "clip" mode writes
             # to out unbuffered (every index is in range).
             out = entries[block, cols]
-            np.take(near, simp[cols, 0], axis=1, out=out, mode="clip")
+            np.take(near, slots[0, cols], axis=1, out=out, mode="clip")
             for j in range(1, p + 1):
-                np.minimum(out, np.take(near, simp[cols, j], axis=1, mode="clip"), out=out)
+                np.minimum(out, np.take(near, slots[j, cols], axis=1, mode="clip"), out=out)
             # l_a + l_b is summed first so the table is exactly symmetric.
             out += own[block, None] + (
                 boundary_offsets(complex_, p, cols) if whole is None else whole)

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ class TestGenerators:
         # A one-row edge table: its axis of length 1 is not broadcast.
         cx = SimplicialComplex.from_simplices(1, [[0, 1]], coords)
         np.testing.assert_array_equal(cx.edge_lengths, [length])
+
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 1.0), (-1.0, 2.0), (0.1, 0.3), (-0.0, 1.0), (0, 1), (-3, 7),
+        (1e-300, 2e-300), (-1e300, 1e300), (0.0, 1e308),
+        # A step that underflows to 0, and a width that overflows.
+        (0.0, 5e-324), (-5e-324, 5e-324), (-1.7e308, 1.7e308)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+    def test_interval_coordinates_are_linspace(self, a, b, n):
+        # Written without np.linspace, but with its bits (nan included).
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linspace(a, b, n + 1)
+            got = mesh_module._generator_tables((n + 1,), a, b)[0]
+        assert got.shape == (n + 1, 1) and got.dtype == np.float64
+        assert got[:, 0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 2048])
     def test_interval_tables_as_from_tuples(self, n):
@@ -226,17 +241,108 @@ class TestGeneratorSizes:
         with pytest.raises(ConfigError, match="too many to index degree-1 simplices"):
             generate_interval_mesh(0.0, 1.0, 3037000500)
 
-    @pytest.mark.parametrize("build, need", [
+    @pytest.mark.parametrize("build, kept", [
         # 8 bytes for each of 2 V + 5 E entries (interval) or
         # 3 V + 5 E + 6 T (square): tables, facet rows, coordinates, lengths.
         (lambda: generate_interval_mesh(0.0, 1.0, 4), 8 * (2 * 5 + 5 * 4)),
         (lambda: generate_unit_square_mesh(2), 8 * (3 * 9 + 5 * 16 + 6 * 8))])
-    def test_memory_refusal_threshold(self, monkeypatch, build, need):
+    def test_memory_refusal_threshold(self, monkeypatch, build, kept):
+        # The guard counts the build's peak, below twice what the mesh keeps.
+        need = 2 * kept
         monkeypatch.setattr(mesh_module, "_memory_budget", lambda: need)
         build()
         monkeypatch.setattr(mesh_module, "_memory_budget", lambda: need - 1)
-        with pytest.raises(ConfigError, match="GiB of memory"):
+        with pytest.raises(ConfigError, match="GiB to build its mesh, more than the"):
             build()
+
+    @pytest.mark.parametrize("build", [lambda: generate_interval_mesh(0.0, 1.0, 2 ** 16),
+                                       lambda: generate_unit_square_mesh(128)],
+                             ids=["interval", "square"])
+    def test_guard_counts_the_build_peak(self, monkeypatch, build):
+        # A mesh the guard passes must not run out of memory in its build:
+        # the bytes the guard counts cover the build's tracemalloc peak.
+        counted = []
+        check = mesh_module._check_memory
+
+        def record(need, *args):
+            counted.append(need)
+            check(need, *args)
+        monkeypatch.setattr(mesh_module, "_check_memory", record)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(counted) == 1
+        assert peak <= counted[0]
+
+
+def oracle_unique_faces(dimension, tops):
+    """Every table and facet row of the complex spanned by these tops, by
+    np.unique on facet rows: table p - 1 is the distinct rows of table
+    p's facets (row r, slot k: row r without its vertex k), and the
+    facet rows are np.unique's inverse."""
+    tables = {dimension: np.unique(np.sort(tops, axis=1), axis=0)}
+    facets = {}
+    for p in range(dimension, 0, -1):
+        rows = np.stack([np.delete(tables[p], k, axis=1) for k in range(p + 1)], axis=1)
+        tables[p - 1], inverse = np.unique(rows.reshape(-1, p), axis=0, return_inverse=True)
+        facets[p] = inverse.reshape(-1, p + 1)
+    return tables, facets
+
+
+def kuhn_cube_mesh(n):
+    """Vertex coordinates and tetrahedra of [0, 1]^3 cut into n^3 cubes,
+    each split into the 6 tetrahedra that run from its lower corner to
+    its upper one along the axes in some order (Kuhn's triangulation)."""
+    ticks = np.arange(n + 1) / n
+    coords = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), -1).reshape(-1, 3)
+    step = np.array([(n + 1) ** 2, n + 1, 1])
+    tets = []
+    for corner in itertools.product(range(n), repeat=3):
+        for order in itertools.permutations(range(3)):
+            at = np.array(corner)
+            path = [at @ step]
+            for axis in order:
+                at = at + np.eye(3, dtype=int)[axis]
+                path.append(at @ step)
+            tets.append(path)
+    return coords, np.array(tets)
+
+
+class TestFacesMatchUniqueOracle:
+    """from_simplices derives its lower tables and facet rows from one
+    sort of the facet keys; np.unique on the facet rows must give the
+    same tables and rows, for complexes relabelled and shuffled."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["interval", "square", "moved square", "cubes"])
+    def test_shuffled_relabelled(self, name, seed):
+        if name == "cubes":
+            coords, tops = kuhn_cube_mesh(2)
+        else:
+            cx = {"interval": lambda: generate_interval_mesh(0.0, 1.0, 13),
+                  "square": lambda: generate_unit_square_mesh(6),
+                  "moved square": lambda: perturbed_square_mesh(5, seed=seed)}[name]()
+            coords, tops = cx.vertex_coords, cx.simplices[cx.dimension]
+        dimension = tops.shape[1] - 1
+        rng = np.random.default_rng(seed)
+        label = rng.permutation(len(coords))
+        relabelled = rng.permuted(label[tops[rng.permutation(len(tops))]], axis=1)
+        moved = np.empty_like(coords)
+        moved[label] = coords
+        got = SimplicialComplex.from_simplices(dimension, relabelled, vertex_coords=moved)
+        tables, facets = oracle_unique_faces(dimension, relabelled)
+        assert got.dimension == dimension
+        assert sorted(got.simplices) == sorted(tables) == list(range(dimension + 1))
+        for p, table in tables.items():
+            assert got.simplices[p].dtype == np.int64
+            np.testing.assert_array_equal(got.simplices[p], table)
+        assert sorted(got.facets) == sorted(facets)
+        for p, rows in facets.items():
+            np.testing.assert_array_equal(got.facets[p], rows)
 
 
 def oracle_faces(simplex):

@@ -613,7 +613,10 @@ class TestLatticeMemoryGuard:
 class TestDenseMemoryGuard:
     def test_guard_names_the_generators(self, monkeypatch):
         # One float short of a whole table: the FFT path's few rows fit.
+        # The meshes are built first: under budgets this small, the mesh
+        # guard, which counts the build's peak, refuses them.
         cx = generate_unit_square_mesh(3)
+        square = generate_unit_square_mesh(4)
         e = cx.n_simplices(1)
         monkeypatch.setattr(mesh, "_memory_budget", lambda: 8 * e * e - 8)
         for complex_ in (nudged_mesh(cx), cx):
@@ -627,7 +630,6 @@ class TestDenseMemoryGuard:
         # (at N = 3 they and the table need more than E^2 floats).
         assert metric.simplex_distance(cx, 1, "euclidean",
                                        rows=np.array([0, 5])).entries.shape == (2, e)
-        square = generate_unit_square_mesh(4)
         monkeypatch.setattr(mesh, "_memory_budget", lambda: 8 * square.n_simplices(1) ** 2 - 8)
         build_frac_derivative(square, 0, FracConfig())
 
@@ -644,6 +646,7 @@ class TestDenseMemoryGuard:
         # Geodesic rows of a mesh that is not a lattice are rows of the
         # table built from all-pairs vertex distances: 3 E + V^2 floats.
         cx = perturbed_square_mesh(4, seed=4)
+        square = generate_unit_square_mesh(4)  # before the budgets, as above
         rows = np.array([7, 0, 3])
         need = 8 * (3 * cx.n_simplices(1) + cx.n_simplices(0) ** 2)
         monkeypatch.setattr(mesh, "_memory_budget", lambda: need)
@@ -653,7 +656,6 @@ class TestDenseMemoryGuard:
             metric.simplex_distance(cx, 1, "geodesic", rows=rows)
         # Euclidean rows, and geodesic rows of a lattice mesh, need their
         # 3 E floats alone.
-        square = generate_unit_square_mesh(4)
         assert square.n_simplices(1) == cx.n_simplices(1)
         need = 8 * 3 * cx.n_simplices(1)
         monkeypatch.setattr(mesh, "_memory_budget", lambda: need)
