@@ -46,30 +46,25 @@ def _facets(table):
 
 def _keys(rows, base):
     """Key of each row of an (..., q) integer array: its digits in base
-    `base`, so key order is lexicographic row order.  A row with an
-    entry outside [0, base) gets key -1, which no valid row has."""
+    `base`, so key order is lexicographic row order.  Callers check that
+    every entry is in [0, base); one outside may alias another row."""
     rows = np.asarray(rows, dtype=np.int64)
     q = rows.shape[-1]
     if int(base) ** q >= 2 ** 63:
         raise MeshError(f"too many vertices to index degree-{q - 1} simplices")
-    # Horner over the columns; as unsigned, a negative entry is >= base.
-    unsigned = rows.view(np.uint64)
     keys = rows[..., 0].copy()
-    out_of_range = unsigned[..., 0] >= base
     for k in range(1, q):
         keys *= base
         keys += rows[..., k]
-        out_of_range |= unsigned[..., k] >= base
-    keys[out_of_range] = -1
     return keys
 
 
 def _top_table(tops, n_vertices):
-    """An int64 copy of a top table, its rows, then the table, sorted
-    unless already in order; MeshError on a repeated vertex or row."""
-    tops = tops.astype(np.int64)
+    """A top table as C-contiguous int64, its rows, then the table, sorted,
+    copied only where it is not so yet; MeshError on a repeated vertex or row."""
+    tops = np.ascontiguousarray(tops, dtype=np.int64)
     if not _increasing(tops):
-        tops.sort(axis=1)
+        tops = np.sort(tops, axis=1)
         if (tops[:, 1:] == tops[:, :-1]).any():
             raise MeshError("top simplex with repeated vertices")
     keys = _keys(tops, n_vertices)
@@ -197,7 +192,8 @@ class SimplicialComplex:
         # The top table's facets are all in the edge table, so equal
         # top tables and edge counts make every table equal.
         ends = (coords[0, 0], coords[-1, 0]) if dim == 1 else ()
-        if ends and not -np.inf < ends[0] < ends[1] < np.inf:
+        # generate_interval_mesh's ends: b - a > 0 (so a < b) and finite.
+        if ends and not 0 < float(ends[1]) - float(ends[0]) < np.inf:
             return None
         lattice = (m,) * dim
         want_coords, want_tops = _generator_tables(lattice, *ends)
@@ -233,25 +229,28 @@ class SimplicialComplex:
         if n and (vertices[0] != 0 or vertices[-1] != n - 1):
             raise MeshError(f"vertex table must be 0, 1, ..., {n - 1}")
         # Degree by degree: facets present at every degree means, by
-        # induction, every face is, and then every key is in range.
+        # induction, every face is.  Entries are vertices first, lest a
+        # key alias a row; rows increase, so their ends bound them.
         facets = {}
         for p in range(1, self.dimension + 1):
             table = self.simplices[p]
+            if len(table) and not (table[:, 0].min() >= 0 and table[:, -1].max() < n):
+                # Named: the first bad entry, row by row, from its last vertex.
+                rows = table[:, ::-1]
+                bad = int(rows[(rows < 0) | (rows >= n)][0])
+                raise MeshError(f"simplex ({bad},) is not in the complex")
             if p == 1:
                 # Slot k of edge (u, v) drops vertex k: rows v, u.
                 found = np.ascontiguousarray(table[:, ::-1], dtype=np.intp)
-                # As unsigned, a negative entry is >= n (a uint64 past 2^63 casts to one).
-                miss = found.view(np.uint64) >= n
             else:
                 query = _keys(_facets(table), n)
                 # Clipped to the last key, a miss lands on a wrong key;
                 # a facet row of an empty table misses at once.
                 found = keys[:-1].searchsorted(query)
                 miss = keys[found] != query if len(keys) else np.ones(query.shape, bool)
-            if miss.any():
-                rows = table[:, ::-1, None] if p == 1 else _facets(table)
-                raise MeshError(f"simplex {tuple(rows[miss][0].tolist())} "
-                                f"is not in the complex")
+                if miss.any():
+                    raise MeshError(f"simplex {tuple(_facets(table)[miss][0].tolist())} "
+                                    f"is not in the complex")
             found.flags.writeable = False
             facets[p] = found
             keys = _keys(table, n)
@@ -302,7 +301,8 @@ class SimplicialComplex:
         length for a key that is not an edge raises MeshError before any
         geometry is computed, as do a dimension below 1, coordinates that
         are not an (n_vertices, d) array, and no top simplices and no
-        coordinates.
+        coordinates.  A C-contiguous int64 top table in key order is kept
+        as given, so shared with the caller (as a float64 vertex_coords is).
         """
         _check_dimension(dimension)
         try:
@@ -524,9 +524,9 @@ def _generator_size(name, n, dimension):
     simplices have int64 keys (see _keys) and whose build passes
     _check_memory.  The mesh keeps 8 bytes for each entry of its
     tables, facet rows, coordinates and edge lengths, and its build
-    peaks below twice that, which is what the guard counts: about 1.9
+    peaks below twice that, which is what the guard counts: about 1.6
     times for an interval, while recognition makes the tables again
-    next to the generator's own, and 1.7 times for a square, in the
+    next to the generator's own, and 1.5 times for a square, in the
     facet search and the edge lengths (tracemalloc, n = 2^16 and 2^20,
     N = 128 and 1024)."""
     if type(n) is bool or not isinstance(n, (int, np.integer)):
@@ -549,6 +549,8 @@ def generate_interval_mesh(a, b, n_edges):
     bits of np.linspace(float(a), float(b), n_edges + 1)."""
     if not -np.inf < a < b < np.inf:
         raise ConfigError(f"need finite a < b, got [{a}, {b}]")
+    if float(b) - float(a) == np.inf:
+        raise ConfigError(f"the width b - a of [{a}, {b}] overflows a float")
     n_edges = _generator_size("n_edges", n_edges, 1)
     coords, edges = _generator_tables((n_edges + 1,), a, b)
     return SimplicialComplex.from_simplices(1, edges, vertex_coords=coords)

@@ -86,11 +86,6 @@ def _lattice_rows(complex_, src):
     return lambda k: windows[top - y[k], left - x[k]].reshape(-1, m * m)
 
 
-def _lattice_vertex_distance(complex_, sources):
-    """Every row of _lattice_rows at once: (len(sources), V)."""
-    return _lattice_rows(complex_, sources)(slice(None))
-
-
 def all_pairs_vertex_distance(complex_):
     """Shortest-path distance d_m between every pair of vertices, by Dijkstra."""
     from scipy.sparse import csr_matrix

@@ -15,7 +15,7 @@ other half-space of lags follows as table[k, l, -L] = table[l, k, L],
 and in 1D the sides fold onto the table by lag sign.  The diagonal is
 the rows' own (C_s times the largest weight they hold), and the table
 is scaled in place by a power of two, the exponent of their largest
-|weight|, before its transform.  At s = 1 the operator is the plain
+weight, before its transform.  At s = 1 the operator is the plain
 coboundary, bit-exactly (Kronecker branch).
 """
 
@@ -188,7 +188,7 @@ class _LatticeWeights:
         lag sign: left_sided leaves lags < 0 empty and zeroes lag 0, and
         "minus" fills lags < 0 negated.  The table is then scaled in
         place by 2^-exponent, exponent being that of the rows' largest
-        |weight|, and the transform writes the symbols in place.
+        weight (none is negative); the transform writes the symbols in place.
         mesh._check_memory refuses the peak before the rows are made.
         """
         simp, lattice = complex_.simplices[p + 1], complex_.lattice
@@ -222,7 +222,7 @@ class _LatticeWeights:
         # The symbols are kept over 2^exponent, which brings the largest
         # weight into [0.5, 1) exactly, so the transform cannot overflow
         # where W @ x would not (say at a huge C_s).
-        exponent = int(np.frexp(max(w.max(), -w.min()))[1])
+        exponent = int(np.frexp(w.max())[1])
         # Row r, source e: (kind_e, kind_r, cell_e - cell_r), which is >= 0
         # on the first axis, plus a whole grid on every other axis where
         # it is negative.

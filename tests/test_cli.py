@@ -145,6 +145,17 @@ class TestFracDeriv:
         assert "cannot be used with --mesh or --square" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [("gen-mesh", "interval", "--edges", "3"),
+                                         ("frac-deriv", "--interval", "3",
+                                          "--family", "power")])
+    def test_interval_width_past_the_largest_float_exit_2(self, tmp_path, capsys,
+                                                           command):
+        out = tmp_path / "m.json"
+        assert run(*command, "--a=-1e308", "--b=1e308", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflows a float" in err
+        assert not out.exists()
+
     def test_header_records_only_read_options(self, tmp_path):
         def header(*argv):
             out = tmp_path / "d.csv"

@@ -6,6 +6,7 @@ import itertools
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,29 @@ class TestGenerators:
                 generate_interval_mesh(a, b, 4)
         with pytest.raises(ConfigError):
             generate_interval_mesh(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("a, b", [(-1.7e308, 1.7e308), (-1e308, 1e308)])
+    def test_interval_width_must_be_finite(self, a, b):
+        # Finite ends whose width b - a overflows are refused as well,
+        # before any array is made and with no floating-point warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="overflows a float"):
+                generate_interval_mesh(a, b, 3)
+
+    def test_top_table_kept_as_given(self):
+        # A C-contiguous int64 top table in key order is the complex's
+        # own; any other is copied, and the caller's array is not sorted.
+        edges = np.array([[0, 1], [1, 2], [2, 3]])
+        assert np.shares_memory(SimplicialComplex.from_simplices(
+            1, edges, vertex_coords=np.arange(4.0)[:, None]).simplices[1], edges)
+        for tops in (edges[::-1], edges[:, ::-1], edges.astype(np.int32)):
+            given = tops.copy()
+            cx = SimplicialComplex.from_simplices(1, tops,
+                                                  vertex_coords=np.arange(4.0)[:, None])
+            assert not np.shares_memory(cx.simplices[1], tops)
+            np.testing.assert_array_equal(tops, given)
+            np.testing.assert_array_equal(cx.simplices[1], edges)
 
     def test_square_counts(self):
         n = 3
@@ -457,6 +481,15 @@ class TestLatticeRecognition:
                 cx.dimension, relabel[cx.simplices[cx.dimension]], vertex_coords=coords)
             assert moved.lattice is None
 
+    def test_width_past_the_largest_float_is_dense(self):
+        # generate_interval_mesh refuses these ends, so no mesh on them is
+        # its mesh; recognition says so without a floating-point warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = SimplicialComplex.from_simplices(
+                1, [[0, 1], [1, 2]], vertex_coords=[[-1e308], [0.0], [1e308]])
+        assert wide.lattice is None
+
     def test_nonzero_z_is_dense(self, tmp_path):
         square = generate_unit_square_mesh(3)
         save_off(square, tmp_path / "s.off")
@@ -569,6 +602,17 @@ class TestValidation:
         simplices = {0: cx.simplices[0], 1: np.vstack([cx.simplices[1], row])}
         with pytest.raises(MeshError, match="is not in the complex"):
             SimplicialComplex(1, simplices, vertex_coords=cx.vertex_coords)
+
+    # Plain base-4 keys 11, 7 and 1 of the facets (1, 7), (0, 7) and
+    # (0, 1) of the triangle (0, 1, 7) are the keys of the edges (2, 3),
+    # (1, 3) and (0, 1): only the range check refuses it.
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+    def test_triangle_whose_facet_keys_alias_edges(self, dtype):
+        simplices = {0: np.arange(4)[:, None],
+                     1: np.array([[0, 1], [1, 3], [2, 3]], dtype=dtype),
+                     2: np.array([[0, 1, 7]], dtype=dtype)}
+        with pytest.raises(MeshError, match=r"simplex \(7,\) is not in the complex"):
+            SimplicialComplex(2, simplices, edge_lengths=np.ones(3))
 
     def test_nonincreasing_simplex_rejected(self):
         simplices = {0: np.array([[0], [1]]), 1: np.array([[1, 0]])}

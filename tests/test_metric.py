@@ -316,7 +316,7 @@ class TestLatticeDistances:
         n = cx.n_simplices(0)
         rng = np.random.default_rng(n)
         sources = np.r_[n - 1, rng.integers(0, n, 25), 0, n - 1, 0]
-        got = metric._lattice_vertex_distance(cx, sources)
+        got = metric._lattice_rows(cx, sources)(slice(None))
         want = oracle_lattice_rows(cx, sources)
         assert got.shape == (len(sources), n) and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
@@ -326,7 +326,7 @@ class TestLatticeDistances:
         n = cx.n_simplices(0)
         sources = np.unique(np.r_[np.arange(0, n, 1 + n // 100), n - 1])
         want = _dijkstra_rows(cx, sources)
-        got = metric._lattice_vertex_distance(cx, sources)
+        got = metric._lattice_rows(cx, sources)(slice(None))
         np.testing.assert_array_equal(got == 0, want == 0)
         np.testing.assert_allclose(got, want, rtol=4e-15, atol=0)
 
