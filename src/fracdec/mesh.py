@@ -549,7 +549,12 @@ def generate_interval_mesh(a, b, n_edges):
     bits of np.linspace(float(a), float(b), n_edges + 1)."""
     if not -np.inf < a < b < np.inf:
         raise ConfigError(f"need finite a < b, got [{a}, {b}]")
-    if float(b) - float(a) == np.inf:
+    try:  # an int compares exactly, so one past the float range passed above
+        fa, fb = float(a), float(b)
+    except OverflowError:
+        raise ConfigError("the ends a < b must fit in a float; one is past "
+                          "the float range") from None
+    if fb - fa == np.inf:
         raise ConfigError(f"the width b - a of [{a}, {b}] overflows a float")
     n_edges = _generator_size("n_edges", n_edges, 1)
     coords, edges = _generator_tables((n_edges + 1,), a, b)

@@ -58,12 +58,14 @@ def caputo_polynomial(coeffs, x, s, right_sign):
     x^(1-s) P(x) + (1-x)^(1-s) Q(x), "plus" adding the right part and
     "minus" subtracting it: P[m-1] = c_m Gamma(m+1)/Gamma(m+1-s) (the
     power rule) and Q = (1/Gamma(1-s)) sum_m c_m m sum_{k<m} C(m-1,k)
-    x^(m-1-k) (1-x)^k / (k+1-s), both cached per (coeffs, s).
+    x^(m-1-k) (1-x)^k / (k+1-s), both cached per (coeffs, s).  The
+    domain 0 <= x <= 1 is checked by one min and one max of x.
     """
     if not 0 < s < 1:
         raise ConfigError("two-sided closed forms require s in (0, 1)")
     x = np.asarray(x, dtype=float)
-    if not ((0 <= x) & (x <= 1)).all():  # NaN fails too
+    # initial= passes an empty x; a NaN propagates and fails both.
+    if not (x.min(initial=0.0) >= 0 and x.max(initial=1.0) <= 1):
         raise ConfigError("two-sided closed forms hold on 0 <= x <= 1")
     left, right = (_horner(poly, x) for poly in _factored(tuple(coeffs), s))
     left *= x ** (1.0 - s)

@@ -43,11 +43,15 @@ def _rgamma(x):
 
 
 def _horner(coef, z):
-    """sum_k coef[k] z^k over an array z, in place (a scalar for 0-d z)."""
-    out = np.full(z.shape, coef[-1])[()]
-    for c in reversed(coef[:-1]):
-        out *= z
+    """sum_k coef[k] z^k over an array z (a scalar for 0-d z): z coef[-1]
+    in one new array, then + coef[k] and * z in place down to coef[0]."""
+    if len(coef) == 1:
+        return np.full(z.shape, coef[0])[()]
+    out = z * coef[-1]
+    for c in coef[-2:0:-1]:
         out += c
+        out *= z
+    out += coef[0]
     return out
 
 

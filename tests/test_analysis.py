@@ -2,6 +2,11 @@
 
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,13 +31,23 @@ from fracdec import (
     s_sweep,
 )
 from fracdec.analysis import (
+    _COARSE_W,
+    _COARSE_X,
+    _FINE_W,
+    _FINE_X,
+    _L2_BLOCK,
+    _L2_MAX_HALVINGS,
+    _L2_PIECE_TOL,
+    _L2_QUAD_RTOL,
+    _L2_QUAD_TOL,
     edge_integrals,
     eval_at_barycenters,
     l2_error_stairs,
     relative_l2_per_triangle,
     whitney_reconstruct,
 )
-from fracdec import mesh
+import fracdec
+from fracdec import analysis, mesh
 
 from conftest import surface_mesh
 
@@ -50,6 +65,39 @@ def quad_oracle_l2(breakpoints, values, reference):
                       epsabs=1e-14, epsrel=1e-12, limit=200)
         total += val
     return float(np.sqrt(total))
+
+
+def oracle_quad(reference, lo, hi, values):
+    """The unblocked quadrature loop that analysis.quad replaced: every
+    step in one loop, the two rules' nodes stacked, a gather of the step
+    values at every level."""
+    out, halvings = np.zeros(len(values)), np.zeros(len(values), dtype=np.int64)
+    tol, step = _L2_QUAD_TOL, np.arange(len(values))
+    while step.size:
+        h = (hi - lo)[:, None]
+        nodes = np.hstack([lo[:, None] + h * _FINE_X, lo[:, None] + h * _COARSE_X])
+        ref = np.broadcast_to(np.asarray(reference(nodes), dtype=float), nodes.shape)
+        sq = (values[step, None] - ref) ** 2
+        fine = h[:, 0] * (sq[:, :len(_FINE_X)] @ _FINE_W)
+        gap = np.abs(fine - h[:, 0] * (sq[:, len(_FINE_X):] @ _COARSE_W))
+        # A value that is not finite leaves a gap that is not finite.
+        if not np.all(np.isfinite(gap)):
+            raise AccuracyError("the L2 integrand is not finite")
+        ok = gap <= tol + _L2_QUAD_RTOL * fine
+        np.add.at(out, step[ok], fine[ok])
+        step, lo, hi = step[~ok], lo[~ok], hi[~ok]
+        np.add.at(halvings, step, 1)
+        if np.any(halvings > _L2_MAX_HALVINGS):
+            raise AccuracyError(f"an L2 step is unresolved after {_L2_MAX_HALVINGS} halvings")
+        tol, mid = _L2_PIECE_TOL, (lo + hi) / 2.0
+        step, lo, hi = np.tile(step, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return out
+
+
+def oracle_l2(breakpoints, values, reference):
+    """l2_error_stairs through oracle_quad."""
+    bp, values = np.asarray(breakpoints, dtype=float), np.asarray(values, dtype=float)
+    return float(np.sqrt(oracle_quad(reference, bp[:-1], bp[1:], values).sum()))
 
 
 _EDGE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -132,7 +180,8 @@ def half_signed_zeros(rng, n):
 
 def recording(reference):
     """reference, and the list of node arrays it is called on: one row
-    of nodes per quadrature piece, one call per level."""
+    of nodes per quadrature piece, one call per level (per block of
+    8192 pieces on a larger level)."""
     calls = []
 
     def recorded(t, *args, **kwargs):
@@ -288,6 +337,160 @@ class TestErrorNorms:
         bary = barycenters(cx, 1)[:, 0]
         np.testing.assert_array_equal(bary, [0.125, 0.375, 0.625, 0.875])
         assert row["error"] == float(np.max(np.abs(deriv.values - fam.reference(bary, 0.5))))
+
+
+def random_stairs(n, seed):
+    """n steps of normal values on sorted uniform breakpoints from 0 to 1."""
+    rng = np.random.default_rng(seed)
+    breakpoints = np.concatenate([[0.0], np.sort(rng.random(n - 1)), [1.0]])
+    return breakpoints, rng.normal(size=n)
+
+
+_PAPER = get_family("poly_neg10x3_plus_10x2")
+# Seven sqrt kinks and six jumps spread over [0, 1], so the halved steps
+# fall in several blocks; a scalar and a smooth reference halve none.
+_REFERENCES = {
+    "kink": lambda t: np.sqrt(np.abs(np.sin(20.0 * t))),
+    "jump": lambda t: np.floor(7.0 * t) % 2.0,
+    "scalar": lambda t: 0.25,
+    "smooth": lambda t: _PAPER.reference(t, 0.5, "plus"),
+}
+
+
+def level_blocks(n):
+    """The piece counts of quad's reference calls on a level of n pieces:
+    blocks of _L2_BLOCK, a last single piece joining the block before."""
+    sizes = [min(_L2_BLOCK, n - start) for start in range(0, n, _L2_BLOCK)]
+    if len(sizes) > 1 and sizes[-1] == 1:
+        sizes[-2:] = [_L2_BLOCK + 1]
+    return sizes
+
+
+def check_random_stairs(n, name):
+    """quad and l2_error_stairs against oracle_quad on n random steps,
+    bit for bit: the sums, the norm and the reference calls."""
+    breakpoints, values = random_stairs(n, seed=n)
+    (got_ref, got_calls), (want_ref, want_calls) = (recording(_REFERENCES[name])
+                                                    for _ in range(2))
+    got = analysis.quad(got_ref, breakpoints[:-1], breakpoints[1:], values)
+    want = oracle_quad(want_ref, breakpoints[:-1], breakpoints[1:], values)
+    assert got.tobytes() == want.tobytes()
+    assert (l2_error_stairs(breakpoints, values, _REFERENCES[name]).hex()
+            == float(np.sqrt(want.sum())).hex())
+    # The first level goes in blocks of steps, which together are the
+    # oracle's first call; every later level is the oracle's, node for node.
+    blocks = len(level_blocks(n))
+    assert [len(c) for c in got_calls[:blocks]] == level_blocks(n)
+    assert np.concatenate(got_calls[:blocks]).tobytes() == want_calls[0].tobytes()
+    assert len(got_calls) - blocks == len(want_calls) - 1
+    assert all(g.tobytes() == w.tobytes()
+               for g, w in zip(got_calls[blocks:], want_calls[1:]))
+    if name in ("kink", "jump"):
+        # Pieces are halved, in steps of more than one block where
+        # there is more than one.
+        steps = np.concatenate([np.searchsorted(breakpoints, c.mean(axis=1)) - 1
+                                for c in want_calls[1:]])
+        assert steps.size and (blocks == 1 or len(np.unique(steps // _L2_BLOCK)) > 1)
+
+
+# Several blocks, and levels that end in a single step past a block.
+_STAIRS_CASES = [(n, name) for n in (5_000, 20_000, 70_000, _L2_BLOCK + 1, 3 * _L2_BLOCK + 1)
+                 for name in sorted(_REFERENCES)]
+
+_ONE_THREAD_PROBE = """
+import json, traceback
+import test_analysis
+failures = {}
+for n, name in test_analysis._STAIRS_CASES:
+    try:
+        test_analysis.check_random_stairs(n, name)
+    except AssertionError:
+        failures[f"{n}-{name}"] = traceback.format_exc()
+print(json.dumps(failures))
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_failures():
+    """check_random_stairs on every case in a fresh interpreter whose BLAS
+    has one thread, as the benchmark runs it: the traceback of each case
+    that fails.  With several threads, OpenBLAS splits a long level into
+    shares that blocks need not match, and a sum may move in its last bit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracdec.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests]),
+           **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    proc = subprocess.run([sys.executable, "-c", _ONE_THREAD_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestQuadBlocks:
+    """analysis.quad against the unblocked loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("right_sign", ["plus", "minus"])
+    def test_paper_family_bits(self, s, right_sign):
+        cfg = FracConfig(s=s, right_sign=right_sign)
+        sizes = [2 ** k for k in range(1, 11)]
+        rows = convergence_study(_PAPER, s, sizes, config=cfg)
+        for n, row in zip(sizes, rows):
+            cx, deriv = frac_derivative_1d(n, _PAPER, cfg)
+            want = oracle_l2(cx.vertex_coords[:, 0], deriv.values,
+                             lambda t: _PAPER.reference(t, s, right_sign))
+            assert row["error"].hex() == want.hex(), n
+
+    @pytest.mark.parametrize("n, name", _STAIRS_CASES)
+    def test_random_stairs_bits(self, n, name, one_thread_failures):
+        assert f"{n}-{name}" not in one_thread_failures, one_thread_failures[f"{n}-{name}"]
+
+    def test_single_block_stairs_bits(self):
+        # Up to one block and a piece, quad makes the oracle's calls, so
+        # its bits hold under any number of BLAS threads.
+        for name in sorted(_REFERENCES):
+            check_random_stairs(_L2_BLOCK + 1, name)
+
+    @pytest.mark.parametrize("which", ["n2", "n1024", "kink_block", "jump_block"])
+    def test_reference_calls_are_the_oracles(self, which):
+        # Up to one block of steps, quad calls the reference on the
+        # oracle's nodes, call for call and bit for bit.
+        if which.startswith("n"):
+            cx, deriv = frac_derivative_1d(int(which[1:]), _PAPER, FracConfig(s=0.5))
+            stairs, ref = (cx.vertex_coords[:, 0], deriv.values), _REFERENCES["smooth"]
+        else:
+            stairs, ref = random_stairs(_L2_BLOCK, seed=3), _REFERENCES[which[:4]]
+        bp, values = stairs
+        (got_ref, got), (want_ref, want) = recording(ref), recording(ref)
+        analysis.quad(got_ref, bp[:-1], bp[1:], values)
+        oracle_quad(want_ref, bp[:-1], bp[1:], values)
+        assert (len(want) == 1) == (which == "n1024")
+        assert [c.shape for c in got] == [c.shape for c in want]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_one_quad_call_per_norm(self, monkeypatch):
+        # Three blocks of steps are still one quad call, as the tracer counts.
+        calls = []
+        quad_ = analysis.quad
+        monkeypatch.setattr(analysis, "quad",
+                            lambda *args: calls.append(len(args[3])) or quad_(*args))
+        l2_error_stairs(*random_stairs(2 * _L2_BLOCK + 1, seed=1), _REFERENCES["smooth"])
+        assert calls == [2 * _L2_BLOCK + 1]
+
+    def test_memory_is_bounded_by_a_block(self):
+        # On 2^16 steps the unblocked loop held several (n, 40) float
+        # arrays of 20 MiB each at once, 102 MiB traced in all; in blocks
+        # of steps the peak is about 18 MiB, the reference's temporaries
+        # on one block included, and no more on 2^18 steps.
+        n = 2 ** 16
+        breakpoints = np.linspace(0.0, 1.0, n + 1)
+        values = _PAPER.sample(breakpoints[:-1] + 0.5 / n)
+        tracemalloc.start()
+        try:
+            l2_error_stairs(breakpoints, values, _REFERENCES["smooth"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
 
 class TestWhitney:

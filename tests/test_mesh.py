@@ -157,6 +157,27 @@ class TestGenerators:
             with pytest.raises(ConfigError, match="overflows a float"):
                 generate_interval_mesh(a, b, 3)
 
+    @pytest.mark.parametrize("a, b", [(0, 10 ** 400), (-10 ** 400, 0),
+                                      (10 ** 400, 10 ** 401), (-10 ** 401, -10 ** 400),
+                                      (0.0, 2 ** 1024)],
+                             ids=["b_1e400", "a_-1e400", "both_above", "both_below",
+                                  "b_2^1024"])
+    def test_interval_ends_past_the_float_range(self, a, b):
+        # An int end compares exactly, so it passes the finite-ends check
+        # however large; one no float can hold is refused in one line,
+        # before any float arithmetic and with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="fit in a float") as err:
+                generate_interval_mesh(a, b, 3)
+        assert "\n" not in str(err.value)
+
+    def test_int_ends_in_the_float_range_are_floats(self):
+        # An int end that a float holds builds the mesh of its float.
+        got = generate_interval_mesh(-3, 2 ** 1023, 4)
+        want = generate_interval_mesh(-3.0, 2.0 ** 1023, 4)
+        assert got.vertex_coords.tobytes() == want.vertex_coords.tobytes()
+
     def test_top_table_kept_as_given(self):
         # A C-contiguous int64 top table in key order is the complex's
         # own; any other is copied, and the caller's array is not sorted.

@@ -11,6 +11,7 @@ from caputo_oracle import QuadratureSpec, caputo_quadrature
 from fracdec import ConfigError, get_family, oracles
 from fracdec.oracles import caputo_polynomial, caputo_power, left_caputo_exp
 from fracdec.special import gamma
+from test_special import parent_horner
 
 POINTS = (0.15, 0.4, 0.85)
 ORDERS = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -93,6 +94,45 @@ class TestTwoSidedForms:
         left_q = 2.0 / gamma(2.5) * x ** 1.5
         assert quadratic(x, 0.5, "plus") == pytest.approx(left_q + right_q,
                                                           rel=1e-12)
+
+
+def parent_caputo_polynomial(coeffs, x, s, right_sign):
+    """caputo_polynomial as it was: the domain checked by two comparisons
+    and an and, each Horner sum started from a filled array."""
+    if not 0 < s < 1:
+        raise ConfigError("two-sided closed forms require s in (0, 1)")
+    x = np.asarray(x, dtype=float)
+    if not ((0 <= x) & (x <= 1)).all():  # NaN fails too
+        raise ConfigError("two-sided closed forms hold on 0 <= x <= 1")
+    left, right = (parent_horner(poly, x) for poly in oracles._factored(tuple(coeffs), s))
+    left *= x ** (1.0 - s)
+    right *= np.power(1.0 - x, 1.0 - s)
+    out = left + right if right_sign == "plus" else left - right
+    return out if out.ndim else float(out)
+
+
+class TestPolynomialDomain:
+    INPUTS = [np.empty(0), np.empty((0, 40)), 0.5, np.asarray(0.25), 0.0, -0.0,
+              np.array([-0.0, 0.5]), 1.0, np.array([0.0, 1.0]),
+              np.nextafter(1.0, 2.0), np.array([0.5, np.nextafter(1.0, 2.0)]),
+              np.nextafter(-0.0, -1.0), np.nan, np.array([0.5, np.nan]),
+              np.array([[np.nan, 2.0]]), np.inf, -np.inf]
+
+    @pytest.mark.parametrize("coeffs", [(1.0,), (0.0, 2.0), (0.0, 0.0, 10.0, -10.0)])
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_values_and_refusals_are_the_parents(self, coeffs, sign):
+        for x in self.INPUTS:
+            try:
+                want = parent_caputo_polynomial(coeffs, x, 0.4, sign)
+            except ConfigError as err:
+                with pytest.raises(ConfigError) as got:
+                    caputo_polynomial(coeffs, x, 0.4, sign)
+                assert str(got.value) == str(err)
+                continue
+            got = caputo_polynomial(coeffs, x, 0.4, sign)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.shape(got) == np.shape(want)
 
 
 class TestExponential:

@@ -43,6 +43,33 @@ class TestGamma:
                 gamma(z)
 
 
+def parent_horner(coef, z):
+    """_horner as it was: the constant filled in, then * z and + coef[k]."""
+    out = np.full(z.shape, coef[-1])[()]
+    for c in reversed(coef[:-1]):
+        out *= z
+        out += c
+    return out
+
+
+class TestHorner:
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_matches_the_filled_form(self, k):
+        # Bit for bit and type for type, for 0-d and array z, at the
+        # Mittag-Leffler and closed-form arguments and a -0.0, with the
+        # list Mittag-Leffler passes and the tuple of the closed forms.
+        rng = np.random.default_rng(k)
+        coef = list(rng.normal(size=k))
+        for z, c in itertools.product(
+                (np.asarray(0.37), np.asarray(-0.0), np.asarray(50.0),
+                 rng.random(33) * 50.0, np.linspace(0.0, 1.0, 12).reshape(3, 4),
+                 np.array([-0.0, 0.0, 1.0]), np.empty(0)), (coef, tuple(coef))):
+            got, want = special._horner(c, z), parent_horner(c, z)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.shape(got) == np.shape(want)
+
+
 class TestMittagLeffler:
     def test_exp_identity(self):
         for z in np.linspace(0.0, 1.0, 21):
